@@ -252,6 +252,9 @@ class GradedModule:
             for g in self.degrees
         }
         self._key = (ring, group, factors)
+        # (op, N, N2) -> N op N2, so a repeated pair reuses one submodule
+        # and with it the submodule's cached colon and invariants
+        self._lattice_memo: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, GradedModule) and self._key == other._key
@@ -465,20 +468,27 @@ class GradedSubmodule:
         return True
 
     def plus(self, other: GradedSubmodule) -> GradedSubmodule:
-        self._require_same_module(other)
-        blocks = tuple(
-            intlinalg.hermite_normal_form(a + b, len(self.module.slots[g]))
-            for a, b, g in zip(self.blocks, other.blocks, self.module.degrees)
-        )
-        return GradedSubmodule(self.module, blocks)
+        return self._lattice_op("plus", other)
 
     def intersect(self, other: GradedSubmodule) -> GradedSubmodule:
+        return self._lattice_op("intersect", other)
+
+    def _lattice_op(self, op: str, other: GradedSubmodule) -> GradedSubmodule:
+        """N + N2 or N meet N2, degree by degree, memoised on the module."""
         self._require_same_module(other)
-        blocks = tuple(
-            intlinalg.lattice_intersection(a, b, len(self.module.slots[g]))
-            for a, b, g in zip(self.blocks, other.blocks, self.module.degrees)
-        )
-        return GradedSubmodule(self.module, blocks)
+        M = self.module
+        key = (op, self, other)
+        result = M._lattice_memo.get(key)
+        if result is None:
+            blocks = []
+            for a, b, g in zip(self.blocks, other.blocks, M.degrees):
+                n = len(M.slots[g])
+                if op == "plus":
+                    blocks.append(intlinalg.hermite_normal_form(a + b, n))
+                else:
+                    blocks.append(intlinalg.lattice_intersection(a, b, n))
+            result = M._lattice_memo[key] = GradedSubmodule(M, blocks)
+        return result
 
     @property
     def is_zero(self) -> bool:
@@ -515,23 +525,15 @@ class GradedSubmodule:
         return all(self.quotient_invariants(g).is_finite for g in self.module.degrees)
 
     def colon(self) -> Ideal:
-        """(N :_R M), the ideal of ring elements multiplying M into N."""
+        """(N :_R M), the ideal of ring elements multiplying M into N: the
+        lcm of the exponents of the M_g/N_g, or zero if one has a free part."""
         if self._colon is None:
             M = self.module
-            a = 1
-            for g in M.degrees:
-                block = self.block(g)
-                n = len(M.slots[g])
-                for pos in range(n):
-                    e = tuple(1 if q == pos else 0 for q in range(n))
-                    o = intlinalg.element_order_in_quotient(block, n, e)
-                    if o == 0:
-                        a = 0
-                        break
-                    a = lcm(a, o)
-                if a == 0:
-                    break
-            self._colon = M.ring.ideal(a) if a else M.ring.zero_ideal
+            invs = [self.quotient_invariants(g) for g in M.degrees]
+            if all(inv.is_finite for inv in invs):
+                self._colon = M.ring.ideal(lcm(1, *(inv.exponent for inv in invs)))
+            else:
+                self._colon = M.ring.zero_ideal
         return self._colon
 
     def size(self) -> int:
@@ -611,24 +613,28 @@ def annihilator(M: GradedModule) -> Ideal:
 
 
 def _enumerate_block_subgroups(orders: tuple[int, ...]):
-    """All subgroups of Z_{o_1} x ... x Z_{o_k} as HNF preimage lattices,
-    by closure BFS with canonical-form dedup."""
+    """All subgroups of Z_{o_1} x ... x Z_{o_k} as HNF preimage lattices.
+
+    A preimage lattice contains diag(orders), so its HNF is upper triangular
+    with pivot h_i dividing o_i and the entries of column j in [0, h_j).
+    Rows are chosen from the last to the first; a partial lattice is kept
+    iff it contains o_i e_i, i.e. (o_i / h_i) times the tail of row i lies
+    in the span of the rows below it.
+    """
     n = len(orders)
-    moduli = [tuple(o if j == i else 0 for j in range(n)) for i, o in enumerate(orders)]
-    zero = intlinalg.hermite_normal_form(moduli, n)
-    elements = [tuple(t) for t in iproduct(*(range(o) for o in orders))]
-    seen = {zero}
-    queue = [zero]
-    while queue:
-        lat = queue.pop(0)
-        for x in elements:
-            if intlinalg.lattice_contains(lat, x):
-                continue
-            bigger = intlinalg.hermite_normal_form(list(lat) + [x], n)
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
-    return sorted(seen, key=lambda lat: (-_block_index(lat), lat))
+    lattices = [()]
+    for i in reversed(range(n)):
+        grown = []
+        for below in lattices:
+            ranges = [range(row[j]) for j, row in enumerate(below, i + 1)]
+            for h in numtheory.divisors(orders[i]):
+                q = orders[i] // h
+                for tail in iproduct(*ranges):
+                    scaled = (0,) * (i + 1) + tuple(q * a for a in tail)
+                    if intlinalg.lattice_contains(below, scaled):
+                        grown.append(((0,) * i + (h, *tail),) + below)
+        lattices = grown
+    return sorted(lattices, key=lambda lat: (-_block_index(lat), lat))
 
 
 def _block_index(lat) -> int:

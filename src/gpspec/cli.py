@@ -61,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument(
             "--enum-bound", type=int,
-            default=int(os.environ.get("GPS_ENUM_BOUND", DEFAULT_ENUM_BOUND)),
-            help="largest module size that will be enumerated",
+            help="largest module size that will be enumerated "
+            f"(default: GPS_ENUM_BOUND, else {DEFAULT_ENUM_BOUND})",
         )
         sp.add_argument("--seed", type=int, default=0)
 
@@ -179,8 +179,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        bound = _enum_bound(args)
         model, stem = _load_model(args.input)
-        bound = args.enum_bound
 
         if args.command == "parse":
             _no_dot(args)
@@ -307,6 +307,20 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT_ERROR
+
+
+def _enum_bound(args) -> int:
+    """--enum-bound, else the GPS_ENUM_BOUND environment variable, else the
+    library default."""
+    if args.enum_bound is not None:
+        return args.enum_bound
+    raw = os.environ.get("GPS_ENUM_BOUND")
+    if raw is None:
+        return DEFAULT_ENUM_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise AlgebraError(f"GPS_ENUM_BOUND must be an integer, got {raw!r}") from None
 
 
 def _named(model: Model, name: str):

@@ -95,6 +95,9 @@ class FiniteSpace:
         self.radicals: tuple[GradedSubmodule, ...] = ()
         self.rad_colons: tuple[Ideal, ...] = ()
         self.colons: tuple[Ideal, ...] = ()
+        # (N : M) -> variety mask; the non-star variety depends on N only
+        # through its colon
+        self._colon_masks: dict[Ideal, int] = {}
 
     @property
     def is_empty(self) -> bool:
@@ -214,16 +217,20 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> Point
         raise AlgebraError("use ring_variety on ring spectra")
     if N.module != space.module:
         raise AlgebraError("submodule lives in a different module")
-    mask = 0
     if star:
+        mask = 0
         for i, R in enumerate(space.radicals):
             if R.contains(N):
                 mask |= 1 << i
-    else:
-        c = N.colon()
+        return PointSet(space, mask)
+    c = N.colon()
+    mask = space._colon_masks.get(c)
+    if mask is None:
+        mask = 0
         for i, rc in enumerate(space.rad_colons):
             if rc.contains(c):
                 mask |= 1 << i
+        space._colon_masks[c] = mask
     return PointSet(space, mask)
 
 

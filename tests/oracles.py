@@ -7,8 +7,9 @@ deliberately independent of the lattice/Smith machinery it cross-checks.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
+from gpspec import intlinalg
 from gpspec.algebra import GradedModule, GradedSubmodule, Ideal
 
 
@@ -74,6 +75,30 @@ def all_subgroups(M: GradedModule) -> set[frozenset]:
                 seen.add(bigger)
                 queue.append(bigger)
     return seen
+
+
+def bfs_block_subgroups(orders: tuple[int, ...]) -> list:
+    """All subgroups of Z_{o_1} x ... x Z_{o_k} as HNF preimage lattices, by
+    closure BFS with canonical-form dedup: from each subgroup found, adjoin
+    every element outside it.  One HNF per element per subgroup, so small
+    sizes only.  Sorted like the library's enumeration: index in Z^k (the
+    product of the pivots, each on the diagonal) descending, then the HNF."""
+    n = len(orders)
+    moduli = [tuple(o if j == i else 0 for j in range(n)) for i, o in enumerate(orders)]
+    zero = intlinalg.hermite_normal_form(moduli, n)
+    elements = list(product(*(range(o) for o in orders)))
+    seen = {zero}
+    queue = [zero]
+    while queue:
+        lat = queue.pop(0)
+        for x in elements:
+            if intlinalg.lattice_contains(lat, x):
+                continue
+            bigger = intlinalg.hermite_normal_form(list(lat) + [x], n)
+            if bigger not in seen:
+                seen.add(bigger)
+                queue.append(bigger)
+    return sorted(seen, key=lambda lat: (-prod(row[i] for i, row in enumerate(lat)), lat))
 
 
 def is_graded_subset(M: GradedModule, elems: frozenset) -> bool:

@@ -8,9 +8,11 @@ from gpspec.algebra import (
     BaseRing,
     EnumerationBoundError,
     GradedModule,
+    GradedSubmodule,
     GradingGroup,
     InfiniteEnumerationError,
     ModuleMismatchError,
+    _enumerate_block_subgroups,
     annihilator,
     enumerate_submodules,
     ideal_times_module,
@@ -196,6 +198,22 @@ def test_lattice_ops_against_closure_oracle():
         assert (A == B) == (ea == eb)
 
 
+def test_lattice_memo_matches_fresh_module():
+    # every pair on Z4@0 + Z8@1 + Z2@0, computed twice through the module's
+    # memo, against the same pair computed once on an equal fresh module
+    M = GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))])
+    subs = enumerate_submodules(M)
+    for N in subs:
+        for N2 in subs:
+            for op in ("plus", "intersect"):
+                memo = getattr(N, op)(N2)
+                assert getattr(N, op)(N2) is memo
+                fresh = GradedModule(Z, Z2G, M.factors)
+                F, F2 = GradedSubmodule(fresh, N.blocks), GradedSubmodule(fresh, N2.blocks)
+                assert getattr(F, op)(F2).blocks == memo.blocks
+    assert len(subs[0].module._lattice_memo) == 2 * len(subs) ** 2
+
+
 def test_properness():
     M = zmod_module(6)
     assert M.full_submodule.is_full
@@ -324,6 +342,39 @@ def test_enumerate_completeness_against_subgroup_oracle():
             H for H in oracles.all_subgroups(M) if oracles.is_graded_subset(M, H)
         }
         assert enumerated == graded, M.text()
+
+
+def test_direct_enumeration_matches_bfs_oracle():
+    # identical lattices in identical order, wherever the BFS is affordable
+    for orders in [
+        (2, 2, 2, 2), (4, 8, 2), (3, 3, 3, 3), (6, 10), (9, 3),
+        (6, 6), (4, 8), (12,), (5, 25), (2,),
+    ]:
+        assert _enumerate_block_subgroups(orders) == oracles.bfs_block_subgroups(orders)
+
+
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def test_enumeration_counts_closed_forms():
+    # sizes the BFS oracle cannot reach, counted by closed formulas
+    def count(orders):
+        return len(enumerate_submodules(GradedModule(Z, Z2G, [(o, (0,)) for o in orders])))
+
+    # elementary abelian p-groups: the sum of the Gaussian binomials
+    for p, n in [(2, 1), (2, 5), (2, 6), (3, 4), (3, 5), (5, 3)]:
+        expected = sum(_gaussian_binomial(n, k, p) for k in range(n + 1))
+        assert count((p,) * n) == expected, (p, n)
+    # Z_{p^m} x Z_{p^n} with m <= n
+    for p, m, n in [(2, 5, 5), (2, 6, 6), (2, 2, 3), (3, 1, 2), (5, 1, 3), (3, 2, 4)]:
+        expected = sum((n - m + 2 * i + 1) * p ** (m - i) for i in range(m + 1))
+        assert count((p**m, p**n)) == expected, (p, m, n)
+    assert (count((2,) * 6), count((32, 32)), count((64, 64))) == (2825, 177, 367)
 
 
 def test_graded_iff_degreewise_subgroups():

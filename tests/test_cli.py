@@ -144,6 +144,16 @@ def test_env_var_enum_bound(monkeypatch):
     assert code == 3 and "bound" in err
 
 
+def test_env_var_enum_bound_not_an_integer(monkeypatch):
+    monkeypatch.setenv("GPS_ENUM_BOUND", "abc")
+    code, out, err = gps("pspec", str(MODELS / "z6.gps"))
+    assert code == 2 and out == ""
+    assert err == "error: GPS_ENUM_BOUND must be an integer, got 'abc'\n"
+    # an explicit --enum-bound takes precedence over the environment
+    code, out, _ = gps("pspec", str(MODELS / "z6.gps"), "--enum-bound", "100")
+    assert code == 0 and out.splitlines() == ["3Z6", "2Z6"]
+
+
 def test_unknown_submodule_is_input_error():
     code, _, err = gps("radical", str(MODELS / "z6.gps"), "--submodule", "missing")
     assert code == 2

@@ -199,6 +199,25 @@ def test_variety_laws():
                     assert vn.issubset(vn2)
 
 
+def test_variety_memo_matches_fresh_space():
+    # the non-star variety is memoised by (N : M); every memoised mask must
+    # equal the mask recomputed on a freshly built space with an empty memo
+    for M in (
+        GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
+        GradedModule(Z, Z2G, [(6, (0,)), (10, (1,))]),
+    ):
+        sp = build_space(M)
+        subs = enumerate_submodules(M)
+        assert set(sp._colon_masks) == {N.colon() for N in subs}
+        fresh = build_space(M)
+        for N in subs:
+            fresh._colon_masks.clear()
+            assert variety(sp, N).mask == variety(fresh, N).mask
+            assert variety(sp, N).mask == sum(
+                1 << i for i, rc in enumerate(sp.rad_colons) if rc.contains(N.colon())
+            )
+
+
 def test_base_generates_topology():
     for M in (zmod(6), zmod(8), zmod(12), GradedModule(Z, Z2G, [(4, (0,)), (2, (1,))])):
         sp = build_space(M)

@@ -707,10 +707,6 @@ class QuotientMap:
     def kernel(self) -> GradedSubmodule:
         return self._kernel
 
-    @property
-    def is_epimorphism(self) -> bool:
-        return True
-
     def apply(self, vec) -> tuple[int, ...]:
         src = self.source
         vec = src.reduce_vector(vec)

@@ -1,6 +1,6 @@
-"""Catalog of executable structural checks with stable ids, each with an
-applicability guard and a counterexample reporter; `gps check` is its CLI
-front end.
+"""Catalog of executable structural checks with stable ids, each with the
+applicability guards its catalog entry declares and a counterexample
+reporter; `gps check` is its CLI front end.
 
 Identities are verified extensionally over all graded submodules, pairs,
 ideals (and triples where families are quantified) of a finite instance;
@@ -56,11 +56,13 @@ from .topology import (
     ideal_core,
     is_irreducible_subset,
     is_quasi_compact,
+    is_union_of_members,
     radical_core,
     ring_basic_open,
     ring_variety,
     smallest_closed_superset,
     specialization_closures,
+    union_gap,
     variety,
     variety_membership,
 )
@@ -170,8 +172,7 @@ class Context:
         ring = self.module.ring
         if ring.is_finite:
             return tuple(ring.ideals())
-        gens = sorted({0, 1, *divisors(self.module.base_scale())})
-        return tuple(ring.ideal(g) for g in gens)
+        return tuple(ring.ideal(g) for g in self.scalar_reps)
 
     @cached_property
     def scalar_reps(self) -> tuple[int, ...]:
@@ -222,6 +223,38 @@ class Context:
         return tuple(quotient_module(self.module, K)[1] for K in self.subs)
 
 
+# -- guards --------------------------------------------------------------------
+# A catalog entry names its guards in `requires`; they run in that order
+# before the check.  A guard raises Skip, returns a vacuous (0, detail) result
+# when the check's hypothesis fails, or returns None to go on.
+
+
+def finite(ctx: Context):
+    ctx.require_finite()
+
+
+def surjective(ctx: Context):
+    if not ctx.rho.surjective.is_true:
+        raise Skip("natural map not surjective")
+
+
+def multiplication_known(ctx: Context):
+    if is_multiplication(ctx.module).is_unknown:
+        raise Skip("multiplication status unknown")
+
+
+def multiplication(ctx: Context):
+    multiplication_known(ctx)
+    if is_multiplication(ctx.module).is_false:
+        return 0, "hypothesis fails (not a multiplication module)"
+    return None
+
+
+def over_integers(ctx: Context):
+    if ctx.module.ring.modulus != 0:
+        raise Skip("stated for modules over a graded principal ideal domain")
+
+
 # -- check implementations -----------------------------------------------------
 # Each check returns (substantive_count, detail) or raises Skip / CheckFailure.
 
@@ -230,8 +263,22 @@ def _fail(msg: str, ce=None):
     raise CheckFailure(msg, ce)
 
 
+def _union_closed(fam: dict, what: str) -> int:
+    """Fail on the first pair of masks in `fam` whose union is missing from
+    it, reporting their witnesses; else return the number of pairs."""
+    gap = union_gap(fam)
+    if gap is not None:
+        _fail(f"{what} is not closed under union", (fam[gap[0]], fam[gap[1]]))
+    return len(fam) ** 2
+
+
+def _separates_points(sp) -> bool:
+    """Whether distinct points of the space have distinct point varieties."""
+    masks = [variety(sp, Q).mask for Q in sp.points]
+    return len(set(masks)) == len(masks)
+
+
 def check_T2_1(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     star = ctx.star_masks
     count = 0
@@ -287,31 +334,14 @@ def check_CE2_1(ctx: Context):
 
 
 def check_T2_2(ctx: Context):
-    ctx.require_finite()
-    mult = is_multiplication(ctx.module)
-    if mult.is_unknown:
-        raise Skip("multiplication status unknown")
-    if mult.is_false:
-        return 0, "hypothesis fails (not a multiplication module)"
     fam = {}
     for N in ctx.subs:
         fam.setdefault(ctx.star_masks[N], N)
-    count = 0
-    for a in fam:
-        for b in fam:
-            if a | b not in fam:
-                _fail("star family is not closed under union", (fam[a], fam[b]))
-            count += 1
+    count = _union_closed(fam, "star family")
     return count, f"union closure over {len(fam)} distinct star varieties"
 
 
 def check_P2_3(ctx: Context):
-    ctx.require_finite()
-    mult = is_multiplication(ctx.module)
-    if mult.is_unknown:
-        raise Skip("multiplication status unknown")
-    if mult.is_false:
-        return 0, "hypothesis fails (not a multiplication module)"
     M = ctx.module
     sp = ctx.pspec
     star = ctx.star_masks
@@ -335,7 +365,6 @@ def check_P2_3(ctx: Context):
 
 
 def check_T2_4(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     nu = ctx.nu_masks
     M = ctx.module
@@ -366,10 +395,7 @@ def check_T2_4(ctx: Context):
 
 
 def check_P2_5(ctx: Context):
-    ctx.require_finite()
     mult = is_multiplication(ctx.module)
-    if mult.is_unknown:
-        raise Skip("multiplication status unknown")
     primary_points = set(ctx.pspec.points)
     count = 0
     logged = 0
@@ -390,7 +416,6 @@ def check_P2_5(ctx: Context):
 
 
 def check_L2_6(ctx: Context):
-    ctx.require_finite()
     ps, ss = ctx.pspec, ctx.spec
     spec_idx = [ps.index_of(p) for p in ss.points]
     M = ctx.module
@@ -434,7 +459,6 @@ def check_L2_6(ctx: Context):
 
 
 def check_C2_7(ctx: Context):
-    ctx.require_finite()
     from .topology import is_primary_top_module
 
     ptop = is_primary_top_module(ctx.module, ctx.bound)
@@ -446,24 +470,13 @@ def check_C2_7(ctx: Context):
     fam = {}
     for N in ctx.subs:
         fam.setdefault(variety(ss, N, star=True).mask, N)
-    count = 0
-    for a in fam:
-        for b in fam:
-            if a | b not in fam:
-                _fail("prime-side star family is not closed under union", (fam[a], fam[b]))
-            count += 1
+    count = _union_closed(fam, "prime-side star family")
     return count, f"union closure over {len(fam)} distinct sets"
 
 
 def check_P2_8(ctx: Context):
-    ctx.require_finite()
     res = ctx.rho
-    sp = res.space
-    separates = all(
-        variety(sp, sp.points[i]).mask != variety(sp, sp.points[j]).mask
-        for i in range(len(sp.points))
-        for j in range(i + 1, len(sp.points))
-    )
+    separates = _separates_points(res.space)
     fibers_small = all(mask.bit_count() <= 1 for _, mask in res.fibers)
     injective = res.injective.is_true
     if not (separates == fibers_small == injective):
@@ -475,7 +488,6 @@ def check_P2_8(ctx: Context):
 
 
 def check_C2_9(ctx: Context):
-    ctx.require_finite()
     res = ctx.rho
     if not all(mask.bit_count() == 1 for _, mask in res.fibers):
         return 0, "hypothesis fails (some fiber is not a singleton)"
@@ -485,7 +497,6 @@ def check_C2_9(ctx: Context):
 
 
 def check_P2_10(ctx: Context):
-    ctx.require_finite()
     res = ctx.rho
     if not res.continuity_ok:
         _fail("preimage identity fails for some reduced ideal")
@@ -493,7 +504,6 @@ def check_P2_10(ctx: Context):
 
 
 def check_P2_11(ctx: Context):
-    ctx.require_finite()
     res = ctx.rho
     if not res.surjective.is_true:
         return 0, "hypothesis fails (natural map not surjective)"
@@ -505,7 +515,6 @@ def check_P2_11(ctx: Context):
 
 
 def check_C2_12(ctx: Context):
-    ctx.require_finite()
     res = ctx.rho
     bijective = res.injective.is_true and res.surjective.is_true
     homeo = res.homeomorphism.is_true
@@ -515,19 +524,14 @@ def check_C2_12(ctx: Context):
 
 
 def check_T2_13(ctx: Context):
-    ctx.require_finite()
     c_spec = analyze_space(ctx.spec).connected
     c_pspec = analyze_space(ctx.pspec).connected
     c_ring = analyze_space(ctx.ring_space).connected
-    count = 0
-    if ctx.rho.surjective.is_true:
-        if c_spec and not c_pspec:
-            _fail("connected prime spectrum but disconnected primary spectrum")
-        if c_pspec != c_ring:
-            _fail("primary spectrum and reduced ring disagree on connectedness")
-        count += 1 + (1 if c_spec else 0)
-    else:
-        raise Skip("natural map not surjective")
+    if c_spec and not c_pspec:
+        _fail("connected prime spectrum but disconnected primary spectrum")
+    if c_pspec != c_ring:
+        _fail("primary spectrum and reduced ring disagree on connectedness")
+    count = 1 + (1 if c_spec else 0)
     if ctx.phi.surjective.is_true:
         if not (c_spec == c_pspec == c_ring):
             _fail("the three connectedness statements differ")
@@ -536,7 +540,6 @@ def check_T2_13(ctx: Context):
 
 
 def check_L2_14(ctx: Context):
-    ctx.require_finite()
     count = 0
     primary_points = list(ctx.pspec.points)
     for proj in ctx.quotient_maps:
@@ -558,7 +561,6 @@ def check_L2_14(ctx: Context):
 
 
 def check_T2_15(ctx: Context):
-    ctx.require_finite()
     count = 0
     for proj in ctx.quotient_maps:
         pi = InducedSpectrumMap(proj)
@@ -574,7 +576,6 @@ def check_T2_15(ctx: Context):
 
 
 def check_C2_16(ctx: Context):
-    ctx.require_finite()
     M = ctx.module
     isos = [identity_map(M)]
     factors = M.factors
@@ -623,24 +624,16 @@ def check_T2_17(ctx: Context):
 
 
 def check_P3_1(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     base_masks = [m for _, m in sp.base]
-    count = 0
     for c in sp.closed_masks:
-        u = c ^ sp.full_mask
-        acc = 0
-        for m in base_masks:
-            if m & u == m:
-                acc |= m
-        if acc != u:
+        if not is_union_of_members(c ^ sp.full_mask, base_masks):
             _fail("an open set is not a union of basic opens", sp.witnesses[c])
-        count += 1
+    count = len(sp.closed_masks)
     return count, f"{count} opens generated by {len(base_masks)} basic sets"
 
 
 def check_P3_2(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     ring = ctx.module.ring
     rr = ctx.reduced
@@ -710,9 +703,6 @@ def check_E3_3(ctx: Context):
 
 
 def check_T3_4(ctx: Context):
-    ctx.require_finite()
-    if not ctx.rho.surjective.is_true:
-        raise Skip("natural map not surjective")
     sp = ctx.pspec
     base_masks = [m for _, m in sp.base]
     count = 0
@@ -744,9 +734,6 @@ def check_T3_4(ctx: Context):
 
 
 def check_T3_5(ctx: Context):
-    ctx.require_finite()
-    if not ctx.rho.surjective.is_true:
-        raise Skip("natural map not surjective")
     sp = ctx.pspec
     opens = [m ^ sp.full_mask for m in sp.closed_masks]
     qc = [u for u in opens if is_quasi_compact(sp, u)]
@@ -759,18 +746,13 @@ def check_T3_5(ctx: Context):
                 _fail("quasi-compact opens are not closed under intersection")
             count += 1
     for u in opens:
-        acc = 0
-        for m in qc:
-            if m & u == m:
-                acc |= m
-        if acc != u:
+        if not is_union_of_members(u, qc):
             _fail("quasi-compact opens do not form a base")
         count += 1
     return count, f"{count} instantiations"
 
 
 def check_P4_1(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
@@ -784,7 +766,6 @@ def check_P4_1(ctx: Context):
 
 
 def check_T4_2(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     count = 0
     for Q in sp.points:
@@ -799,7 +780,6 @@ def check_T4_2(ctx: Context):
 
 
 def check_L4_3(ctx: Context):
-    ctx.require_finite()
     rs = ctx.ring_space
     count = 0
     for mask in ctx.subset_masks(rs):
@@ -814,7 +794,6 @@ def check_L4_3(ctx: Context):
 
 
 def check_T4_4(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
@@ -840,9 +819,6 @@ def check_T4_4(ctx: Context):
 
 
 def check_T4_5(ctx: Context):
-    ctx.require_finite()
-    if not ctx.rho.surjective.is_true:
-        raise Skip("natural map not surjective")
     sp = ctx.pspec
     point_varieties = {variety(sp, Q).mask for Q in sp.points}
     closures = specialization_closures(sp)
@@ -867,7 +843,6 @@ def _minimal_primes(ring_space):
 
 
 def check_T4_6(ctx: Context):
-    ctx.require_finite()
     sp = ctx.pspec
     rep = analyze_space(sp)
     components = set(rep.components)
@@ -885,9 +860,6 @@ def check_T4_6(ctx: Context):
 
 
 def check_C4_7(ctx: Context):
-    ctx.require_finite()
-    if not ctx.rho.surjective.is_true:
-        raise Skip("natural map not surjective")
     sp = ctx.pspec
     rs = ctx.ring_space
     minimal = set(_minimal_primes(rs))
@@ -922,14 +894,6 @@ def check_C4_7(ctx: Context):
 
 
 def check_P4_8(ctx: Context):
-    ctx.require_finite()
-    if ctx.module.ring.modulus != 0:
-        raise Skip("stated for modules over a graded principal ideal domain")
-    mult = is_multiplication(ctx.module)
-    if mult.is_unknown:
-        raise Skip("multiplication status unknown")
-    if not mult.is_true:
-        return 0, "hypothesis fails (not a multiplication module)"
     sp = ctx.pspec
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
@@ -950,7 +914,6 @@ def check_P4_8(ctx: Context):
 
 
 def check_P4_9(ctx: Context):
-    ctx.require_finite()
     if not analyze_space(ctx.pspec).t1:
         return 0, "hypothesis fails (not a T1 space)"
     primary = list(ctx.pspec.points)
@@ -962,9 +925,6 @@ def check_P4_9(ctx: Context):
 
 
 def check_T4_10(ctx: Context):
-    ctx.require_finite()
-    if not ctx.rho.surjective.is_true:
-        raise Skip("natural map not surjective")
     rep = analyze_space(ctx.pspec)
     if rep.spectral != rep.t0:
         _fail(f"spectral={rep.spectral} but t0={rep.t0}")
@@ -972,17 +932,10 @@ def check_T4_10(ctx: Context):
 
 
 def check_T4_11(ctx: Context):
-    ctx.require_finite()
-    if not ctx.rho.surjective.is_true:
-        raise Skip("natural map not surjective")
     sp = ctx.pspec
     rep = analyze_space(sp)
     t0 = rep.t0
-    separates = all(
-        variety(sp, sp.points[i]).mask != variety(sp, sp.points[j]).mask
-        for i in range(len(sp.points))
-        for j in range(i + 1, len(sp.points))
-    )
+    separates = _separates_points(sp)
     injective = ctx.rho.injective.is_true
     fibers_small = all(mask.bit_count() <= 1 for _, mask in ctx.rho.fibers)
     spectral = rep.spectral
@@ -1032,45 +985,71 @@ def check_selftest_fail(ctx: Context):
 
 @dataclass(frozen=True)
 class Check:
+    """A catalog entry: its guards (`requires`) and the check body they
+    protect.  `fn` runs both, so a Check rebuilt from (check_id, title, fn)
+    keeps its guards."""
+
     check_id: str
     title: str
-    fn: object
+    body: object
+    requires: tuple = ()
 
+    def fn(self, ctx: Context):
+        for guard in self.requires:
+            vacuous = guard(ctx)
+            if vacuous is not None:
+                return vacuous
+        return self.body(ctx)
+
+
+FINITE = (finite,)
+SURJECTIVE = (finite, surjective)
+MULTIPLICATION = (finite, multiplication)
 
 CATALOG: tuple[Check, ...] = (
-    Check("T2.1", "laws of the radical-containment varieties", check_T2_1),
-    Check("T2.2", "multiplication modules carry the quasi topology", check_T2_2),
-    Check("P2.3", "scaled-variety union laws on multiplication modules", check_P2_3),
-    Check("T2.4", "closed-set axioms for the colon varieties", check_T2_4),
-    Check("P2.5", "variety of the radical under the stated hypotheses", check_P2_5),
-    Check("L2.6", "subspace and colon reformulation identities", check_L2_6),
-    Check("C2.7", "the quasi topology restricts to the prime spectrum", check_C2_7),
-    Check("P2.8", "separation, fibers and injectivity are equivalent", check_P2_8),
-    Check("C2.9", "singleton fibers force a bijection", check_C2_9),
-    Check("P2.10", "preimage identity (continuity of the natural map)", check_P2_10),
-    Check("P2.11", "surjective natural maps are open and closed", check_P2_11),
-    Check("C2.12", "bijective iff homeomorphism", check_C2_12),
-    Check("T2.13", "connectedness transfers along the natural maps", check_T2_13),
-    Check("L2.14", "primary points transport along epimorphisms", check_L2_14),
-    Check("T2.15", "induced spectrum maps are injective and continuous", check_T2_15),
-    Check("C2.16", "isomorphisms induce homeomorphisms", check_C2_16),
+    Check("T2.1", "laws of the radical-containment varieties", check_T2_1, FINITE),
+    Check("T2.2", "multiplication modules carry the quasi topology", check_T2_2,
+          MULTIPLICATION),
+    Check("P2.3", "scaled-variety union laws on multiplication modules", check_P2_3,
+          MULTIPLICATION),
+    Check("T2.4", "closed-set axioms for the colon varieties", check_T2_4, FINITE),
+    Check("P2.5", "variety of the radical under the stated hypotheses", check_P2_5,
+          (finite, multiplication_known)),
+    Check("L2.6", "subspace and colon reformulation identities", check_L2_6, FINITE),
+    Check("C2.7", "the quasi topology restricts to the prime spectrum", check_C2_7,
+          FINITE),
+    Check("P2.8", "separation, fibers and injectivity are equivalent", check_P2_8,
+          FINITE),
+    Check("C2.9", "singleton fibers force a bijection", check_C2_9, FINITE),
+    Check("P2.10", "preimage identity (continuity of the natural map)", check_P2_10,
+          FINITE),
+    Check("P2.11", "surjective natural maps are open and closed", check_P2_11, FINITE),
+    Check("C2.12", "bijective iff homeomorphism", check_C2_12, FINITE),
+    Check("T2.13", "connectedness transfers along the natural maps", check_T2_13,
+          SURJECTIVE),
+    Check("L2.14", "primary points transport along epimorphisms", check_L2_14, FINITE),
+    Check("T2.15", "induced spectrum maps are injective and continuous", check_T2_15,
+          FINITE),
+    Check("C2.16", "isomorphisms induce homeomorphisms", check_C2_16, FINITE),
     Check("T2.17", "membership via the radical on cancellation modules", check_T2_17),
-    Check("P3.1", "the scalar opens form a base", check_P3_1),
-    Check("P3.2", "behavior of the scalar opens", check_P3_2),
+    Check("P3.1", "the scalar opens form a base", check_P3_1, FINITE),
+    Check("P3.2", "behavior of the scalar opens", check_P3_2, FINITE),
     Check("E3.3", "trivial-topology instances", check_E3_3),
-    Check("T3.4", "basic opens are quasi-compact", check_T3_4),
-    Check("T3.5", "quasi-compact opens form a multiplicative base", check_T3_5),
-    Check("P4.1", "closure equals the variety of the radical core", check_P4_1),
-    Check("T4.2", "point varieties are irreducible", check_T4_2),
-    Check("L4.3", "irreducible ring subsets have prime meets", check_L4_3),
-    Check("T4.4", "irreducibility via the radical core", check_T4_4),
-    Check("T4.5", "irreducible closed sets have generic points", check_T4_5),
-    Check("T4.6", "components come from minimal primes", check_T4_6),
-    Check("C4.7", "components cover the spectra", check_C4_7),
-    Check("P4.8", "subsets with primary core sit inside one fiber", check_P4_8),
-    Check("P4.9", "T1 collapses the three spectra", check_P4_9),
-    Check("T4.10", "spectral iff T0 under surjectivity", check_T4_10),
-    Check("T4.11", "the five-way separation equivalence", check_T4_11),
+    Check("T3.4", "basic opens are quasi-compact", check_T3_4, SURJECTIVE),
+    Check("T3.5", "quasi-compact opens form a multiplicative base", check_T3_5,
+          SURJECTIVE),
+    Check("P4.1", "closure equals the variety of the radical core", check_P4_1, FINITE),
+    Check("T4.2", "point varieties are irreducible", check_T4_2, FINITE),
+    Check("L4.3", "irreducible ring subsets have prime meets", check_L4_3, FINITE),
+    Check("T4.4", "irreducibility via the radical core", check_T4_4, FINITE),
+    Check("T4.5", "irreducible closed sets have generic points", check_T4_5, SURJECTIVE),
+    Check("T4.6", "components come from minimal primes", check_T4_6, FINITE),
+    Check("C4.7", "components cover the spectra", check_C4_7, SURJECTIVE),
+    Check("P4.8", "subsets with primary core sit inside one fiber", check_P4_8,
+          (finite, over_integers, multiplication)),
+    Check("P4.9", "T1 collapses the three spectra", check_P4_9, FINITE),
+    Check("T4.10", "spectral iff T0 under surjectivity", check_T4_10, SURJECTIVE),
+    Check("T4.11", "the five-way separation equivalence", check_T4_11, SURJECTIVE),
     Check("EX1.4Z", "the integer instance separating primary from prime", check_EX1_4Z),
     Check("CE2.1", "strictness of the union inclusion (rank two)", check_CE2_1),
     Check("EX4.2Z6", "the Z6 instance and its reducible spectrum", check_EX4_2Z6),

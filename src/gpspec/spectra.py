@@ -12,7 +12,7 @@ invariants of M_g/N_g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import numtheory
 from .algebra import (
@@ -81,6 +81,7 @@ class RadicalResult:
 
     status: str  # "submodule" | "top" | "unknown"
     submodule: GradedSubmodule | None = None
+    # strategies tried, in order, up to the one that answered
     strategies: tuple[str, ...] = ()
     reason: str = ""
 
@@ -89,10 +90,8 @@ class RadicalResult:
         return self.status != "unknown"
 
     def require(self) -> GradedSubmodule:
-        if self.status == "submodule":
-            return self.submodule
-        if self.status == "top":
-            return self.submodule  # the full submodule
+        if self.is_known:
+            return self.submodule  # the full submodule when "top"
         raise UnknownResultError(
             f"graded radical unknown ({self.reason}); tried {', '.join(self.strategies)}"
         )
@@ -186,53 +185,42 @@ def graded_radical(
     Strategies, in priority order: the submodule itself when it is prime;
     transport through M -> M/N when the quotient is finite (primes of M
     containing N correspond to primes of M/N); the colon-radical identity
-    when M is a multiplication module.  When several strategies apply their
-    results are cross-checked.
+    when M is a multiplication module.  The first strategy that answers
+    gives the result; `strategies` lists those tried, in order, up to it.
     """
     _require_proper(N, "the graded radical")
     M = N.module
-    tried = []
+    tried = ["prime-itself"]
 
-    results: list[tuple[str, GradedSubmodule]] = []
+    def answer(R: GradedSubmodule) -> RadicalResult:
+        status = "top" if R.is_full else "submodule"
+        return RadicalResult(status, R, strategies=tuple(tried))
 
-    tried.append("prime-itself")
     if is_graded_prime(N):
-        results.append(("prime-itself", N))
+        return answer(N)
 
-    if not results and N.quotient_is_finite():
+    if N.quotient_is_finite():
         tried.append("finite-quotient-transport")
         quot, proj = quotient_module(M, N)
         if quot.size <= bound:
-            primes = [
-                P for P in enumerate_submodules(quot, bound) if P.is_proper and is_graded_prime(P)
+            preimages = [
+                proj.preimage_submodule(P)
+                for P in enumerate_submodules(quot, bound)
+                if P.is_proper and is_graded_prime(P)
             ]
-            if primes:
-                acc = proj.preimage_submodule(primes[0])
-                for P in primes[1:]:
-                    acc = acc.intersect(proj.preimage_submodule(P))
-                results.append(("finite-quotient-transport", acc))
-            else:
-                results.append(("finite-quotient-transport", M.full_submodule))
+            if not preimages:
+                return answer(M.full_submodule)
+            return answer(reduce(GradedSubmodule.intersect, preimages))
 
-    mult = is_multiplication(M)
-    if mult.is_true:
+    if is_multiplication(M).is_true:
         tried.append("multiplication-identity")
-        results.append(
-            ("multiplication-identity", ideal_times_module(N.colon().radical(), M))
-        )
+        return answer(ideal_times_module(N.colon().radical(), M))
 
-    if not results:
-        return RadicalResult(
-            "unknown",
-            strategies=tuple(tried),
-            reason="quotient infinite and module not known to be multiplication",
-        )
-
-    first = results[0][1]
-    for name, other in results[1:]:
-        assert other == first, f"radical strategies disagree: {results[0][0]} vs {name}"
-    status = "top" if first.is_full else "submodule"
-    return RadicalResult(status, first, strategies=tuple(tried))
+    return RadicalResult(
+        "unknown",
+        strategies=tuple(tried),
+        reason="quotient infinite and module not known to be multiplication",
+    )
 
 
 def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> bool:

@@ -142,30 +142,25 @@ def build_space(
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
     space.rad_colons = tuple(R.colon() for R in space.radicals)
     space.colons = tuple(Q.colon() for Q in points)
-    if kind == PSPEC:
-        # primary-spectrum points satisfy the defining colon identity
-        for Q, rc in zip(points, space.rad_colons):
-            assert rc == Q.colon().radical()
-
-    masks = []
-    witnesses: dict[int, object] = {}
-    for N in enumerate_submodules(M, bound):
-        m = variety(space, N).mask
-        if m not in witnesses:
-            witnesses[m] = N
-            masks.append(m)
-    space.closed_masks = tuple(sorted(masks))
-    space.witnesses = witnesses
-
-    base = []
-    seen = set()
-    for r in _base_scalars(M):
-        m = basic_open(space, r).mask
-        if m not in seen:
-            seen.add(m)
-            base.append((r, m))
-    space.base = tuple(base)
+    _fill_families(
+        space, enumerate_submodules(M, bound), variety, _base_scalars(M), basic_open
+    )
     return space
+
+
+def _fill_families(space: FiniteSpace, generators, closed_of, scalars, open_of) -> None:
+    """Set the deduplicated closed family, witnessed by the first generator
+    giving each closed set, and the distinct basic opens, represented by the
+    first scalar giving each."""
+    witnesses: dict[int, object] = {}
+    for X in generators:
+        witnesses.setdefault(closed_of(space, X).mask, X)
+    space.closed_masks = tuple(sorted(witnesses))
+    space.witnesses = witnesses
+    base: dict[int, int] = {}
+    for r in scalars:
+        base.setdefault(open_of(space, r).mask, r)
+    space.base = tuple((r, m) for m, r in base.items())
 
 
 def _base_scalars(M: GradedModule) -> list[int]:
@@ -182,23 +177,8 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
         raise AlgebraError("ring spectrum of Z is infinite; lazy mode only")
     points = ring.prime_ideals()
     space = FiniteSpace(RINGSPEC, points, ring=ring)
-    masks = []
-    witnesses: dict[int, object] = {}
-    for I in ring.ideals():
-        m = ring_variety(space, I).mask
-        if m not in witnesses:
-            witnesses[m] = I
-            masks.append(m)
-    space.closed_masks = tuple(sorted(masks))
-    space.witnesses = witnesses
-    base = []
-    seen = set()
-    for r in sorted({0, 1, *numtheory.divisors(ring.modulus)}):
-        m = ring_basic_open(space, r).mask
-        if m not in seen:
-            seen.add(m)
-            base.append((r, m))
-    space.base = tuple(base)
+    scalars = sorted({0, 1, *numtheory.divisors(ring.modulus)})
+    _fill_families(space, ring.ideals(), ring_variety, scalars, ring_basic_open)
     return space
 
 
@@ -309,15 +289,13 @@ def smallest_closed_superset(Y: PointSet) -> PointSet:
 
 
 def closure(Y: PointSet) -> PointSet:
-    """Topological closure on the primary spectrum, computed as the variety
-    of the radical core and cross-checked against the lattice closure."""
+    """Topological closure: on the primary spectrum the variety of the
+    radical core, elsewhere the smallest closed superset.  P4.1 compares the
+    two routes on the primary spectrum."""
     space = Y.space
     if space.kind != PSPEC:
         return smallest_closed_superset(Y)
-    via_variety = variety(space, radical_core(Y))
-    via_lattice = smallest_closed_superset(Y)
-    assert via_variety.mask == via_lattice.mask, "closure routes disagree"
-    return via_variety
+    return variety(space, radical_core(Y))
 
 
 # -- analysis ------------------------------------------------------------------
@@ -352,7 +330,9 @@ def is_irreducible_subset(space: FiniteSpace, mask: int) -> bool:
     return True
 
 
-def _singleton_closures(space: FiniteSpace) -> list[int]:
+def specialization_closures(space: FiniteSpace) -> list[int]:
+    """Closure mask of each singleton; point j specializes point i (edge
+    i -> j) when j lies in the closure of {i}."""
     return [
         smallest_closed_superset(space.singleton(i)).mask
         for i in range(len(space.points))
@@ -400,7 +380,7 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
     )
     irreducible = is_irreducible_subset(space, full)
 
-    sing = _singleton_closures(space)
+    sing = specialization_closures(space)
     t0 = len(set(sing)) == len(sing)
     t1 = all(sing[i] == 1 << i for i in range(len(space.points)))
 
@@ -426,7 +406,7 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
         (a & b) in opens_set and is_quasi_compact(space, a & b)
         for a in qc_opens
         for b in qc_opens
-    ) and all(_union_of_members(u, qc_opens) for u in opens)
+    ) and all(is_union_of_members(u, qc_opens) for u in opens)
     spectral = t0 and quasi_compact and qc_base_ok and sober and has_generic
 
     trivial = set(closed) <= {0, full}
@@ -446,7 +426,8 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
     )
 
 
-def _union_of_members(target: int, family: list[int]) -> bool:
+def is_union_of_members(target: int, family: list[int]) -> bool:
+    """Whether the members of the family inside the target cover it."""
     acc = 0
     for m in family:
         if m & target == m:
@@ -454,13 +435,19 @@ def _union_of_members(target: int, family: list[int]) -> bool:
     return acc == target
 
 
-def specialization_closures(space: FiniteSpace) -> list[int]:
-    """Closure mask of each singleton; point j specializes point i (edge
-    i -> j) when j lies in the closure of {i}."""
-    return _singleton_closures(space)
-
-
 # -- the quasi topology --------------------------------------------------------
+
+
+def union_gap(family, order=None) -> tuple[int, int] | None:
+    """First pair of masks (a, b), iterated in `order` (default: the
+    family's own order), whose union a | b is not in the family; None when
+    the family is closed under union."""
+    order = family if order is None else order
+    for a in order:
+        for b in order:
+            if a | b not in family:
+                return a, b
+    return None
 
 
 def star_variety_family(space: FiniteSpace, bound: int = DEFAULT_ENUM_BOUND):
@@ -482,11 +469,9 @@ def is_primary_top_module(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> T
     if M.is_finite and M.size <= bound:
         space = build_space(M, PSPEC, bound)
         fam = star_variety_family(space, bound)
-        masks = sorted(fam)
-        for a in masks:
-            for b in masks:
-                if a | b not in fam:
-                    return Trilean.no((fam[a], fam[b]))
+        gap = union_gap(fam, sorted(fam))
+        if gap is not None:
+            return Trilean.no((fam[gap[0]], fam[gap[1]]))
         return Trilean.yes()
     mult = is_multiplication(M)
     if mult.is_true:

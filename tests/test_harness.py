@@ -1,9 +1,13 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from gpspec import harness
+from gpspec.algebra import DEFAULT_ENUM_BOUND
 from gpspec.dsl import parse_model
-from gpspec.harness import CATALOG, ROSTER, UnknownCheckError, run_checks
+from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
+from gpspec.spectra import Trilean
 
 MODELS = Path(__file__).parent.parent / "models"
 
@@ -111,3 +115,62 @@ def test_sampled_subset_path_is_deterministic():
 def test_trivial_grading_group_instance():
     results = run_checks(load("z4_trivial_group.gps"), "all", "t")
     assert not [r for r in results if r.status == "fail"]
+
+
+def test_guards_run_in_declared_order_before_the_body():
+    calls = []
+
+    def go_on(ctx):
+        calls.append("go_on")
+
+    def vacuous(ctx):
+        calls.append("vacuous")
+        return 0, "hypothesis fails"
+
+    def body(ctx):
+        calls.append("body")
+        return 1, "ran"
+
+    assert Check("x", "t", body, (go_on, vacuous, go_on)).fn(None) == (0, "hypothesis fails")
+    assert calls == ["go_on", "vacuous"]
+    calls.clear()
+    assert Check("x", "t", body, (go_on,)).fn(None) == (1, "ran")
+    assert calls == ["go_on", "body"]
+
+
+def test_surjectivity_guard_binds_the_surjective_statements(monkeypatch):
+    # every finite corpus model has a surjective natural map, so a
+    # non-surjective one is faked: exactly the statements that assume
+    # surjectivity must skip, and P2.11 must pass vacuously
+    real = harness.analyze_natural_map
+
+    def not_onto(M, source="primary", bound=DEFAULT_ENUM_BOUND):
+        res = real(M, source, bound)
+        if source != "primary":
+            return res
+        return dataclasses.replace(res, surjective=Trilean.no(None))
+
+    monkeypatch.setattr(harness, "analyze_natural_map", not_onto)
+    results = run_checks(load("z6.gps"), "all", "z6")
+    skipped = {
+        r.check_id for r in results
+        if r.status == "skip" and r.detail == "natural map not surjective"
+    }
+    assert skipped == {"T2.13", "T3.4", "T3.5", "T4.5", "C4.7", "T4.10", "T4.11"}
+    p211 = next(r for r in results if r.check_id == "P2.11")
+    assert p211.status == "pass" and p211.vacuous
+
+
+def test_guards_survive_a_rebuilt_catalog_entry(monkeypatch):
+    # a Check rebuilt from (check_id, title, fn) keeps its guards, so a
+    # wrapper around `fn` sees the same outcomes as the catalog itself
+    rebuilt = tuple(Check(c.check_id, c.title, c.fn) for c in CATALOG)
+    for name in ("z.gps", "z2z2_samedeg.gps", "z12.gps"):
+        model = load(name)
+        want = run_checks(model, "all", name)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "CATALOG", rebuilt)
+            got = run_checks(model, "all", name)
+        assert [(r.check_id, r.status, r.detail, r.vacuous) for r in got] == [
+            (r.check_id, r.status, r.detail, r.vacuous) for r in want
+        ]

@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from gpspec.algebra import (
+    DEFAULT_ENUM_BOUND,
     BaseRing,
     GradedModule,
     GradingGroup,
@@ -127,18 +128,26 @@ def test_radical_against_prime_intersection_oracle():
 
 
 def test_radical_strategy_consistency_multiplication():
-    # on multiplication modules the colon-radical identity and the quotient
-    # transport must agree; graded_radical asserts this internally, so just
-    # drive it across a multiplication instance
-    M = zmod(12)
-    assert is_multiplication(M).is_true
-    for N in enumerate_submodules(M):
-        if N.is_proper:
-            r = graded_radical(N)
-            assert r.require() == ideal_times_module(N.colon().radical(), M)
-
-
-# -- primary spectrum membership ----------------------------------------------
+    # on multiplication modules every strategy must give the same radical.
+    # graded_radical answers by the first strategy that applies, so this test
+    # is the one place that compares them: the default bound reaches the
+    # quotient transport, bound=1 rules the transport out and reaches the
+    # colon-radical identity, and both must equal the identity computed here
+    modules = [M for M in oracle_corpus() if is_multiplication(M).is_true]
+    assert len(modules) == 5
+    answered_by = set()
+    for M in modules:
+        for N in enumerate_submodules(M):
+            if not N.is_proper:
+                continue
+            want = ideal_times_module(N.colon().radical(), M)
+            for bound in (DEFAULT_ENUM_BOUND, 1):
+                r = graded_radical(N, bound)
+                answered_by.add(r.strategies[-1])
+                assert r.require() == want, (M.text(), N.text(), r.strategies)
+    assert answered_by == {
+        "prime-itself", "finite-quotient-transport", "multiplication-identity"
+    }
 
 
 def test_primary_spectrum_examples():

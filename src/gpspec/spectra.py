@@ -2,17 +2,19 @@
 radicals of submodules, primary-spectrum membership, and enumeration of the
 prime, primary and maximal spectra of finite graded modules.
 
-The prime/primary quantifiers over all ring scalars and homogeneous elements
-are eliminated through element orders: for homogeneous m outside N, the set
-of scalars sending m into N is the ideal generated by the additive order of
-m + N, and the achievable orders in each degree are read off the Smith
-invariants of M_g/N_g.
+Each decision is read off the colon (N : M) and the torsion exponents e_g
+of the degree components M_g/N_g: N is graded prime (primary) iff (N : M)
+(its radical) is a prime ideal and, when M/N has a free part, every e_g = 1;
+when M/N is finite and (N : M) = (e), the graded radical of N is the
+intersection of the N + pM over the primes p | e.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product as iproduct
+from math import prod
 
 from . import numtheory
 from .algebra import (
@@ -23,8 +25,9 @@ from .algebra import (
     Ideal,
     enumerate_submodules,
     ideal_times_module,
-    quotient_module,
 )
+
+WITNESS_SCALE = 4  # coordinate bound of the cyclic refutations is_multiplication tries
 
 
 class ImproperSubmoduleError(AlgebraError):
@@ -103,20 +106,20 @@ def _require_proper(N: GradedSubmodule, what: str) -> None:
 
 
 def _order_condition(N: GradedSubmodule, target: Ideal) -> bool:
-    """Whether ann(m + N) <= target for every homogeneous m outside N.
+    """Whether ann(m + N) <= target for every homogeneous m outside N, for
+    target (N : M) or its radical: iff target is prime and, when M/N has a
+    free part, every e_g = 1.
 
-    ann(m + N) is generated by the additive order of the class, infinite
-    order giving the zero ideal which lies in every ideal.  The achievable
-    finite orders in degree g are exactly the divisors > 1 of the largest
-    torsion invariant of M_g/N_g.
+    ann(m + N) = (o), o the order of m + N; (0) lies in every ideal and the
+    finite o > 1 in degree g are the divisors > 1 of e_g, so each prime
+    p | e_g must lie in target.  M/N finite: target is (e) or rad(e) for
+    e = lcm e_g, and p | e in target forces target = (p).  M/N with a free
+    part: target is the prime (0), holding no p.
     """
-    M = N.module
-    for g in M.degrees:
-        top = N.quotient_invariants(g).exponent
-        for o in numtheory.divisors(top):
-            if o > 1 and not target.contains(M.ring.ideal(o)):
-                return False
-    return True
+    return target.is_prime and (
+        N.quotient_is_finite()
+        or all(N.quotient_invariants(g).exponent == 1 for g in N.module.degrees)
+    )
 
 
 def is_graded_prime(P: GradedSubmodule) -> bool:
@@ -132,7 +135,7 @@ def is_graded_primary(Q: GradedSubmodule) -> bool:
 
 
 @lru_cache(maxsize=None)
-def is_multiplication(M: GradedModule, witness_scale: int = 4) -> Trilean:
+def is_multiplication(M: GradedModule) -> Trilean:
     """Whether every graded submodule N equals (N : M) . M.
 
     Finite modules are checked exhaustively.  An infinite module with a single
@@ -147,9 +150,7 @@ def is_multiplication(M: GradedModule, witness_scale: int = 4) -> Trilean:
         return Trilean.yes()
     if len(M.factors) == 1:
         return Trilean.yes()  # submodules of a cyclic or rank-1 free module are d.M
-    from itertools import product as iproduct
-
-    for coords in iproduct(range(witness_scale), repeat=len(M.factors)):
+    for coords in iproduct(range(WITNESS_SCALE), repeat=len(M.factors)):
         if not any(coords):
             continue
         N = M.submodule([coords])
@@ -182,11 +183,14 @@ def graded_radical(
 ) -> RadicalResult:
     """Intersection of all graded prime submodules containing proper N.
 
-    Strategies, in priority order: the submodule itself when it is prime;
-    transport through M -> M/N when the quotient is finite (primes of M
-    containing N correspond to primes of M/N); the colon-radical identity
-    when M is a multiplication module.  The first strategy that answers
-    gives the result; `strategies` lists those tried, in order, up to it.
+    Strategies in priority order; the first that answers gives the result
+    and `strategies` lists those tried, in order, up to it.
+    * prime-itself: N when N is prime.
+    * finite-quotient-transport: when |M/N| <= bound and (N : M) = (e), the
+      meet of the N + pM over the primes p | e.  A prime P over N has
+      (P : M) = (p) with p | e, so P holds N + pM, itself a prime (M/(N + pM)
+      is a nonzero F_p-space with colon (p)).
+    * multiplication-identity: rad(N : M) . M when M is multiplication.
     """
     _require_proper(N, "the graded radical")
     M = N.module
@@ -201,16 +205,11 @@ def graded_radical(
 
     if N.quotient_is_finite():
         tried.append("finite-quotient-transport")
-        quot, proj = quotient_module(M, N)
-        if quot.size <= bound:
-            preimages = [
-                proj.preimage_submodule(P)
-                for P in enumerate_submodules(quot, bound)
-                if P.is_proper and is_graded_prime(P)
-            ]
-            if not preimages:
-                return answer(M.full_submodule)
-            return answer(reduce(GradedSubmodule.intersect, preimages))
+        if prod(N.quotient_invariants(g).size() for g in M.degrees) <= bound:
+            return answer(reduce(GradedSubmodule.intersect, [
+                N.plus(ideal_times_module(M.ring.ideal(p), M))
+                for p in numtheory.prime_factors(N.colon().gen)
+            ]))
 
     if is_multiplication(M).is_true:
         tried.append("multiplication-identity")

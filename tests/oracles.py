@@ -1,16 +1,26 @@
 """Brute-force oracles for the test suite.
 
 Everything here works by exhaustive enumeration over finite structures and is
-deliberately independent of the lattice/Smith machinery it cross-checks.
+deliberately independent of the lattice/Smith machinery it cross-checks, except
+`divisor_order_condition` and `transport_radical`: the enumeration routes that
+the library's closed forms for primeness and the radical replaced, kept as
+references for them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from math import gcd, prod
 
-from gpspec import intlinalg
-from gpspec.algebra import GradedModule, GradedSubmodule, Ideal
+from gpspec import intlinalg, numtheory
+from gpspec.algebra import (
+    GradedModule,
+    GradedSubmodule,
+    Ideal,
+    enumerate_submodules,
+    quotient_module,
+)
 
 
 def vec_add(M: GradedModule, a, b):
@@ -168,6 +178,34 @@ def primary_oracle(Q: GradedSubmodule) -> tuple[bool, tuple | None]:
                 if not Q.contains_element(m) and not target.contains_element(r):
                     return False, (r, m)
     return True, None
+
+
+def divisor_order_condition(N: GradedSubmodule, target: Ideal) -> bool:
+    """Whether (o) <= target for every divisor o > 1 of every degree's
+    quotient exponent e_g: the achievable annihilators (o) of homogeneous
+    classes m + N, one divisor at a time.  N is graded prime iff this holds
+    for target (N : M), graded primary iff it holds for the radical."""
+    M = N.module
+    for g in M.degrees:
+        for o in numtheory.divisors(N.quotient_invariants(g).exponent):
+            if o > 1 and not target.contains(M.ring.ideal(o)):
+                return False
+    return True
+
+
+def transport_radical(N: GradedSubmodule) -> GradedSubmodule:
+    """Graded radical of N with M/N finite, through the correspondence
+    theorem: enumerate the submodules of M/N, keep the graded primes (by the
+    divisor test), and intersect their preimages in M (M itself when no
+    prime lies over N)."""
+    M = N.module
+    quot, proj = quotient_module(M, N)
+    preimages = [
+        proj.preimage_submodule(P)
+        for P in enumerate_submodules(quot)
+        if P.is_proper and divisor_order_condition(P, P.colon())
+    ]
+    return reduce(GradedSubmodule.intersect, preimages, M.full_submodule)
 
 
 def quotient_order_multiset(M: GradedModule, N: GradedSubmodule, g) -> dict[int, int]:

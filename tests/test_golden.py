@@ -1,12 +1,15 @@
-"""Byte-identity gate for the `gps` CLI: every call on models/ recorded in
-perfbench/references.json is replayed in-process and must give the recorded
-exit code and the recorded sha256 of its stdout.
+"""Byte-identity gate for the answers recorded in perfbench/references.json.
 
-Only the calls whose input lies under models/ are replayed; the generated
-instances under perfbench/.work/ are left to the benchmark.
+Every `gps` call of the benchmark is replayed in-process and must give the
+recorded exit code and the recorded sha256 of its stdout: the calls on
+models/, and the calls on the instances the benchmark generates under
+perfbench/.work/ (written here to a temporary directory).  Every pointwise
+query must give the recorded answer text.  The benchmark's own modules
+supply the inputs and the query answering; they are only read.
 """
 
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -14,28 +17,65 @@ from pathlib import Path
 from gpspec.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCES = ROOT / "perfbench" / "references.json"
+PERFBENCH = ROOT / "perfbench"
+REFERENCES = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
 
 
-def recorded_model_calls() -> dict[str, dict]:
-    refs = json.loads(REFERENCES.read_text(encoding="utf-8"))
-    return {
-        key: ref
-        for key, ref in refs.items()
-        if len(key.split()) > 1 and key.split()[1].startswith("models/")
-    }
+def perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_cli_output_matches_recorded_references(monkeypatch):
-    monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("GPS_ENUM_BOUND", raising=False)
-    calls = recorded_model_calls()
-    assert len(calls) == 96
+workloads = perfbench_module("workloads")
+
+
+def replay(keys) -> list[str]:
+    """Run each recorded `gps` call; describe every one whose exit code or
+    stdout differs from its reference."""
     mismatches = []
-    for key, ref in calls.items():
+    for key in keys:
+        ref = REFERENCES[key]
         out, err = io.StringIO(), io.StringIO()
         code = run(key.split(), stdout=out, stderr=err)
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         if (code, digest) != (ref["exit"], ref["sha256"]):
             mismatches.append(f"{key}: exit {code}, stderr {err.getvalue()!r}")
+    return mismatches
+
+
+def test_cli_output_matches_recorded_references(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("GPS_ENUM_BOUND", raising=False)
+    keys = [k for k in REFERENCES if len(k.split()) > 1 and k.split()[1].startswith("models/")]
+    assert len(keys) == 96
+    assert replay(keys) == []
+
+
+def test_generated_instance_output_matches_recorded_references(monkeypatch, tmp_path):
+    for rel, text in workloads.generated_files().items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GPS_ENUM_BOUND", raising=False)
+    ops = [op for op in workloads.cli_corpus_ops(0) if "/.work/" in op["key"]]
+    assert len(ops) == 9
+    for op in ops:
+        assert REFERENCES[op["key"]]["spec"] == workloads.spec_digest(op), op["key"]
+    assert replay(op["key"] for op in ops) == []
+
+
+def test_pointwise_answers_match_recorded_references():
+    worker = perfbench_module("worker")
+    pool = workloads.query_pool()
+    assert len(pool) == 360
+    mismatches = []
+    for q in pool:
+        ref = REFERENCES[q["key"]]
+        assert ref["spec"] == workloads.spec_digest(q), q["key"]
+        got = worker.answer(q)
+        if got != ref["answer"]:
+            mismatches.append(f"{q['key']}: {got!r}, recorded {ref['answer']!r}")
     assert mismatches == []

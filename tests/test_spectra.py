@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 import oracles
@@ -5,6 +7,7 @@ from gpspec.algebra import (
     DEFAULT_ENUM_BOUND,
     BaseRing,
     GradedModule,
+    GradedSubmodule,
     GradingGroup,
     enumerate_submodules,
     ideal_times_module,
@@ -92,6 +95,44 @@ def test_prime_primary_match_exhaustive_oracle():
             assert is_graded_primary(N) == want_primary, (M.text(), N.text(), wit)
 
 
+def replaced_route_corpus():
+    """Proper submodules on which the closed forms are compared with the
+    enumeration routes they replaced: all of four finite modules, and
+    submodules with finite quotient of two infinite ones."""
+    finite = [
+        GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
+        GradedModule(Z, Z2G, [(6, (0,)), (6, (0,))]),
+        GradedModule(Z, Z2G, [(16, (0,)), (16, (0,))]),
+        GradedModule(Z, Z2G, [(8, (0,)), (9, (1,))]),
+    ]
+    subs = [N for M in finite for N in enumerate_submodules(M) if N.is_proper]
+    z_z4 = GradedModule(Z, Z2G, [(0, (0,)), (4, (1,))])
+    for gens in ([(4, 0)], [(6, 0)], [(12, 0), (0, 2)], [(2, 0), (0, 1)],
+                 [(9, 0), (0, 2)], [(30, 0)], [(8, 0), (0, 2)], [(1, 0)]):
+        subs.append(z_z4.submodule(gens))
+    z_z = zxz()
+    for gens in ([(4, 0), (0, 6)], [(2, 0), (0, 1)], [(12, 0), (0, 18)],
+                 [(5, 0), (0, 25)], [(1, 0), (0, 8)], [(6, 0), (0, 6)],
+                 [(30, 0), (0, 1)], [(3, 0), (0, 3)]):
+        subs.append(z_z.submodule(gens))
+    return subs
+
+
+def test_closed_forms_match_replaced_routes():
+    # the divisor loop and the quotient transport are the oracles here
+    subs = replaced_route_corpus()
+    assert len(subs) == 31 + 29 + 82 + 11 + 16
+    for N in subs:
+        case = (N.module.text(), N.text())
+        assert N.quotient_is_finite(), case
+        colon = N.colon()
+        assert is_graded_prime(N) == oracles.divisor_order_condition(N, colon), case
+        assert is_graded_primary(N) == oracles.divisor_order_condition(
+            N, colon.radical()
+        ), case
+        assert graded_radical(N).require() == oracles.transport_radical(N), case
+
+
 # -- graded radical -----------------------------------------------------------
 
 
@@ -117,14 +158,9 @@ def test_radical_against_prime_intersection_oracle():
             if not N.is_proper:
                 continue
             over = [P for P in primes if P.contains(N)]
-            r = graded_radical(N)
-            if not over:
-                assert r.status == "top"
-            else:
-                acc = over[0]
-                for P in over[1:]:
-                    acc = acc.intersect(P)
-                assert r.require() == acc, (M.text(), N.text())
+            assert over, (M.text(), N.text())  # every proper N lies in a prime
+            want = reduce(GradedSubmodule.intersect, over)
+            assert graded_radical(N).require() == want, (M.text(), N.text())
 
 
 def test_radical_strategy_consistency_multiplication():
@@ -255,6 +291,29 @@ def test_predicates_on_infinite_modules():
     mixed = M.submodule([(2, 0), (0, 3)])  # colon (6), orders 2 and 3
     assert not is_graded_prime(mixed)
     assert not is_graded_primary(mixed)
+    # torsion beside a free part: (module factors over Z graded by Z2,
+    # generators of N, prime, primary, radical generators or None for unknown)
+    cases = [
+        ([(0, 0), (2, 0)], [], False, False, None),
+        ([(0, 0), (2, 1)], [(0, 1)], True, True, [(0, 1)]),
+        ([(0, 0), (2, 1)], [], False, False, None),
+        ([(0, 0), (0, 1)], [(0, 2)], False, False, None),
+        ([(0, 0), (0, 1)], [(0, 1)], True, True, [(0, 1)]),
+        ([(0, 0), (0, 1)], [(4, 0), (0, 6)], False, False, [(2, 0), (0, 6)]),
+        ([(0, 0), (4, 1)], [(4, 0)], False, True, [(2, 0), (0, 2)]),
+        ([(0, 0), (4, 1)], [(12, 0), (0, 2)], False, False, [(6, 0), (0, 2)]),
+    ]
+    for factors, gens, prime, primary, radical in cases:
+        M = GradedModule(Z, Z2G, [(o, (d,)) for o, d in factors])
+        N = M.submodule(gens)
+        case = (M.text(), N.text())
+        assert is_graded_prime(N) is prime, case
+        assert is_graded_primary(N) is primary, case
+        r = graded_radical(N)
+        if radical is None:
+            assert r.status == "unknown", case
+        else:
+            assert r.require() == M.submodule(radical), case
 
 
 def test_radical_transport_on_infinite_module():

@@ -13,7 +13,7 @@ relation rows), which makes equality of submodules syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 
@@ -36,6 +36,23 @@ class InfiniteEnumerationError(AlgebraError):
 
 class EnumerationBoundError(AlgebraError):
     pass
+
+
+def per_module(fn):
+    """Memoise fn(x, *args, **kwargs) in the memo of x's module, x being a
+    GradedModule or a submodule of one: the value lives and dies with the
+    module, and equal calls share one result, which nobody may mutate."""
+
+    @wraps(fn)
+    def memoised(x, *args, **kwargs):
+        memo = getattr(x, "module", x).memo
+        key = (fn, x, *args, *sorted(kwargs.items())) if kwargs else (fn, x, *args)
+        value = memo.get(key, memo)  # the memo itself marks a miss
+        if value is memo:
+            value = memo[key] = fn(x, *args, **kwargs)
+        return value
+
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -252,9 +269,7 @@ class GradedModule:
             for g in self.degrees
         }
         self._key = (ring, group, factors)
-        # (op, N, N2) -> N op N2, so a repeated pair reuses one submodule
-        # and with it the submodule's cached colon and invariants
-        self._lattice_memo: dict = {}
+        self.memo: dict = {}  # values derived from this module, see per_module
 
     def __eq__(self, other):
         return isinstance(other, GradedModule) and self._key == other._key
@@ -412,14 +427,12 @@ class GradedSubmodule:
     """Graded submodule in canonical form: one HNF lattice per degree of the
     ambient module (moduli included), aligned with module.degrees."""
 
-    __slots__ = ("module", "blocks", "_hash", "_colon", "_inv")
+    __slots__ = ("module", "blocks", "_hash")
 
     def __init__(self, module: GradedModule, blocks):
         self.module = module
         self.blocks = tuple(blocks)
         self._hash = hash((module, self.blocks))
-        self._colon = None
-        self._inv = {}
 
     def __eq__(self, other):
         return (
@@ -473,22 +486,19 @@ class GradedSubmodule:
     def intersect(self, other: GradedSubmodule) -> GradedSubmodule:
         return self._lattice_op("intersect", other)
 
+    @per_module
     def _lattice_op(self, op: str, other: GradedSubmodule) -> GradedSubmodule:
-        """N + N2 or N meet N2, degree by degree, memoised on the module."""
+        """N + N2 or N meet N2, degree by degree."""
         self._require_same_module(other)
         M = self.module
-        key = (op, self, other)
-        result = M._lattice_memo.get(key)
-        if result is None:
-            blocks = []
-            for a, b, g in zip(self.blocks, other.blocks, M.degrees):
-                n = len(M.slots[g])
-                if op == "plus":
-                    blocks.append(intlinalg.hermite_normal_form(a + b, n))
-                else:
-                    blocks.append(intlinalg.lattice_intersection(a, b, n))
-            result = M._lattice_memo[key] = GradedSubmodule(M, blocks)
-        return result
+        blocks = []
+        for a, b, g in zip(self.blocks, other.blocks, M.degrees):
+            n = len(M.slots[g])
+            if op == "plus":
+                blocks.append(intlinalg.hermite_normal_form(a + b, n))
+            else:
+                blocks.append(intlinalg.lattice_intersection(a, b, n))
+        return GradedSubmodule(M, blocks)
 
     @property
     def is_zero(self) -> bool:
@@ -513,28 +523,24 @@ class GradedSubmodule:
 
     # -- invariants --------------------------------------------------------
 
+    @per_module
     def quotient_invariants(self, g) -> QuotientInvariants:
         """Smith invariants of M_g / N_g."""
-        if g not in self._inv:
-            block = self.block(g)
-            free, tor = intlinalg.quotient_invariants_of(block, len(self.module.slots[g]))
-            self._inv[g] = QuotientInvariants(free, tuple(tor))
-        return self._inv[g]
+        free, tor = intlinalg.quotient_invariants_of(self.block(g), len(self.module.slots[g]))
+        return QuotientInvariants(free, tuple(tor))
 
     def quotient_is_finite(self) -> bool:
         return all(self.quotient_invariants(g).is_finite for g in self.module.degrees)
 
+    @per_module
     def colon(self) -> Ideal:
         """(N :_R M), the ideal of ring elements multiplying M into N: the
         lcm of the exponents of the M_g/N_g, or zero if one has a free part."""
-        if self._colon is None:
-            M = self.module
-            invs = [self.quotient_invariants(g) for g in M.degrees]
-            if all(inv.is_finite for inv in invs):
-                self._colon = M.ring.ideal(lcm(1, *(inv.exponent for inv in invs)))
-            else:
-                self._colon = M.ring.zero_ideal
-        return self._colon
+        M = self.module
+        invs = [self.quotient_invariants(g) for g in M.degrees]
+        if all(inv.is_finite for inv in invs):
+            return M.ring.ideal(lcm(1, *(inv.exponent for inv in invs)))
+        return M.ring.zero_ideal
 
     def size(self) -> int:
         M = self.module
@@ -646,7 +652,7 @@ def _block_index(lat) -> int:
     return idx
 
 
-@lru_cache(maxsize=None)
+@per_module
 def enumerate_submodules(
     M: GradedModule, bound: int = DEFAULT_ENUM_BOUND
 ) -> tuple[GradedSubmodule, ...]:

@@ -215,15 +215,13 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             res = graded_radical(N, bound)
             if res.status == "unknown":
                 raise UnknownResultError(res.reason)
-            text = "M" if res.status == "top" else res.submodule.text()
+            text = res.submodule.text()
             if args.format == "json":
                 payload = {
                     "schema": 1,
                     "kind": "radical",
-                    "top": res.status == "top",
-                    "generators": []
-                    if res.status == "top"
-                    else [list(v) for v in res.submodule.generator_vectors()],
+                    "top": False,
+                    "generators": [list(v) for v in res.submodule.generator_vectors()],
                     "text": text,
                 }
                 _emit(stdout, to_json_text(payload))

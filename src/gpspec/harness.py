@@ -49,12 +49,14 @@ from .spectra import (
 from .topology import (
     PSPEC,
     SPEC,
+    _finite_subcover_exists,
     analyze_space,
     basic_open,
     build_ring_space,
     build_space,
     ideal_core,
     is_irreducible_subset,
+    is_primary_top_module,
     is_quasi_compact,
     is_union_of_members,
     radical_core,
@@ -62,6 +64,7 @@ from .topology import (
     ring_variety,
     smallest_closed_superset,
     specialization_closures,
+    star_variety_family,
     union_gap,
     variety,
     variety_membership,
@@ -218,7 +221,7 @@ class Context:
 
     @cached_property
     def quotient_maps(self):
-        """Canonical projections M -> M/K for every proper graded K."""
+        """Canonical projections M -> M/K for every graded K, K = M included."""
         self.require_finite()
         return tuple(quotient_module(self.module, K)[1] for K in self.subs)
 
@@ -334,9 +337,7 @@ def check_CE2_1(ctx: Context):
 
 
 def check_T2_2(ctx: Context):
-    fam = {}
-    for N in ctx.subs:
-        fam.setdefault(ctx.star_masks[N], N)
+    fam = star_variety_family(ctx.pspec, ctx.bound)
     count = _union_closed(fam, "star family")
     return count, f"union closure over {len(fam)} distinct star varieties"
 
@@ -459,17 +460,12 @@ def check_L2_6(ctx: Context):
 
 
 def check_C2_7(ctx: Context):
-    from .topology import is_primary_top_module
-
     ptop = is_primary_top_module(ctx.module, ctx.bound)
     if ptop.is_unknown:
         raise Skip("primary-top status unknown")
     if ptop.is_false:
         return 0, "hypothesis fails (not primary top)"
-    ss = ctx.spec
-    fam = {}
-    for N in ctx.subs:
-        fam.setdefault(variety(ss, N, star=True).mask, N)
+    fam = star_variety_family(ctx.spec, ctx.bound)
     count = _union_closed(fam, "prime-side star family")
     return count, f"union closure over {len(fam)} distinct sets"
 
@@ -718,8 +714,6 @@ def check_T3_4(ctx: Context):
     else:
         rng = random.Random(ctx.seed)
         families = (rng.randrange(1 << n) for _ in range(SUBSET_SAMPLES))
-    from .topology import _finite_subcover_exists
-
     for fam_mask in families:
         fam = [base_masks[i] for i in range(n) if fam_mask >> i & 1]
         union = 0
@@ -808,7 +802,7 @@ def check_T4_4(ctx: Context):
         if is_irreducible_subset(sp, mask):
             meet = None
             for i in Y.indices():
-                c = sp.rad_colons[i]
+                c = sp.radicals[i].colon()
                 meet = c if meet is None else meet.intersect(c)
             if meet != eta.colon():
                 _fail("colon of the core differs from the meet of colons", mask)
@@ -903,7 +897,7 @@ def check_P4_8(ctx: Context):
         eta = radical_core(Y)
         if eta.is_zero or not eta.is_proper or not is_graded_primary(eta):
             continue
-        fibers = {sp.rad_colons[i] for i in Y.indices()}
+        fibers = {sp.radicals[i].colon() for i in Y.indices()}
         if len(fibers) != 1:
             _fail("subset spreads over several fibers", mask)
         p = next(iter(fibers))

@@ -22,6 +22,7 @@ from .algebra import (
     annihilator,
     enumerate_submodules,
     ideal_times_module,
+    per_module,
 )
 from .spectra import Trilean, graded_radical
 from .topology import (
@@ -129,6 +130,7 @@ class MapAnalysis:
         raise AlgebraError(f"{p.text()} is not a prime of the reduced ring")
 
 
+@per_module
 def analyze_natural_map(
     M: GradedModule, source: str = "primary", bound: int = DEFAULT_ENUM_BOUND
 ) -> MapAnalysis:

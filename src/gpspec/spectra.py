@@ -12,7 +12,7 @@ intersection of the N + pM over the primes p | e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product as iproduct
 from math import prod
 
@@ -25,6 +25,7 @@ from .algebra import (
     Ideal,
     enumerate_submodules,
     ideal_times_module,
+    per_module,
 )
 
 WITNESS_SCALE = 4  # coordinate bound of the cyclic refutations is_multiplication tries
@@ -79,10 +80,10 @@ class Trilean:
 @dataclass(frozen=True)
 class RadicalResult:
     """Outcome of the graded radical of a submodule: the intersection of all
-    graded prime submodules containing it, the whole module when no prime
-    contains it, or Unknown when no exact strategy applied."""
+    graded prime submodules containing it, or Unknown when no exact strategy
+    applied."""
 
-    status: str  # "submodule" | "top" | "unknown"
+    status: str  # "submodule" | "unknown"
     submodule: GradedSubmodule | None = None
     # strategies tried, in order, up to the one that answered
     strategies: tuple[str, ...] = ()
@@ -94,7 +95,7 @@ class RadicalResult:
 
     def require(self) -> GradedSubmodule:
         if self.is_known:
-            return self.submodule  # the full submodule when "top"
+            return self.submodule
         raise UnknownResultError(
             f"graded radical unknown ({self.reason}); tried {', '.join(self.strategies)}"
         )
@@ -134,7 +135,7 @@ def is_graded_primary(Q: GradedSubmodule) -> bool:
     return _order_condition(Q, Q.colon().radical())
 
 
-@lru_cache(maxsize=None)
+@per_module
 def is_multiplication(M: GradedModule) -> Trilean:
     """Whether every graded submodule N equals (N : M) . M.
 
@@ -159,7 +160,7 @@ def is_multiplication(M: GradedModule) -> Trilean:
     return Trilean.unknown("no refuting cyclic submodule within the search bound")
 
 
-@lru_cache(maxsize=None)
+@per_module
 def is_cancellation(M: GradedModule) -> Trilean:
     """Whether I.M = J.M forces I = J for ideals I, J."""
     ring = M.ring
@@ -177,7 +178,7 @@ def is_cancellation(M: GradedModule) -> Trilean:
     return Trilean.no((I, J))  # the exponent kills both
 
 
-@lru_cache(maxsize=None)
+@per_module
 def graded_radical(
     N: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND
 ) -> RadicalResult:
@@ -196,29 +197,29 @@ def graded_radical(
     M = N.module
     tried = ["prime-itself"]
 
-    def answer(R: GradedSubmodule) -> RadicalResult:
-        status = "top" if R.is_full else "submodule"
-        return RadicalResult(status, R, strategies=tuple(tried))
-
     if is_graded_prime(N):
-        return answer(N)
+        return RadicalResult("submodule", N, tuple(tried))
 
+    reason = "quotient infinite"
     if N.quotient_is_finite():
         tried.append("finite-quotient-transport")
-        if prod(N.quotient_invariants(g).size() for g in M.degrees) <= bound:
-            return answer(reduce(GradedSubmodule.intersect, [
+        size = prod(N.quotient_invariants(g).size() for g in M.degrees)
+        if size <= bound:
+            return RadicalResult("submodule", reduce(GradedSubmodule.intersect, [
                 N.plus(ideal_times_module(M.ring.ideal(p), M))
                 for p in numtheory.prime_factors(N.colon().gen)
-            ]))
+            ]), tuple(tried))
+        reason = f"|M/N| = {size} exceeds enumeration bound {bound}"
 
     if is_multiplication(M).is_true:
         tried.append("multiplication-identity")
-        return answer(ideal_times_module(N.colon().radical(), M))
+        rad = ideal_times_module(N.colon().radical(), M)
+        return RadicalResult("submodule", rad, tuple(tried))
 
     return RadicalResult(
         "unknown",
         strategies=tuple(tried),
-        reason="quotient infinite and module not known to be multiplication",
+        reason=f"{reason} and module not known to be multiplication",
     )
 
 

@@ -22,6 +22,7 @@ from .algebra import (
     Ideal,
     enumerate_submodules,
     ideal_times_module,
+    per_module,
 )
 from .spectra import Trilean, graded_radical, is_multiplication, spectrum_points
 
@@ -91,10 +92,8 @@ class FiniteSpace:
         self.closed_masks: tuple[int, ...] = ()
         self.witnesses: dict[int, object] = {}
         self.base: tuple[tuple[int, int], ...] = ()
-        # per-point caches for module spaces
+        # the graded radical of each point, for module spaces
         self.radicals: tuple[GradedSubmodule, ...] = ()
-        self.rad_colons: tuple[Ideal, ...] = ()
-        self.colons: tuple[Ideal, ...] = ()
         # (N : M) -> variety mask; the non-star variety depends on N only
         # through its colon
         self._colon_masks: dict[Ideal, int] = {}
@@ -130,18 +129,17 @@ class FiniteSpace:
         return self.points.index(point)
 
 
+@per_module
 def build_space(
     M: GradedModule, kind: str = PSPEC, bound: int = DEFAULT_ENUM_BOUND
 ) -> FiniteSpace:
-    """Materialize the primary or prime spectrum of a finite module together
-    with every variety (deduplicated, with witnesses) and the basic opens."""
+    """Materialize the primary or prime spectrum of a finite module with every
+    variety (deduplicated, witnessed) and the basic opens, shared read-only."""
     if kind not in (PSPEC, SPEC):
         raise AlgebraError(f"unknown module space kind {kind!r}")
     points = spectrum_points(M, "primary" if kind == PSPEC else "prime", bound)
     space = FiniteSpace(kind, points, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
-    space.rad_colons = tuple(R.colon() for R in space.radicals)
-    space.colons = tuple(Q.colon() for Q in points)
     _fill_families(
         space, enumerate_submodules(M, bound), variety, _base_scalars(M), basic_open
     )
@@ -207,8 +205,8 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> Point
     mask = space._colon_masks.get(c)
     if mask is None:
         mask = 0
-        for i, rc in enumerate(space.rad_colons):
-            if rc.contains(c):
+        for i, R in enumerate(space.radicals):
+            if R.colon().contains(c):
                 mask |= 1 << i
         space._colon_masks[c] = mask
     return PointSet(space, mask)
@@ -454,8 +452,7 @@ def star_variety_family(space: FiniteSpace, bound: int = DEFAULT_ENUM_BOUND):
     """All star varieties with witnesses, over every graded submodule."""
     out: dict[int, GradedSubmodule] = {}
     for N in enumerate_submodules(space.module, bound):
-        m = variety(space, N, star=True).mask
-        out.setdefault(m, N)
+        out.setdefault(variety(space, N, star=True).mask, N)
     return out
 
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,6 +20,9 @@ from gpspec.algebra import (
     ideal_times_module,
     quotient_module,
 )
+from gpspec.maps import analyze_natural_map
+from gpspec.spectra import graded_radical, is_cancellation, is_multiplication
+from gpspec.topology import PSPEC, build_space
 
 Z = BaseRing(0)
 Z2G = GradingGroup((2,))
@@ -211,7 +216,59 @@ def test_lattice_memo_matches_fresh_module():
                 fresh = GradedModule(Z, Z2G, M.factors)
                 F, F2 = GradedSubmodule(fresh, N.blocks), GradedSubmodule(fresh, N2.blocks)
                 assert getattr(F, op)(F2).blocks == memo.blocks
-    assert len(subs[0].module._lattice_memo) == 2 * len(subs) ** 2
+    lattice_op = GradedSubmodule._lattice_op.__wrapped__
+    assert sum(key[0] is lattice_op for key in M.memo) == 2 * len(subs) ** 2
+
+
+def test_module_memo_matches_fresh_module():
+    # every other value memoised on the module: a repeated call returns the
+    # identical object, an equal fresh module gives an equal value
+    for factors in ([(4, (0,)), (2, (1,))], [(6, (0,))], [(2, (0,)), (2, (0,))]):
+        M, fresh = GradedModule(Z, Z2G, factors), GradedModule(Z, Z2G, factors)
+        subs = enumerate_submodules(M)
+        assert enumerate_submodules(M) is subs and enumerate_submodules(fresh) == subs
+        assert enumerate_submodules(M, bound=64) is enumerate_submodules(M, bound=64)
+        for N in subs:
+            F = GradedSubmodule(fresh, N.blocks)
+            for g in M.degrees:
+                inv = N.quotient_invariants(g)
+                assert N.quotient_invariants(g) is inv and F.quotient_invariants(g) == inv
+            assert N.colon() is N.colon() and F.colon() == N.colon()
+            if N.is_proper:
+                r = graded_radical(N)
+                assert graded_radical(N) is r and graded_radical(F) == r
+        for fn in (is_multiplication, is_cancellation):
+            assert fn(M) is fn(M) and fn(fresh) == fn(M)
+        sp, sp2 = build_space(M), build_space(fresh)
+        assert build_space(M) is sp
+        assert build_space(M, kind=PSPEC, bound=64) is build_space(M, bound=64, kind=PSPEC)
+        fields = ("points", "closed_masks", "witnesses", "base", "radicals")
+        assert [getattr(sp2, f) for f in fields] == [getattr(sp, f) for f in fields]
+        rho, rho2 = analyze_natural_map(M), analyze_natural_map(fresh)
+        assert analyze_natural_map(M) is rho
+        fields = ("reduced", "images", "injective", "surjective", "continuity_ok",
+                  "image_identities_ok", "open_closed", "homeomorphism", "fibers")
+        assert [getattr(rho2, f) for f in fields] == [getattr(rho, f) for f in fields]
+
+
+def _use_every_memo(M):
+    for N in enumerate_submodules(M):
+        if N.is_proper:
+            graded_radical(N)
+    is_multiplication(M)
+    build_space(M)
+    analyze_natural_map(M)
+
+
+def test_memo_is_freed_with_its_module():
+    # derived values live in the module's own memo, so nothing outside it
+    # keeps the module alive once its last reference goes
+    M = GradedModule(Z, Z2G, [(4, (0,)), (2, (1,))])
+    _use_every_memo(M)
+    ref = weakref.ref(M)
+    del M
+    gc.collect()
+    assert ref() is None
 
 
 def test_properness():

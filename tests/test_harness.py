@@ -31,6 +31,11 @@ def test_roster_is_the_documented_catalog():
     assert "selftest.fail" not in ROSTER
 
 
+def test_natural_map_shares_the_catalog_space():
+    ctx = harness.Context(load("z4z8.gps"), "z4z8", DEFAULT_ENUM_BOUND, 0)
+    assert ctx.rho.space is ctx.pspec
+
+
 def test_all_checks_pass_on_z6():
     results = run_checks(load("z6.gps"), "all", "z6")
     assert [r.check_id for r in results] == list(ROSTER)

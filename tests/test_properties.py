@@ -1,5 +1,6 @@
-"""Property-based checks of the prime and primary predicates and the graded
-radical against the brute-force oracles, on generated finite modules.
+"""Property-based checks of the colon, the prime and primary predicates and
+the graded radical against the brute-force oracles, on generated finite
+modules.
 
 The examples are derandomized, so every run checks the same modules.
 """
@@ -61,6 +62,15 @@ def oracle_primes_over(N: GradedSubmodule) -> list[GradedSubmodule]:
         for P in enumerate_submodules(N.module)
         if P.is_proper and P.contains(N) and oracles.prime_oracle(P)[0]
     ]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(proper_submodules())
+def test_colon_against_oracle(N):
+    colon = N.colon()
+    window = oracles.scalar_window(N.module)
+    got = {r for r in window if colon.contains_element(r)}
+    assert got == oracles.colon_oracle(N), (N.module.ring.text(), N.module.text(), N.text())
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -328,8 +328,23 @@ def test_radical_transport_on_infinite_module():
     # not multiplication, and the submodule is not prime
     stuck = graded_radical(M.submodule([(4, 0)]))
     assert stuck.status == "unknown"
+    assert stuck.reason == "quotient infinite and module not known to be multiplication"
     with pytest.raises(Exception):
         stuck.require()
+
+
+def test_radical_unknown_past_the_bound_names_the_bound():
+    # M/N is finite but larger than the bound; Z4 x Z4 in one degree is not
+    # a multiplication module and 0 is not prime, so no strategy answers
+    M = GradedModule(Z, Z2G, [(4, (0,)), (4, (0,))])
+    N = M.zero_submodule
+    assert not is_graded_prime(N) and is_multiplication(M).is_false
+    stuck = graded_radical(N, bound=1)
+    assert stuck.status == "unknown"
+    assert stuck.strategies == ("prime-itself", "finite-quotient-transport")
+    assert stuck.reason == (
+        "|M/N| = 16 exceeds enumeration bound 1 and module not known to be multiplication"
+    )
 
 
 def test_cancellation_claim_with_free_factor():

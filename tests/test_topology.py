@@ -209,12 +209,12 @@ def test_variety_memo_matches_fresh_space():
         sp = build_space(M)
         subs = enumerate_submodules(M)
         assert set(sp._colon_masks) == {N.colon() for N in subs}
-        fresh = build_space(M)
+        fresh = build_space(GradedModule(Z, Z2G, M.factors))
         for N in subs:
             fresh._colon_masks.clear()
             assert variety(sp, N).mask == variety(fresh, N).mask
             assert variety(sp, N).mask == sum(
-                1 << i for i, rc in enumerate(sp.rad_colons) if rc.contains(N.colon())
+                1 << i for i, R in enumerate(sp.radicals) if R.colon().contains(N.colon())
             )
 
 

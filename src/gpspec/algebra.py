@@ -13,7 +13,7 @@ relation rows), which makes equality of submodules syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 
@@ -36,6 +36,10 @@ class InfiniteEnumerationError(AlgebraError):
 
 class EnumerationBoundError(AlgebraError):
     pass
+
+
+class InvariantError(AlgebraError):
+    """An internal invariant failed: a bug, never a property of the input."""
 
 
 def per_module(fn):
@@ -228,10 +232,6 @@ class QuotientInvariants:
 
     free_rank: int
     torsion_factors: tuple[int, ...]  # d_1 | d_2 | ... | d_t, each >= 2
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_factors
 
     @property
     def is_finite(self) -> bool:
@@ -673,6 +673,85 @@ def enumerate_submodules(
     if not M.degrees:
         subs = [GradedSubmodule(M, ())]
     return tuple(sorted(subs, key=GradedSubmodule.sort_key))
+
+
+class SubmoduleLattice:
+    """The enumerated submodules of a finite module as bitmasks over its
+    elements (bit k is the k-th element of M.elements()), so that meets,
+    joins and containments of enumerated submodules are bit operations:
+
+    * masks[i]: the elements of subs[i]; index: mask -> position
+    * position: submodule -> position
+    * up[i]: mask of the positions j with subs[j] containing subs[i]
+
+    Point queries on other submodules go through GradedSubmodule's own
+    plus, intersect and contains."""
+
+    def __init__(self, M: GradedModule, subs: tuple[GradedSubmodule, ...]):
+        orders = [o for o, _ in M.factors]
+        strides = [prod(orders[k + 1:]) for k in range(len(orders))]
+        size = prod(orders)
+        # below[k][t]: the elements whose k-th coordinate is < t
+        below = []
+        for o, s in zip(orders, strides):
+            repeat = sum(1 << (r * o * s) for r in range(size // (o * s)))
+            below.append([repeat * ((1 << (t * s)) - 1) for t in range(o + 1)])
+
+        def translate(mask: int, vec) -> int:
+            """The elements of mask plus vec: per coordinate, a digit d < o - c
+            moves up to d + c, the others wrap round to d + c - o."""
+            for k, c in enumerate(vec):
+                if c:
+                    lo, s = below[k][orders[k] - c], strides[k]
+                    mask = (mask & lo) << c * s | (mask & ~lo) >> (orders[k] - c) * s
+            return mask
+
+        masks, gen_bits = [], []
+        for N in subs:
+            gens = N.generator_vectors()
+            mask = 1  # the zero element
+            for g in gens:  # the cosets of <mask> + g cycle back to <mask>
+                base, coset = mask, translate(mask, g)
+                while coset != base:
+                    mask |= coset
+                    coset = translate(coset, g)
+            masks.append(mask)
+            gen_bits.append([sum(map(int.__mul__, g, strides)) for g in gens])
+        n = len(subs)
+        holders = [0] * size  # element -> mask of the positions holding it
+        for i, mask in enumerate(masks):
+            bit = 1 << i
+            while mask:
+                low = mask & -mask
+                holders[low.bit_length() - 1] |= bit
+                mask ^= low
+        everyone = (1 << n) - 1
+        self.subs = subs
+        self.masks = tuple(masks)
+        self.index = {m: i for i, m in enumerate(masks)}
+        self.position = {N: i for i, N in enumerate(subs)}
+        self.up = tuple(
+            reduce(int.__and__, (holders[b] for b in bits), everyone) for bits in gen_bits
+        )
+
+    def meet(self, i: int, j: int) -> int:
+        return self.index[self.masks[i] & self.masks[j]]
+
+    def join(self, i: int, j: int) -> int:
+        """The first common upper bound: the join lies in every other one, so
+        it is the smallest, and subs is in ascending order of size."""
+        bounds = self.up[i] & self.up[j]
+        return (bounds & -bounds).bit_length() - 1
+
+    def contains(self, i: int, j: int) -> bool:
+        """Whether subs[i] contains subs[j]."""
+        return bool(self.up[j] >> i & 1)
+
+
+@per_module
+def lattice(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> SubmoduleLattice:
+    """The lattice table of enumerate_submodules(M, bound)."""
+    return SubmoduleLattice(M, enumerate_submodules(M, bound))
 
 
 # -- quotients -------------------------------------------------------------

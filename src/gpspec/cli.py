@@ -3,7 +3,8 @@
 Commands: parse, spec, pspec, max, radical, variety, topology, rho, check.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 check failure, 2 input error, 3 an exact answer was required but no
-strategy could provide one (including refused infinite enumerations).
+strategy could provide one (including refused infinite enumerations),
+4 internal error (an internal invariant failed).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .algebra import (
     AlgebraError,
     EnumerationBoundError,
     InfiniteEnumerationError,
+    InvariantError,
 )
 from .dsl import (
     Model,
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,6 +305,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             LazyRingError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_UNKNOWN
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=stderr)
+        return EXIT_INTERNAL_ERROR
     except AlgebraError as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT_ERROR

@@ -23,8 +23,10 @@ from .algebra import (
     AlgebraError,
     GradedModule,
     Ideal,
+    SubmoduleLattice,
     enumerate_submodules,
     ideal_times_module,
+    lattice,
     quotient_module,
 )
 from .dsl import Model
@@ -59,7 +61,6 @@ from .topology import (
     is_primary_top_module,
     is_quasi_compact,
     is_union_of_members,
-    radical_core,
     ring_basic_open,
     ring_variety,
     smallest_closed_superset,
@@ -134,6 +135,12 @@ class Context:
         return tuple(N for N in self.subs if N.is_proper)
 
     @cached_property
+    def lattice(self) -> SubmoduleLattice:
+        """Meets, joins and containments of `subs`, by position."""
+        self.require_finite()
+        return lattice(self.module, self.bound)
+
+    @cached_property
     def pspec(self):
         self.require_finite()
         return build_space(self.module, PSPEC, self.bound)
@@ -163,12 +170,30 @@ class Context:
         return analyze_natural_map(self.module, "prime", self.bound)
 
     @cached_property
-    def nu_masks(self):
-        return {N: variety(self.pspec, N).mask for N in self.subs}
+    def nu_masks(self) -> list[int]:
+        """Variety masks on the primary spectrum, aligned with `subs`."""
+        return [variety(self.pspec, N).mask for N in self.subs]
 
     @cached_property
-    def star_masks(self):
-        return {N: variety(self.pspec, N, star=True).mask for N in self.subs}
+    def star_masks(self) -> list[int]:
+        """Star-variety masks on the primary spectrum, aligned with `subs`."""
+        return [variety(self.pspec, N, star=True).mask for N in self.subs]
+
+    @cached_property
+    def radical_masks(self) -> list[int]:
+        """Element masks of the graded radicals of the primary points."""
+        lat = self.lattice
+        return [lat.masks[lat.position[R]] for R in self.pspec.radicals]
+
+    def core_position(self, mask: int) -> int:
+        """Position in `subs` of the radical core of the primary points in
+        mask: the AND-fold of their radicals' element masks."""
+        lat = self.lattice
+        core = lat.masks[-1]  # M, the core of no points
+        for i, R in enumerate(self.radical_masks):
+            if mask >> i & 1:
+                core &= R
+        return lat.index[core]
 
     @cached_property
     def ring_ideal_reps(self) -> tuple[Ideal, ...]:
@@ -284,29 +309,33 @@ def _separates_points(sp) -> bool:
 def check_T2_1(ctx: Context):
     sp = ctx.pspec
     star = ctx.star_masks
+    lat = ctx.lattice
+    pos = lat.position
     count = 0
-    if star[ctx.module.zero_submodule] != sp.full_mask:
+    if star[pos[ctx.module.zero_submodule]] != sp.full_mask:
         _fail("star variety of 0 is not the whole space")
-    if star[ctx.module.full_submodule] != 0:
+    if star[pos[ctx.module.full_submodule]] != 0:
         _fail("star variety of M is not empty")
     count += 2
     subs = ctx.subs
-    for N in subs:
-        for N2 in subs:
-            if N2.contains(N) and star[N2] & ~star[N]:
-                _fail("antitonicity fails", (N, N2))
-            if star[N] & star[N2] != star[N.plus(N2)]:
-                _fail("pairwise intersection law fails", (N, N2))
-            if (star[N] | star[N2]) & ~star[N.intersect(N2)]:
-                _fail("union is not inside the variety of the intersection", (N, N2))
+    n = len(subs)
+    for i in range(n):
+        for j in range(n):
+            if lat.contains(j, i) and star[j] & ~star[i]:
+                _fail("antitonicity fails", (subs[i], subs[j]))
+            if star[i] & star[j] != star[lat.join(i, j)]:
+                _fail("pairwise intersection law fails", (subs[i], subs[j]))
+            if (star[i] | star[j]) & ~star[lat.meet(i, j)]:
+                _fail("union is not inside the variety of the intersection",
+                      (subs[i], subs[j]))
             count += 3
-    for N, N2, N3 in ctx.triples(subs):
-        if star[N] & star[N2] & star[N3] != star[N.plus(N2).plus(N3)]:
-            _fail("triple intersection law fails", (N, N2, N3))
+    for i, j, k in ctx.triples(range(n)):
+        if star[i] & star[j] & star[k] != star[lat.join(lat.join(i, j), k)]:
+            _fail("triple intersection law fails", (subs[i], subs[j], subs[k]))
         count += 1
     for N in ctx.proper_subs:
         r = graded_radical(N, ctx.bound)
-        if r.status == "submodule" and star[N] != star[r.submodule]:
+        if r.status == "submodule" and star[pos[N]] != star[pos[r.submodule]]:
             _fail("variety differs from variety of the radical", N)
         count += 1
     return count, f"{count} instantiations"
@@ -346,18 +375,19 @@ def check_P2_3(ctx: Context):
     M = ctx.module
     sp = ctx.pspec
     star = ctx.star_masks
+    pos = ctx.lattice.position
     count = 0
     for I in ctx.ring_ideal_reps:
-        IM = ideal_times_module(I, M)
-        for N in ctx.subs:
+        IM = pos[ideal_times_module(I, M)]
+        for i, N in enumerate(ctx.subs):
             IN = N.scaled(I)
-            lhs = star[N] | star[IM]
+            lhs = star[i] | star[IM]
             rhs = variety(sp, IN, star=True).mask
             if lhs != rhs:
                 _fail("scaled-variety union law fails", (I, N))
             count += 1
         for J in ctx.ring_ideal_reps:
-            lhs = star[IM] | star[ideal_times_module(J, M)]
+            lhs = star[IM] | star[pos[ideal_times_module(J, M)]]
             rhs = variety(sp, ideal_times_module(I.product(J), M), star=True).mask
             if lhs != rhs:
                 _fail("product law for scaled varieties fails", (I, J))
@@ -368,29 +398,30 @@ def check_P2_3(ctx: Context):
 def check_T2_4(ctx: Context):
     sp = ctx.pspec
     nu = ctx.nu_masks
+    lat = ctx.lattice
+    pos = lat.position
     M = ctx.module
     count = 0
-    if nu[M.zero_submodule] != sp.full_mask or nu[M.full_submodule] != 0:
+    if nu[pos[M.zero_submodule]] != sp.full_mask or nu[pos[M.full_submodule]] != 0:
         _fail("boundary varieties are wrong")
     count += 2
     subs = ctx.subs
-    colon_mods = {N: ideal_times_module(N.colon(), M) for N in subs}
-    for N in subs:
-        for N2 in subs:
-            if nu[N] & nu[N2] != variety(sp, colon_mods[N].plus(colon_mods[N2])).mask:
-                _fail("pairwise intersection law fails", (N, N2))
-            if nu[N] | nu[N2] != variety(sp, N.intersect(N2)).mask:
-                _fail("union law fails", (N, N2))
-            if N2.contains(N) and nu[N2] & ~nu[N]:
-                _fail("antitonicity fails", (N, N2))
+    n = len(subs)
+    colon_mods = [pos[ideal_times_module(N.colon(), M)] for N in subs]
+    for i in range(n):
+        for j in range(n):
+            if nu[i] & nu[j] != nu[lat.join(colon_mods[i], colon_mods[j])]:
+                _fail("pairwise intersection law fails", (subs[i], subs[j]))
+            if nu[i] | nu[j] != nu[lat.meet(i, j)]:
+                _fail("union law fails", (subs[i], subs[j]))
+            if lat.contains(j, i) and nu[j] & ~nu[i]:
+                _fail("antitonicity fails", (subs[i], subs[j]))
             count += 3
-    for N, N2, N3 in ctx.triples(subs):
-        lhs = nu[N] & nu[N2] & nu[N3]
-        rhs = variety(
-            sp, colon_mods[N].plus(colon_mods[N2]).plus(colon_mods[N3])
-        ).mask
+    for i, j, k in ctx.triples(range(n)):
+        lhs = nu[i] & nu[j] & nu[k]
+        rhs = nu[lat.join(lat.join(colon_mods[i], colon_mods[j]), colon_mods[k])]
         if lhs != rhs:
-            _fail("triple intersection law fails", (N, N2, N3))
+            _fail("triple intersection law fails", (subs[i], subs[j], subs[k]))
         count += 1
     return count, f"{count} instantiations"
 
@@ -404,7 +435,9 @@ def check_P2_5(ctx: Context):
         r = graded_radical(N, ctx.bound)
         if r.status != "submodule":
             continue
-        identity_holds = ctx.nu_masks[N] == variety(ctx.pspec, r.submodule).mask
+        identity_holds = (
+            ctx.nu_masks[ctx.lattice.position[N]] == variety(ctx.pspec, r.submodule).mask
+        )
         hyp = (N in primary_points) or mult.is_true
         if hyp:
             if not identity_holds:
@@ -420,11 +453,11 @@ def check_L2_6(ctx: Context):
     ps, ss = ctx.pspec, ctx.spec
     spec_idx = [ps.index_of(p) for p in ss.points]
     M = ctx.module
+    nu, star = ctx.nu_masks, ctx.star_masks
+    pos = ctx.lattice.position
+    subs = ctx.subs
     count = 0
-    primary_points = set(ps.points)
-    for N in ctx.subs:
-        nu_mask = ctx.nu_masks[N]
-        star_mask = ctx.star_masks[N]
+    for N, nu_mask, star_mask in zip(subs, nu, star):
         v_mask = variety(ss, N).mask
         vstar_mask = variety(ss, N, star=True).mask
         for j, i in enumerate(spec_idx):
@@ -432,29 +465,23 @@ def check_L2_6(ctx: Context):
                 _fail("prime-side variety is not the restriction", N)
             if bool(vstar_mask >> j & 1) != bool(star_mask >> i & 1):
                 _fail("prime-side star variety is not the restriction", N)
-        cm = ideal_times_module(N.colon(), M)
-        gm = ideal_times_module(N.colon().radical(), M)
-        if not (
-            nu_mask
-            == ctx.nu_masks[cm]
-            == variety(ps, cm, star=True).mask
-            == variety(ps, gm, star=True).mask
-        ):
+        cm = pos[ideal_times_module(N.colon(), M)]
+        gm = pos[ideal_times_module(N.colon().radical(), M)]
+        if not nu_mask == nu[cm] == star[cm] == star[gm]:
             _fail("colon reformulations of the variety differ", N)
         count += 3
-    for N in ctx.subs:
-        for N2 in ctx.subs:
-            same_rad = N.colon().radical() == N2.colon().radical()
-            same_variety = ctx.nu_masks[N] == ctx.nu_masks[N2]
+    rads = [N.colon().radical() for N in subs]
+    primary_points = set(ps.points)
+    on_points = [N in primary_points for N in subs]
+    n = len(subs)
+    for i in range(n):
+        for j in range(n):
+            same_rad = rads[i] == rads[j]
+            same_variety = nu[i] == nu[j]
             if same_rad and not same_variety:
-                _fail("equal colon radicals gave different varieties", (N, N2))
-            if (
-                N in primary_points
-                and N2 in primary_points
-                and same_variety
-                and not same_rad
-            ):
-                _fail("converse fails on primary points", (N, N2))
+                _fail("equal colon radicals gave different varieties", (subs[i], subs[j]))
+            if on_points[i] and on_points[j] and same_variety and not same_rad:
+                _fail("converse fails on primary points", (subs[i], subs[j]))
             count += 1
     return count, f"{count} instantiations"
 
@@ -751,7 +778,7 @@ def check_P4_1(ctx: Context):
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
         Y = sp.point_set(mask)
-        via_eta = variety(sp, radical_core(Y)).mask
+        via_eta = ctx.nu_masks[ctx.core_position(mask)]
         via_lattice = smallest_closed_superset(Y).mask
         if via_eta != via_lattice:
             _fail("closure routes disagree", mask)
@@ -794,7 +821,7 @@ def check_T4_4(ctx: Context):
         if mask == 0:
             continue
         Y = sp.point_set(mask)
-        eta = radical_core(Y)
+        eta = ctx.subs[ctx.core_position(mask)]
         if eta.is_proper and is_graded_primary(eta):
             if not is_irreducible_subset(sp, mask):
                 _fail("primary radical core but reducible subset", mask)
@@ -894,7 +921,7 @@ def check_P4_8(ctx: Context):
         if mask == 0:
             continue
         Y = sp.point_set(mask)
-        eta = radical_core(Y)
+        eta = ctx.subs[ctx.core_position(mask)]
         if eta.is_zero or not eta.is_proper or not is_graded_primary(eta):
             continue
         fibers = {sp.radicals[i].colon() for i in Y.indices()}

@@ -301,7 +301,10 @@ def smith_normal_form(rows, ncols: int):
                         A[i + 1][k] = -A[i + 1][k]
 
     invariants = [A[i][i] for i in range(t)]
-    assert all(d > 0 for d in invariants)
+    if not all(d > 0 for d in invariants):
+        from .algebra import InvariantError  # algebra imports this module
+
+        raise InvariantError(f"Smith invariants {invariants} are not all positive")
     return invariants, tuple(tuple(r) for r in V), tuple(tuple(r) for r in Vinv)
 
 

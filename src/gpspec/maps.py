@@ -19,6 +19,7 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Ideal,
+    InvariantError,
     annihilator,
     enumerate_submodules,
     ideal_times_module,
@@ -89,11 +90,12 @@ def reduced_ring(M: GradedModule) -> ReducedRing:
 def primary_point_image(Q: GradedSubmodule, rr: ReducedRing | None = None,
                         bound: int = DEFAULT_ENUM_BOUND) -> Ideal:
     """Image of a primary-spectrum point: the colon of its graded radical,
-    reduced modulo the annihilator.  The image is asserted prime."""
+    reduced modulo the annihilator.  The image is checked to be prime."""
     rr = rr or reduced_ring(Q.module)
     rad = graded_radical(Q, bound).require()
     img = rr.reduce_ideal(rad.colon())
-    assert img.is_prime, f"natural image {img.text()} of {Q.text()} is not prime"
+    if not img.is_prime:
+        raise InvariantError(f"natural image {img.text()} of {Q.text()} is not prime")
     return img
 
 
@@ -102,7 +104,8 @@ def prime_point_image(P: GradedSubmodule, rr: ReducedRing | None = None) -> Idea
     annihilator; agrees with the primary image since Gr_M(P) = P."""
     rr = rr or reduced_ring(P.module)
     img = rr.reduce_ideal(P.colon())
-    assert img.is_prime
+    if not img.is_prime:
+        raise InvariantError(f"natural image {img.text()} of {P.text()} is not prime")
     return img
 
 

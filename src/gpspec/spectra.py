@@ -234,15 +234,11 @@ def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> 
     return rad.colon() == Q.colon().radical()
 
 
-def is_graded_maximal(
-    N: GradedSubmodule, submodules=None, bound: int = DEFAULT_ENUM_BOUND
-) -> bool:
+def is_graded_maximal(N: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> bool:
     """No graded submodule strictly between N and M (finite regime)."""
     if not N.is_proper:
         return False
-    if submodules is None:
-        submodules = enumerate_submodules(N.module, bound)
-    for L in submodules:
+    for L in enumerate_submodules(N.module, bound):
         if L.is_proper and L != N and L.contains(N):
             return False
     return True
@@ -262,5 +258,5 @@ def spectrum_points(
     if kind == "primary":
         return [N for N in proper if in_primary_spectrum(N, bound)]
     if kind == "maximal":
-        return [N for N in proper if is_graded_maximal(N, subs)]
+        return [N for N in proper if is_graded_maximal(N, bound)]
     raise AlgebraError(f"unknown spectrum kind {kind!r}")

@@ -20,6 +20,7 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Ideal,
+    InvariantError,
     enumerate_submodules,
     ideal_times_module,
     per_module,
@@ -39,7 +40,8 @@ class PointSet:
     mask: int
 
     def __post_init__(self):
-        assert 0 <= self.mask <= self.space.full_mask
+        if not 0 <= self.mask <= self.space.full_mask:
+            raise InvariantError(f"mask {self.mask} is not a subset of the space")
 
     def __contains__(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
@@ -118,12 +120,6 @@ class FiniteSpace:
 
     def closed_sets(self) -> list[PointSet]:
         return [PointSet(self, m) for m in self.closed_masks]
-
-    def open_sets(self) -> list[PointSet]:
-        return [PointSet(self, m ^ self.full_mask) for m in self.closed_masks]
-
-    def is_closed(self, Y: PointSet) -> bool:
-        return Y.mask in set(self.closed_masks)
 
     def index_of(self, point) -> int:
         return self.points.index(point)

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,10 @@ from gpspec.algebra import (
     annihilator,
     enumerate_submodules,
     ideal_times_module,
+    lattice,
     quotient_module,
 )
+from gpspec.dsl import parse_model
 from gpspec.maps import analyze_natural_map
 from gpspec.spectra import graded_radical, is_cancellation, is_multiplication
 from gpspec.topology import PSPEC, build_space
@@ -218,6 +221,29 @@ def test_lattice_memo_matches_fresh_module():
                 assert getattr(F, op)(F2).blocks == memo.blocks
     lattice_op = GradedSubmodule._lattice_op.__wrapped__
     assert sum(key[0] is lattice_op for key in M.memo) == 2 * len(subs) ** 2
+
+
+def test_lattice_table_against_hnf_route():
+    # the table's meet, join and containment against intersect, plus and
+    # contains through HNF, on every pair; the masks against the elements
+    models = sorted((Path(__file__).parent.parent / "models").glob("*.gps"))
+    corpus = [parse_model(p.read_text()).module for p in models]
+    extra = [[(4, (0,)), (8, (1,)), (2, (0,))], [(6, (0,))] * 2, [(32, (0,))] * 2]
+    modules = [M for M in corpus if M.is_finite] + [GradedModule(Z, Z2G, f) for f in extra]
+    assert len(modules) == 15
+    for M in modules:
+        subs, lat = enumerate_submodules(M), lattice(M)
+        assert lat.subs == subs and lattice(M) is lat
+        if M.size <= 64:
+            elements = M.elements()
+            for N, mask in zip(subs, lat.masks):
+                assert mask == sum(1 << k for k, v in enumerate(elements) if N.contains_element(v))
+        for i, A in enumerate(subs):
+            assert lat.position[A] == i and lat.index[lat.masks[i]] == i
+            for j, B in enumerate(subs):
+                assert subs[lat.meet(i, j)] == A.intersect(B), (M.text(), A, B)
+                assert subs[lat.join(i, j)] == A.plus(B), (M.text(), A, B)
+                assert lat.contains(i, j) == A.contains(B), (M.text(), A, B)
 
 
 def test_module_memo_matches_fresh_module():

@@ -214,3 +214,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["3Z6", "2Z6"]
+
+
+def test_internal_invariant_survives_optimize_and_exits_4():
+    # under `python -O` a failed invariant still raises InvariantError, and
+    # the CLI maps it to exit code 4; here `pspec` is made to ask for the
+    # natural image of the zero submodule of Z6, which is not a prime point
+    script = (
+        "from gpspec import cli, maps\n"
+        "cli.spectrum_points = lambda M, kind, bound: [maps.prime_point_image(M.zero_submodule)]\n"
+        "raise SystemExit(cli.run(['pspec', 'models/z6.gps']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=Path(__file__).parent.parent,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == "internal error: natural image (0) of 0 is not prime\n"

@@ -1,10 +1,11 @@
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gpspec import harness
-from gpspec.algebra import DEFAULT_ENUM_BOUND
+from gpspec import harness, maps, topology
+from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule, per_module
 from gpspec.dsl import parse_model
 from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
 from gpspec.spectra import Trilean
@@ -179,3 +180,30 @@ def test_guards_survive_a_rebuilt_catalog_entry(monkeypatch):
         assert [(r.check_id, r.status, r.detail, r.vacuous) for r in got] == [
             (r.check_id, r.status, r.detail, r.vacuous) for r in want
         ]
+
+
+def test_catalog_lattice_work_is_pinned(monkeypatch):
+    # the catalog answers pairs of enumerated submodules from the lattice
+    # table: count the executions of the HNF plus/intersect body and the
+    # variety calls of a whole run; the counts are deterministic, so any
+    # return of per-pair HNF or variety work changes them
+    counts = Counter()
+    body = GradedSubmodule._lattice_op.__wrapped__
+
+    def counted_body(self, op, other):
+        counts[op] += 1
+        return body(self, op, other)
+
+    real_variety = topology.variety
+
+    def counted_variety(*args, **kwargs):
+        counts["variety"] += 1
+        return real_variety(*args, **kwargs)
+
+    monkeypatch.setattr(GradedSubmodule, "_lattice_op", per_module(counted_body))
+    for module in (topology, harness, maps):
+        monkeypatch.setattr(module, "variety", counted_variety)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    results = run_checks(model, "all", "heavy")
+    assert not [r for r in results if r.status == "fail"]
+    assert counts == {"plus": 179, "variety": 3300}

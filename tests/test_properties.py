@@ -1,11 +1,13 @@
 """Property-based checks of the colon, the prime and primary predicates and
 the graded radical against the brute-force oracles, on generated finite
-modules.
+modules, and of the model parser on generated models and mutated corpus
+text.
 
-The examples are derandomized, so every run checks the same modules.
+The examples are derandomized, so every run checks the same inputs.
 """
 
 from functools import reduce
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from gpspec.algebra import (
     GradingGroup,
     enumerate_submodules,
 )
+from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.spectra import graded_radical, is_graded_primary, is_graded_prime
 
 MAX_SIZE = 64
@@ -88,3 +91,84 @@ def test_radical_against_oracle_prime_intersection(N):
     assert over, (N.module.text(), N.text())  # every proper N lies in a prime
     want = reduce(GradedSubmodule.intersect, over)
     assert graded_radical(N).require() == want, (N.module.text(), N.text())
+
+
+# -- the model parser -----------------------------------------------------------
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+NAMES = st.builds(
+    str.__add__, st.sampled_from(_LETTERS), st.text(_LETTERS + "0123456789", max_size=5)
+)
+CORPUS_TEXTS = [p.read_text() for p in sorted((Path(__file__).parent.parent / "models").glob("*.gps"))]
+# characters of the model format, plus a few it never uses
+MUTATION_CHARS = "Z0123456789@x=(),{}#- \nabgmnqrsu_\t;*"
+
+
+@st.composite
+def models(draw):
+    """A model over Z or Z/n with 1-3 factors (free ones over Z), 0-3 named
+    submodules generated by 0-2 vectors each and 0-2 named subsets."""
+    modulus = draw(st.sampled_from(MODULI))
+    group = GradingGroup(draw(st.sampled_from(GROUPS)))
+    if modulus == 0:
+        orders = (0,) + Z_ORDERS
+    else:
+        orders = [d for d in range(2, modulus + 1) if modulus % d == 0]
+    factors = [
+        (draw(st.sampled_from(orders)), draw(st.sampled_from(group.elements())))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    M = GradedModule(BaseRing(modulus), group, factors)
+    names = draw(st.lists(NAMES, max_size=5, unique=True))
+    vector = st.tuples(*(st.integers(-40, 40) for _ in factors))
+    submodules = {
+        name: M.submodule(draw(st.lists(vector, max_size=2))) for name in names[:3]
+    }
+    subsets = {}
+    if submodules:
+        member = st.sampled_from(sorted(submodules))
+        for name in names[3:]:
+            subsets[name] = draw(st.lists(member, min_size=1, max_size=3))
+    return Model(group, M.ring, M, submodules, subsets)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(models())
+def test_parse_of_render_is_the_identity(model):
+    text = model_text(model)
+    parsed = parse_model(text)
+    assert parsed == model, text
+    assert model_text(parsed) == text
+
+
+@st.composite
+def mutated_corpus_texts(draw):
+    """A corpus model with 1-4 single-character insertions, deletions or
+    replacements, or a line dropped or repeated."""
+    text = draw(st.sampled_from(CORPUS_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "drop", "repeat")))
+        lines = text.splitlines(keepends=True)
+        if kind in ("drop", "repeat") and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = [] if kind == "drop" else [lines[i]] * 2
+            text = "".join(lines)
+            continue
+        i = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(MUTATION_CHARS))
+        if kind == "insert":
+            text = text[:i] + char + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + char + text[i + 1:]
+    return text
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(mutated_corpus_texts())
+def test_mutated_model_text_raises_only_parse_errors(text):
+    try:
+        parse_model(text)
+    except ParseError:
+        pass

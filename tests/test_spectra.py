@@ -223,7 +223,7 @@ def test_maximal_implies_prime_implies_primary():
     for M in oracle_corpus():
         subs = enumerate_submodules(M)
         for N in subs:
-            if N.is_proper and is_graded_maximal(N, subs):
+            if N.is_proper and is_graded_maximal(N):
                 assert is_graded_prime(N)
                 assert in_primary_spectrum(N)
 

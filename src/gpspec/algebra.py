@@ -42,6 +42,15 @@ class InvariantError(AlgebraError):
     """An internal invariant failed: a bug, never a property of the input."""
 
 
+class UnknownCheckError(AlgebraError):
+    """A check id that is not in the catalog."""
+
+
+class LazyRingError(AlgebraError):
+    """Raised when an analysis needs the reduced ring spectrum materialized
+    but the annihilator is zero over Z."""
+
+
 def per_module(fn):
     """Memoise fn(x, *args, **kwargs) in the memo of x's module, x being a
     GradedModule or a submodule of one: the value lives and dies with the
@@ -348,36 +357,12 @@ class GradedModule:
                 out[g] = comp
         return out
 
-    def is_homogeneous(self, vec) -> bool:
-        return len(self.homogeneous_components(vec)) <= 1
-
-    def degree_of(self, vec):
-        """Degree of a nonzero homogeneous element, else None (zero is
-        homogeneous of every degree and also returns None)."""
-        comps = self.homogeneous_components(vec)
-        if len(comps) == 1:
-            return next(iter(comps))
-        return None
-
     def elements(self) -> list[tuple[int, ...]]:
         if not self.is_finite:
             raise InfiniteEnumerationError(f"module {self.text()} is infinite")
         return [
             tuple(t) for t in iproduct(*(range(o) for o, _ in self.factors))
         ] if self.factors else [()]
-
-    def homogeneous_elements(self) -> list[tuple[int, ...]]:
-        """All homogeneous elements, zero included once."""
-        out = [self.zero_vector]
-        for g in self.degrees:
-            for block in iproduct(*(range(self.factors[i][0]) for i in self.slots[g])):
-                if not any(block):
-                    continue
-                vec = [0] * len(self.factors)
-                for i, v in zip(self.slots[g], block):
-                    vec[i] = v
-                out.append(tuple(vec))
-        return out
 
     def block_of(self, vec, g) -> tuple[int, ...]:
         return tuple(vec[i] for i in self.slots[g])
@@ -462,14 +447,6 @@ class GradedSubmodule:
         return all(
             intlinalg.lattice_contains(self.block(g), self.module.block_of(c, g))
             for g, c in comps.items()
-        )
-
-    def coset_key(self, vec) -> tuple:
-        """Canonical representative of vec + N; equal keys iff equal cosets."""
-        vec = self.module.reduce_vector(vec)
-        return tuple(
-            intlinalg.reduce_mod_lattice(self.block(g), self.module.block_of(vec, g))
-            for g in self.module.degrees
         )
 
     def contains(self, other: GradedSubmodule) -> bool:
@@ -652,19 +629,29 @@ def _block_index(lat) -> int:
     return idx
 
 
-@per_module
-def enumerate_submodules(
-    M: GradedModule, bound: int = DEFAULT_ENUM_BOUND
-) -> tuple[GradedSubmodule, ...]:
-    """All graded submodules of a finite module, in canonical order (size
-    ascending, then canonical form).  Valid because the ring is trivially
-    graded, so graded submodules are exactly degreewise subgroups."""
+def _require_enumerable(M: GradedModule, bound: int) -> None:
+    """The guard of the enumerations, kept out of their memoised bodies so
+    that every bound shares the one memo entry of M."""
     if not M.is_finite:
         raise InfiniteEnumerationError(f"module {M.text()} is infinite")
     if M.size > bound:
         raise EnumerationBoundError(
             f"|M| = {M.size} exceeds enumeration bound {bound}"
         )
+
+
+def enumerate_submodules(
+    M: GradedModule, bound: int = DEFAULT_ENUM_BOUND
+) -> tuple[GradedSubmodule, ...]:
+    """All graded submodules of a finite module, in canonical order (size
+    ascending, then canonical form).  Valid because the ring is trivially
+    graded, so graded submodules are exactly degreewise subgroups."""
+    _require_enumerable(M, bound)
+    return _submodules(M)
+
+
+@per_module
+def _submodules(M: GradedModule) -> tuple[GradedSubmodule, ...]:
     per_degree = [
         _enumerate_block_subgroups(tuple(M.factors[i][0] for i in M.slots[g]))
         for g in M.degrees
@@ -748,10 +735,15 @@ class SubmoduleLattice:
         return bool(self.up[j] >> i & 1)
 
 
-@per_module
 def lattice(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> SubmoduleLattice:
     """The lattice table of enumerate_submodules(M, bound)."""
-    return SubmoduleLattice(M, enumerate_submodules(M, bound))
+    _require_enumerable(M, bound)
+    return _lattice(M)
+
+
+@per_module
+def _lattice(M: GradedModule) -> SubmoduleLattice:
+    return SubmoduleLattice(M, _submodules(M))
 
 
 # -- quotients -------------------------------------------------------------

@@ -14,12 +14,15 @@ import os
 import sys
 from pathlib import Path
 
+from . import harness, maps, topology
 from .algebra import (
     DEFAULT_ENUM_BOUND,
     AlgebraError,
     EnumerationBoundError,
     InfiniteEnumerationError,
     InvariantError,
+    LazyRingError,
+    UnknownCheckError,
 )
 from .dsl import (
     Model,
@@ -32,10 +35,7 @@ from .dsl import (
     report_json,
     to_json_text,
 )
-from .harness import UnknownCheckError, run_checks
-from .maps import LazyRingError, analyze_natural_map
 from .spectra import UnknownResultError, graded_radical, spectrum_points
-from .topology import analyze_space, build_space, variety
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -235,8 +235,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "variety":
             _no_dot(args)
             N = _named(model, args.submodule)
-            space = build_space(model.module, args.space, bound)
-            pts = variety(space, N, star=args.star)
+            space = topology.build_space(model.module, args.space, bound)
+            pts = topology.variety(space, N, star=args.star)
             if args.format == "json":
                 payload = {
                     "schema": 1,
@@ -251,8 +251,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command == "topology":
-            space = build_space(model.module, args.space, bound)
-            rep = analyze_space(space)
+            space = topology.build_space(model.module, args.space, bound)
+            rep = topology.analyze_space(space)
             if args.format == "json":
                 _emit(stdout, to_json_text(report_json(space, rep)))
             elif args.format == "dot":
@@ -263,7 +263,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
         if args.command == "rho":
             _no_dot(args)
-            res = analyze_natural_map(
+            res = maps.analyze_natural_map(
                 model.module, "primary" if args.space == "pspec" else "prime", bound
             )
             if args.format == "json":
@@ -275,7 +275,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "check":
             _no_dot(args)
             selection = args.theorem if args.theorem else "all"
-            results = run_checks(model, selection, stem, bound, args.seed)
+            results = harness.run_checks(model, selection, stem, bound, args.seed)
             failed = [r for r in results if r.status == "fail"]
             if args.format == "json":
                 _emit(stdout, to_json_text(check_report_json(results)))

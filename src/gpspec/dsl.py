@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from . import maps, topology
 from .algebra import (
     AlgebraError,
     BaseRing,
@@ -30,14 +31,7 @@ from .algebra import (
     GradingGroup,
     Ideal,
 )
-from .maps import MapAnalysis
 from .spectra import Trilean
-from .topology import (
-    RINGSPEC,
-    FiniteSpace,
-    TopologyReport,
-    specialization_closures,
-)
 
 
 class ParseError(Exception):
@@ -110,6 +104,20 @@ class _Line:
             raise ParseError(self.lineno, col, f"expected {want}", v)
         return v, col
 
+    def integer(self, digits: str, col: int) -> int:
+        """int(digits), with Python's cap on the length of an integer string
+        reported as a parse error rather than a ValueError."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError(
+                self.lineno, col, f"integer too long ({len(digits)} digits)", digits[:10]
+            ) from None
+
+    def expect_int(self) -> int:
+        v, col = self.expect("int")
+        return self.integer(v, col)
+
     def at_end(self) -> bool:
         return self.cursor >= len(self.tokens)
 
@@ -127,7 +135,7 @@ def _parse_cyclic(line: _Line) -> int:
     k, v, col = line.next()
     if k != "name" or not re.fullmatch(r"Z\d+", v):
         raise ParseError(line.lineno, col, "expected a cyclic group Z<k>", v)
-    order = int(v[1:])
+    order = line.integer(v[1:], col)
     if order < 1:
         raise ParseError(line.lineno, col, "cyclic order must be >= 1", v)
     return order
@@ -142,13 +150,13 @@ def _parse_degree(line: _Line, group: GradingGroup):
             raise ParseError(
                 line.lineno, col, f"degree must be a {arity}-tuple for this group", v
             )
-        return group.reduce((int(v),))
+        return group.reduce((line.integer(v, col),))
     if (k, v) == ("sym", "("):
         line.next()
-        vals = [int(line.expect("int")[0])]
+        vals = [line.expect_int()]
         while line.peek()[:2] == ("sym", ","):
             line.next()
-            vals.append(int(line.expect("int")[0]))
+            vals.append(line.expect_int())
         line.expect("sym", ")")
         if len(vals) != arity:
             raise ParseError(
@@ -160,10 +168,10 @@ def _parse_degree(line: _Line, group: GradingGroup):
 
 def _parse_vector(line: _Line, arity: int):
     _, col = line.expect("sym", "(")
-    vals = [int(line.expect("int")[0])]
+    vals = [line.expect_int()]
     while line.peek()[:2] == ("sym", ","):
         line.next()
-        vals.append(int(line.expect("int")[0]))
+        vals.append(line.expect_int())
     line.expect("sym", ")")
     if len(vals) != arity:
         raise ParseError(
@@ -211,7 +219,7 @@ def parse_model(text: str) -> Model:
             if k != "name" or not re.fullmatch(r"Z\d*", v):
                 raise ParseError(lineno, c, "expected Z or Z<n>", v)
             try:
-                ring = BaseRing(0 if v == "Z" else int(v[1:]))
+                ring = BaseRing(0 if v == "Z" else line.integer(v[1:], c))
             except AlgebraError as exc:
                 raise ParseError(lineno, c, str(exc), v)
             line.require_end()
@@ -227,7 +235,7 @@ def parse_model(text: str) -> Model:
                 k, v, c = line.next()
                 if k != "name" or not re.fullmatch(r"Z\d*", v):
                     raise ParseError(lineno, c, "expected a factor Z@deg or Z<n>@deg", v)
-                order = 0 if v == "Z" else int(v[1:])
+                order = 0 if v == "Z" else line.integer(v[1:], c)
                 line.expect("sym", "@")
                 degree = _parse_degree(line, group)
                 factors.append((order, degree))
@@ -350,8 +358,8 @@ def _witness_json(w):
     return str(w)
 
 
-def _point_json(space: FiniteSpace, p):
-    if space.kind == RINGSPEC:
+def _point_json(space: topology.FiniteSpace, p):
+    if space.kind == topology.RINGSPEC:
         return {"ideal": p.gen}
     return {"generators": _submodule_json(p), "text": p.text()}
 
@@ -370,7 +378,7 @@ def model_json(model: Model) -> dict:
     }
 
 
-def space_json(space: FiniteSpace) -> dict:
+def space_json(space: topology.FiniteSpace) -> dict:
     return {
         "schema": 1,
         "kind": "space",
@@ -385,7 +393,7 @@ def space_json(space: FiniteSpace) -> dict:
     }
 
 
-def report_json(space: FiniteSpace, rep: TopologyReport) -> dict:
+def report_json(space: topology.FiniteSpace, rep: topology.TopologyReport) -> dict:
     return {
         "schema": 1,
         "kind": "topology_report",
@@ -409,7 +417,7 @@ def report_json(space: FiniteSpace, rep: TopologyReport) -> dict:
     }
 
 
-def map_json(res: MapAnalysis) -> dict:
+def map_json(res: maps.MapAnalysis) -> dict:
     return {
         "schema": 1,
         "kind": "map_analysis",
@@ -453,11 +461,11 @@ def to_json_text(payload: dict) -> str:
 # -- DOT ------------------------------------------------------------------------
 
 
-def space_dot(space: FiniteSpace, name: str = "specialization") -> str:
+def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
     """Specialization preorder: an edge i -> j when j lies in the closure of
     {i}; mutually specializing points collapse into a cluster; transitive
     edges between classes are pruned."""
-    closures = specialization_closures(space)
+    closures = topology.specialization_closures(space)
     n = len(space.points)
     # classes of equal closure
     class_of: dict[int, int] = {}
@@ -512,7 +520,7 @@ def space_dot(space: FiniteSpace, name: str = "specialization") -> str:
 # -- dispatcher -------------------------------------------------------------------
 
 
-def render(obj, fmt: str, space: FiniteSpace | None = None) -> str:
+def render(obj, fmt: str, space: topology.FiniteSpace | None = None) -> str:
     """Render a model, space, report or analysis to canonical text, JSON or
     DOT.  TopologyReport needs its space passed alongside."""
     if fmt == "canonical_text":
@@ -520,21 +528,22 @@ def render(obj, fmt: str, space: FiniteSpace | None = None) -> str:
             return model_text(obj)
         raise AlgebraError("canonical text is defined for models only")
     if fmt == "json":
+        # models and check reports first: they need neither maps nor topology
         if isinstance(obj, Model):
             return to_json_text(model_json(obj))
-        if isinstance(obj, FiniteSpace):
+        if isinstance(obj, list):
+            return to_json_text(check_report_json(obj))
+        if isinstance(obj, topology.FiniteSpace):
             return to_json_text(space_json(obj))
-        if isinstance(obj, TopologyReport):
+        if isinstance(obj, topology.TopologyReport):
             if space is None:
                 raise AlgebraError("rendering a report needs its space")
             return to_json_text(report_json(space, obj))
-        if isinstance(obj, MapAnalysis):
+        if isinstance(obj, maps.MapAnalysis):
             return to_json_text(map_json(obj))
-        if isinstance(obj, list):
-            return to_json_text(check_report_json(obj))
         raise AlgebraError(f"no JSON rendering for {type(obj).__name__}")
     if fmt == "dot":
-        if isinstance(obj, FiniteSpace):
+        if isinstance(obj, topology.FiniteSpace):
             return space_dot(obj)
         raise AlgebraError("DOT output is defined for spaces only")
     raise AlgebraError(f"unknown format {fmt!r}")

@@ -20,10 +20,10 @@ from functools import cached_property
 
 from .algebra import (
     DEFAULT_ENUM_BOUND,
-    AlgebraError,
     GradedModule,
     Ideal,
     SubmoduleLattice,
+    UnknownCheckError,
     enumerate_submodules,
     ideal_times_module,
     lattice,
@@ -74,10 +74,6 @@ from .topology import (
 SUBSET_EXHAUSTIVE_LIMIT = 12
 SUBSET_SAMPLES = 256
 TRIPLE_LIMIT = 125_000
-
-
-class UnknownCheckError(AlgebraError):
-    pass
 
 
 class Skip(Exception):

@@ -20,6 +20,7 @@ from .algebra import (
     GradedSubmodule,
     Ideal,
     InvariantError,
+    LazyRingError,
     annihilator,
     enumerate_submodules,
     ideal_times_module,
@@ -36,11 +37,6 @@ from .topology import (
     ring_variety,
     variety,
 )
-
-
-class LazyRingError(AlgebraError):
-    """Raised when an analysis needs the reduced ring spectrum materialized
-    but the annihilator is zero over Z."""
 
 
 @dataclass(frozen=True)

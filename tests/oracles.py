@@ -4,7 +4,8 @@ Everything here works by exhaustive enumeration over finite structures and is
 deliberately independent of the lattice/Smith machinery it cross-checks, except
 `divisor_order_condition` and `transport_radical`: the enumeration routes that
 the library's closed forms for primeness and the radical replaced, kept as
-references for them.
+references for them; and `coset_key`, a Hermite-form coset label that only
+the order-multiset oracle uses.
 """
 
 from __future__ import annotations
@@ -33,6 +34,36 @@ def vec_neg(M: GradedModule, a):
 
 def vec_scale(M: GradedModule, r, a):
     return M.reduce_vector(tuple(r * x for x in a))
+
+
+def is_homogeneous(M: GradedModule, vec) -> bool:
+    return len(M.homogeneous_components(vec)) <= 1
+
+
+def degree_of(M: GradedModule, vec):
+    """Degree of a nonzero homogeneous element, else None (zero is
+    homogeneous of every degree and also returns None)."""
+    comps = M.homogeneous_components(vec)
+    return next(iter(comps)) if len(comps) == 1 else None
+
+
+def homogeneous_elements(M: GradedModule) -> list:
+    """All homogeneous elements of a finite module, zero included once."""
+    out = [M.zero_vector]
+    for g in M.degrees:
+        for block in product(*(range(M.factors[i][0]) for i in M.slots[g])):
+            if any(block):
+                out.append(M.embed_block(g, block))
+    return out
+
+
+def coset_key(N: GradedSubmodule, vec) -> tuple:
+    """Canonical representative of vec + N; equal keys iff equal cosets."""
+    M = N.module
+    vec = M.reduce_vector(vec)
+    return tuple(
+        intlinalg.reduce_mod_lattice(N.block(g), M.block_of(vec, g)) for g in M.degrees
+    )
 
 
 def span_closure(M: GradedModule, gens) -> frozenset:
@@ -161,7 +192,7 @@ def prime_oracle(P: GradedSubmodule) -> tuple[bool, tuple | None]:
     M = P.module
     colon = P.colon()
     for r in scalar_window(M):
-        for m in M.homogeneous_elements():
+        for m in homogeneous_elements(M):
             if P.contains_element(vec_scale(M, r, m)):
                 if not P.contains_element(m) and not colon.contains_element(r):
                     return False, (r, m)
@@ -173,7 +204,7 @@ def primary_oracle(Q: GradedSubmodule) -> tuple[bool, tuple | None]:
     M = Q.module
     target = Q.colon().radical()
     for r in scalar_window(M):
-        for m in M.homogeneous_elements():
+        for m in homogeneous_elements(M):
             if Q.contains_element(vec_scale(M, r, m)):
                 if not Q.contains_element(m) and not target.contains_element(r):
                     return False, (r, m)
@@ -217,7 +248,7 @@ def quotient_order_multiset(M: GradedModule, N: GradedSubmodule, g) -> dict[int,
     ]
     cosets = {}
     for x in block_elems:
-        cosets.setdefault(N.coset_key(x), x)
+        cosets.setdefault(coset_key(N, x), x)
     counts: dict[int, int] = {}
     for rep in cosets.values():
         o = 1

@@ -126,10 +126,10 @@ def test_homogeneous_decomposition():
     M = zxz()
     comps = M.homogeneous_components((3, -2))
     assert comps == {(0,): (3, 0), (1,): (0, -2)}
-    assert M.is_homogeneous((3, 0))
-    assert not M.is_homogeneous((3, 1))
-    assert M.degree_of((0, 5)) == (1,)
-    assert M.degree_of((0, 0)) is None
+    assert oracles.is_homogeneous(M, (3, 0))
+    assert not oracles.is_homogeneous(M, (3, 1))
+    assert oracles.degree_of(M, (0, 5)) == (1,)
+    assert oracles.degree_of(M, (0, 0)) is None
     # decomposition sums back to the element
     for _ in range(20):
         v = (rng.randint(-9, 9), rng.randint(-9, 9))
@@ -221,6 +221,19 @@ def test_lattice_memo_matches_fresh_module():
                 assert getattr(F, op)(F2).blocks == memo.blocks
     lattice_op = GradedSubmodule._lattice_op.__wrapped__
     assert sum(key[0] is lattice_op for key in M.memo) == 2 * len(subs) ** 2
+
+
+def test_one_enumeration_per_module():
+    # the bound is checked outside the memo, so every bound, the default
+    # included, and the lattice table share one enumeration of M
+    M = GradedModule(Z, Z2G, [(4, (0,)), (2, (1,))])
+    table = lattice(M, 64)
+    subs = enumerate_submodules(M)
+    assert table.subs is subs and lattice(M) is table
+    assert enumerate_submodules(M, bound=M.size) is subs
+    assert sum(value == subs for value in M.memo.values()) == 1
+    with pytest.raises(EnumerationBoundError):
+        lattice(M, M.size - 1)
 
 
 def test_lattice_table_against_hnf_route():

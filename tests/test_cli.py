@@ -118,6 +118,17 @@ def test_exit_code_on_malformed_file(tmp_path):
     assert code == 2 and out == "" and "error" in err
 
 
+def test_huge_integer_is_a_parse_error(tmp_path):
+    # past Python's cap on the length of an integer string int() raises
+    # ValueError; the parser reports it with its line and column
+    huge = tmp_path / "huge.gps"
+    huge.write_text("group = Z2\nring = Z\nmodule = Z@0\nsubmodule N = (" + "7" * 5000 + ")\n")
+    code, out, err = gps("parse", str(huge))
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 4, column 16: integer too long (5000 digits)")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_exit_code_on_missing_file():
     code, _, err = gps("parse", "no_such_file.gps")
     assert code == 2 and "error" in err

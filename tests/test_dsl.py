@@ -74,6 +74,24 @@ def test_parse_errors_carry_positions():
     assert e.value.line == 4
 
 
+def test_huge_integers_are_parse_errors():
+    # every integer position: group order, ring modulus, factor order,
+    # degree, generator coordinate
+    huge = "9" * 5000
+    texts = [
+        f"group = Z{huge}\n",
+        f"group = Z2\nring = Z{huge}\n",
+        f"group = Z2\nring = Z\nmodule = Z{huge}@0\n",
+        f"group = Z2\nring = Z\nmodule = Z@{huge}\n",
+        f"group = Z2\nring = Z\nmodule = Z@0\nsubmodule N = ({huge})\n",
+    ]
+    for text in texts:
+        with pytest.raises(ParseError) as e:
+            parse_model(text)
+        assert e.value.line == text.count("\n")
+        assert e.value.message == "integer too long (5000 digits)"
+
+
 def test_parse_degree_arity_enforced():
     with pytest.raises(ParseError) as e:
         parse_model("group = Z2 x Z2\nring = Z\nmodule = Z@0\n")

@@ -463,7 +463,6 @@ class GradedSubmodule:
     def intersect(self, other: GradedSubmodule) -> GradedSubmodule:
         return self._lattice_op("intersect", other)
 
-    @per_module
     def _lattice_op(self, op: str, other: GradedSubmodule) -> GradedSubmodule:
         """N + N2 or N meet N2, degree by degree."""
         self._require_same_module(other)

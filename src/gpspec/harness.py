@@ -36,6 +36,8 @@ from .maps import (
     PermutationMap,
     analyze_natural_map,
     identity_map,
+    image_mask,
+    preimage_mask,
     reduced_ring,
 )
 from .numtheory import divisors
@@ -216,12 +218,12 @@ class Context:
         return sorted(masks)
 
     def named_subset_masks(self, space) -> list[int]:
+        """Masks of the all-point named subsets; a repeated point counts once."""
         out = []
-        points = list(space.points)
         for members in self.model.named_subsets.values():
-            subs = [self.model.named_submodules[m] for m in members]
-            if all(s in points for s in subs):
-                out.append(sum(1 << points.index(s) for s in subs))
+            subs = {self.model.named_submodules[m] for m in members}
+            if subs <= space.position.keys():
+                out.append(sum(1 << space.position[s] for s in subs))
         return out
 
     def triples(self, items):
@@ -447,20 +449,17 @@ def check_P2_5(ctx: Context):
 
 def check_L2_6(ctx: Context):
     ps, ss = ctx.pspec, ctx.spec
-    spec_idx = [ps.index_of(p) for p in ss.points]
+    inclusion = [ps.index_of(p) for p in ss.points]
     M = ctx.module
     nu, star = ctx.nu_masks, ctx.star_masks
     pos = ctx.lattice.position
     subs = ctx.subs
     count = 0
     for N, nu_mask, star_mask in zip(subs, nu, star):
-        v_mask = variety(ss, N).mask
-        vstar_mask = variety(ss, N, star=True).mask
-        for j, i in enumerate(spec_idx):
-            if bool(v_mask >> j & 1) != bool(nu_mask >> i & 1):
-                _fail("prime-side variety is not the restriction", N)
-            if bool(vstar_mask >> j & 1) != bool(star_mask >> i & 1):
-                _fail("prime-side star variety is not the restriction", N)
+        if variety(ss, N).mask != preimage_mask(inclusion, nu_mask):
+            _fail("prime-side variety is not the restriction", N)
+        if variety(ss, N, star=True).mask != preimage_mask(inclusion, star_mask):
+            _fail("prime-side star variety is not the restriction", N)
         cm = pos[ideal_times_module(N.colon(), M)]
         gm = pos[ideal_times_module(N.colon().radical(), M)]
         if not nu_mask == nu[cm] == star[cm] == star[gm]:
@@ -657,20 +656,16 @@ def check_P3_2(ctx: Context):
     ring = ctx.module.ring
     rr = ctx.reduced
     rs = ctx.ring_space
-    images = ctx.rho.images
+    mapping = ctx.rho.mapping
     count = 0
     for r in ctx.scalar_reps:
         s_r = basic_open(sp, r)
         # (1) the preimage of the reduced basic open is the module basic open
         d_r = ring_basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
-        target = set(d_r.members())
-        preim = sum(1 << i for i, img in enumerate(images) if img in target)
-        if preim != s_r.mask:
+        if preimage_mask(mapping, d_r.mask) != s_r.mask:
             _fail("preimage of the reduced basic open differs", r)
         # (2) image inside the reduced basic open, equal when surjective
-        img_mask = 0
-        for i in s_r.indices():
-            img_mask |= 1 << rs.index_of(images[i])
+        img_mask = image_mask(mapping, s_r.mask)
         if img_mask & ~d_r.mask:
             _fail("image escapes the reduced basic open", r)
         if ctx.rho.surjective.is_true and img_mask != d_r.mask:

@@ -31,7 +31,6 @@ from .topology import (
     PSPEC,
     SPEC,
     FiniteSpace,
-    PointSet,
     build_ring_space,
     build_space,
     ring_variety,
@@ -114,6 +113,7 @@ class MapAnalysis:
     ring_space: FiniteSpace
     reduced: ReducedRing
     images: tuple[Ideal, ...]
+    mapping: tuple[int, ...]        # ring-space index of each point's image
     injective: Trilean
     surjective: Trilean
     continuity_ok: bool
@@ -122,11 +122,24 @@ class MapAnalysis:
     homeomorphism: Trilean
     fibers: tuple[tuple[Ideal, int], ...]  # (prime of the reduced ring, mask)
 
-    def fiber(self, p: Ideal) -> PointSet:
-        for q, mask in self.fibers:
-            if q == p:
-                return self.space.point_set(mask)
-        raise AlgebraError(f"{p.text()} is not a prime of the reduced ring")
+
+def image_mask(mapping, mask: int) -> int:
+    """Image of a point set under a map given by mapping[i], the target
+    index of source point i."""
+    out = 0
+    for i, j in enumerate(mapping):
+        if mask >> i & 1:
+            out |= 1 << j
+    return out
+
+
+def preimage_mask(mapping, mask: int) -> int:
+    """Preimage of a target point set under a map given as in image_mask."""
+    out = 0
+    for i, j in enumerate(mapping):
+        if mask >> j & 1:
+            out |= 1 << i
+    return out
 
 
 @per_module
@@ -149,25 +162,21 @@ def analyze_natural_map(
         images = tuple(primary_point_image(Q, rr, bound) for Q in space.points)
     else:
         images = tuple(prime_point_image(P, rr) for P in space.points)
+    mapping = tuple(ring_space.index_of(img) for img in images)
 
     inj: Trilean = Trilean.yes()
-    seen: dict[Ideal, int] = {}
-    for i, img in enumerate(images):
-        if img in seen:
-            inj = Trilean.no((space.points[seen[img]], space.points[i]))
+    first: dict[int, int] = {}  # ring index -> first point mapped to it
+    for i, j in enumerate(mapping):
+        if first.setdefault(j, i) != i:
+            inj = Trilean.no((space.points[first[j]], space.points[i]))
             break
-        seen[img] = i
 
-    image_set = set(images)
-    missing = [p for p in ring_space.points if p not in image_set]
+    covered = image_mask(mapping, space.full_mask)
+    missing = [p for j, p in enumerate(ring_space.points) if not covered >> j & 1]
     surj = Trilean.yes() if not missing else Trilean.no(missing[0])
 
     fibers = tuple(
-        (
-            p,
-            sum(1 << i for i, img in enumerate(images) if img == p),
-        )
-        for p in ring_space.points
+        (p, preimage_mask(mapping, 1 << j)) for j, p in enumerate(ring_space.points)
     )
 
     # continuity: the preimage of every reduced closed set is the variety of
@@ -175,8 +184,7 @@ def analyze_natural_map(
     continuity_ok = True
     for J in rr.ideals():
         I = rr.lift_ideal(J)
-        target = set(ring_variety(ring_space, J).members())
-        preim = sum(1 << i for i, img in enumerate(images) if img in target)
+        preim = preimage_mask(mapping, ring_variety(ring_space, J).mask)
         expected = variety(space, ideal_times_module(I, M)).mask
         if preim != expected:
             continuity_ok = False
@@ -189,11 +197,11 @@ def analyze_natural_map(
         image_identities_ok = True
         for N in enumerate_submodules(M, bound):
             closed = variety(space, N)
-            img_mask = _image_mask(images, ring_space, closed.mask)
+            img_mask = image_mask(mapping, closed.mask)
             want = ring_variety(ring_space, rr.reduce_ideal(N.colon())).mask
             if img_mask != want:
                 image_identities_ok = False
-            open_img = _image_mask(images, ring_space, closed.mask ^ space.full_mask)
+            open_img = image_mask(mapping, closed.mask ^ space.full_mask)
             if open_img != want ^ ring_space.full_mask:
                 image_identities_ok = False
 
@@ -201,10 +209,10 @@ def analyze_natural_map(
     ring_closed = set(ring_space.closed_masks)
     ring_opens = {m ^ ring_space.full_mask for m in ring_space.closed_masks}
     closed_map = all(
-        _image_mask(images, ring_space, c) in ring_closed for c in space.closed_masks
+        image_mask(mapping, c) in ring_closed for c in space.closed_masks
     )
     open_map = all(
-        _image_mask(images, ring_space, c ^ space.full_mask) in ring_opens
+        image_mask(mapping, c ^ space.full_mask) in ring_opens
         for c in space.closed_masks
     )
     open_closed = Trilean.yes() if (closed_map and open_map) else Trilean.no(None)
@@ -222,6 +230,7 @@ def analyze_natural_map(
         ring_space=ring_space,
         reduced=rr,
         images=images,
+        mapping=mapping,
         injective=inj,
         surjective=surj,
         continuity_ok=continuity_ok,
@@ -230,14 +239,6 @@ def analyze_natural_map(
         homeomorphism=homeo,
         fibers=fibers,
     )
-
-
-def _image_mask(images, ring_space: FiniteSpace, mask: int) -> int:
-    out = 0
-    for i, img in enumerate(images):
-        if mask >> i & 1:
-            out |= 1 << ring_space.index_of(img)
-    return out
 
 
 # -- graded homomorphisms beyond quotient projections -------------------------
@@ -283,32 +284,9 @@ class PermutationMap:
         return self.source.submodule(gens)
 
 
-class ComposedMap:
-    """Composition second . first of two supported graded epimorphisms."""
-
-    def __init__(self, first, second):
-        if first.target != second.source:
-            raise AlgebraError("maps do not compose")
-        self.first = first
-        self.second = second
-        self.source = first.source
-        self.target = second.target
-
-    def kernel(self) -> GradedSubmodule:
-        return self.first.preimage_submodule(self.second.kernel())
-
-    def apply(self, vec):
-        return self.second.apply(self.first.apply(vec))
-
-    def image_submodule(self, N):
-        return self.second.image_submodule(self.first.image_submodule(N))
-
-    def preimage_submodule(self, N2):
-        return self.first.preimage_submodule(self.second.preimage_submodule(N2))
-
-
 @dataclass(frozen=True)
 class PiAnalysis:
+    mapping: tuple[int, ...]  # source-spectrum index of each target point's image
     injective: bool
     surjective: bool
     continuity_ok: bool
@@ -341,33 +319,23 @@ class InducedSpectrumMap:
         M, M2 = self.f.source, self.f.target
         sp = build_space(M, PSPEC, bound)
         sp2 = build_space(M2, PSPEC, bound)
-        mapping = [sp.index_of(self.apply(Q2)) for Q2 in sp2.points]
+        mapping = tuple(sp.index_of(self.apply(Q2)) for Q2 in sp2.points)
         injective = len(set(mapping)) == len(mapping)
-        surjective = set(mapping) == set(range(len(sp.points)))
+        surjective = image_mask(mapping, sp2.full_mask) == sp.full_mask
 
         continuity_ok = True
         for N in enumerate_submodules(M, bound):
             want = variety(
                 sp2, ideal_times_module(N.colon().radical(), M2)
             ).mask
-            got = 0
-            target = variety(sp, N).mask
-            for j, i in enumerate(mapping):
-                if target >> i & 1:
-                    got |= 1 << j
-            if got != want:
+            if preimage_mask(mapping, variety(sp, N).mask) != want:
                 continuity_ok = False
 
         if surjective:
             source_closed = set(sp.closed_masks)
-            closed_map = True
-            for c2 in sp2.closed_masks:
-                img = 0
-                for j, i in enumerate(mapping):
-                    if c2 >> j & 1:
-                        img |= 1 << i
-                if img not in source_closed:
-                    closed_map = False
+            closed_map = all(
+                image_mask(mapping, c2) in source_closed for c2 in sp2.closed_masks
+            )
             homeo = (
                 Trilean.yes()
                 if (injective and continuity_ok and closed_map)
@@ -375,7 +343,7 @@ class InducedSpectrumMap:
             )
         else:
             homeo = Trilean(False, reason="not surjective")
-        return PiAnalysis(injective, surjective, continuity_ok, homeo)
+        return PiAnalysis(mapping, injective, surjective, continuity_ok, homeo)
 
 
 def identity_map(M: GradedModule) -> PermutationMap:

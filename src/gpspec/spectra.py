@@ -234,14 +234,14 @@ def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> 
     return rad.colon() == Q.colon().radical()
 
 
-def is_graded_maximal(N: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> bool:
-    """No graded submodule strictly between N and M (finite regime)."""
-    if not N.is_proper:
-        return False
-    for L in enumerate_submodules(N.module, bound):
-        if L.is_proper and L != N and L.contains(N):
-            return False
-    return True
+def is_graded_maximal(N: GradedSubmodule) -> bool:
+    """No graded submodule strictly between N and M.  Graded submodules are
+    the degreewise subgroups, so this holds iff M/N is Z/p for a prime p:
+    no free part, and one torsion factor over all degrees, a prime."""
+    quotients = [N.quotient_invariants(g) for g in N.module.degrees]
+    factors = [d for q in quotients for d in q.torsion_factors]
+    free = any(q.free_rank for q in quotients)
+    return not free and len(factors) == 1 and numtheory.is_prime(factors[0])
 
 
 def spectrum_points(
@@ -258,5 +258,5 @@ def spectrum_points(
     if kind == "primary":
         return [N for N in proper if in_primary_spectrum(N, bound)]
     if kind == "maximal":
-        return [N for N in proper if is_graded_maximal(N, bound)]
+        return [N for N in proper if is_graded_maximal(N)]
     raise AlgebraError(f"unknown spectrum kind {kind!r}")

@@ -80,14 +80,15 @@ class FiniteSpace:
     """A materialized spectrum with its full closed-set family.
 
     points are canonical submodules (module spaces) or prime ideals (ring
-    spaces); closed_masks is the deduplicated family of all varieties, with a
-    witness submodule/ideal per closed set; base lists the distinct basic
-    open sets with one representative scalar each.
+    spaces), position maps each to its index; closed_masks is the deduplicated
+    family of all varieties, with a witness submodule/ideal per closed set;
+    base lists the distinct basic opens with one representative scalar each.
     """
 
     def __init__(self, kind, points, module=None, ring=None):
         self.kind = kind
         self.points = tuple(points)
+        self.position = {p: i for i, p in enumerate(self.points)}
         self.module = module
         self.ring = ring
         self.full_mask = (1 << len(self.points)) - 1
@@ -118,11 +119,8 @@ class FiniteSpace:
     def singleton(self, index: int) -> PointSet:
         return PointSet(self, 1 << index)
 
-    def closed_sets(self) -> list[PointSet]:
-        return [PointSet(self, m) for m in self.closed_masks]
-
     def index_of(self, point) -> int:
-        return self.points.index(point)
+        return self.position[point]
 
 
 @per_module

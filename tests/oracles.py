@@ -2,10 +2,10 @@
 
 Everything here works by exhaustive enumeration over finite structures and is
 deliberately independent of the lattice/Smith machinery it cross-checks, except
-`divisor_order_condition` and `transport_radical`: the enumeration routes that
-the library's closed forms for primeness and the radical replaced, kept as
-references for them; and `coset_key`, a Hermite-form coset label that only
-the order-multiset oracle uses.
+`divisor_order_condition`, `transport_radical` and `maximal_oracle`: the
+enumeration routes that the library's closed forms for primeness, the radical
+and maximality replaced, kept as references for them; and `coset_key`, a
+Hermite-form coset label that only the order-multiset oracle uses.
 """
 
 from __future__ import annotations
@@ -209,6 +209,17 @@ def primary_oracle(Q: GradedSubmodule) -> tuple[bool, tuple | None]:
                 if not Q.contains_element(m) and not target.contains_element(r):
                     return False, (r, m)
     return True, None
+
+
+def maximal_oracle(N: GradedSubmodule) -> bool:
+    """No proper graded submodule other than N contains N, over every
+    enumerated submodule."""
+    if not N.is_proper:
+        return False
+    for L in enumerate_submodules(N.module):
+        if L.is_proper and L != N and L.contains(N):
+            return False
+    return True
 
 
 def divisor_order_condition(N: GradedSubmodule, target: Ideal) -> bool:

@@ -1,11 +1,12 @@
 import dataclasses
+import io
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from gpspec import harness, maps, topology
-from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule, per_module
+from gpspec import cli, harness, maps, topology
+from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule
 from gpspec.dsl import parse_model
 from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
 from gpspec.spectra import Trilean
@@ -182,13 +183,32 @@ def test_guards_survive_a_rebuilt_catalog_entry(monkeypatch):
         ]
 
 
+def test_repeated_subset_member_is_one_point(tmp_path):
+    # a member listed twice, or two names for one submodule, is one point of
+    # the named subset: `gps check` passes and the subset is that point
+    head = (
+        "group = Z2\nring = Z6\nmodule = Z6@0\n"
+        "submodule N2 = (2)\nsubmodule N3 = (3)\nsubmodule F = (4)\n"
+    )
+    for members, point in (("N2, N2", "N2"), ("N3, N3", "N3"), ("N2, F", "N2")):
+        text = f"{head}subset Y = {{{members}}}\n"
+        path = tmp_path / "repeat.gps"
+        path.write_text(text)
+        err = io.StringIO()
+        assert cli.run(["check", str(path)], stdout=io.StringIO(), stderr=err) == 0, err.getvalue()
+        model = parse_model(text)
+        ctx = harness.Context(model, "repeat", DEFAULT_ENUM_BOUND, 0)
+        point_mask = 1 << ctx.pspec.index_of(model.named_submodules[point])
+        assert ctx.named_subset_masks(ctx.pspec) == [point_mask], members
+
+
 def test_catalog_lattice_work_is_pinned(monkeypatch):
     # the catalog answers pairs of enumerated submodules from the lattice
-    # table: count the executions of the HNF plus/intersect body and the
+    # table: count the calls of the HNF plus/intersect body and the
     # variety calls of a whole run; the counts are deterministic, so any
     # return of per-pair HNF or variety work changes them
     counts = Counter()
-    body = GradedSubmodule._lattice_op.__wrapped__
+    body = GradedSubmodule._lattice_op
 
     def counted_body(self, op, other):
         counts[op] += 1
@@ -200,7 +220,7 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
         counts["variety"] += 1
         return real_variety(*args, **kwargs)
 
-    monkeypatch.setattr(GradedSubmodule, "_lattice_op", per_module(counted_body))
+    monkeypatch.setattr(GradedSubmodule, "_lattice_op", counted_body)
     for module in (topology, harness, maps):
         monkeypatch.setattr(module, "variety", counted_variety)
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")

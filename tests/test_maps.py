@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gpspec.algebra import (
@@ -8,18 +10,20 @@ from gpspec.algebra import (
     quotient_module,
 )
 from gpspec.maps import (
-    ComposedMap,
     InducedSpectrumMap,
     LazyRingError,
     PermutationMap,
     analyze_natural_map,
     identity_map,
+    image_mask,
+    preimage_mask,
     primary_point_image,
     prime_point_image,
     reduced_ring,
 )
+from gpspec.dsl import parse_model
 from gpspec.spectra import in_primary_spectrum, spectrum_points
-from gpspec.topology import analyze_space
+from gpspec.topology import analyze_space, build_space
 
 Z = BaseRing(0)
 Z2G = GradingGroup((2,))
@@ -210,23 +214,56 @@ def test_permutation_map_relists_factors():
         PermutationMap(M, (0, 0))  # not a permutation
 
 
-def test_composed_map():
-    M = GradedModule(Z, Z2G, [(4, (0,)), (4, (0,))])
-    swap = PermutationMap(M, (1, 0))
-    K = M.submodule([(2, 0)])
-    _, proj = quotient_module(M, K)
-    comp = ComposedMap(swap, proj)
-    assert comp.kernel() == swap.preimage_submodule(K)
-    for v in M.elements():
-        assert comp.apply(v) == proj.apply(swap.apply(v))
-    for N2 in enumerate_submodules(comp.target):
-        assert comp.preimage_submodule(N2) == swap.preimage_submodule(
-            proj.preimage_submodule(N2)
-        )
-
-
 def test_isomorphisms_induce_homeomorphisms():
     # quotient by zero and factor swaps are isomorphisms
     for M in (zmod(6), GradedModule(Z, Z2G, [(3, (0,)), (3, (0,))])):
         _, proj = quotient_module(M, M.zero_submodule)
         assert InducedSpectrumMap(proj).analyze().homeomorphism.is_true
+
+
+# -- point mappings ---------------------------------------------------------------
+
+
+def assert_point_mapping(source, target, mapping, images):
+    """mapping against the images by lookup in the target's point list, and
+    image_mask / preimage_mask against set images and preimages of every
+    closed set, every singleton and the whole space on either side."""
+    assert list(mapping) == [target.points.index(x) for x in images]
+
+    def masks(space):
+        n = len(space.points)
+        return {*space.closed_masks, *(1 << i for i in range(n)), space.full_mask}
+
+    for mask in masks(source):
+        want = {x for i, x in enumerate(images) if mask >> i & 1}
+        assert set(target.point_set(image_mask(mapping, mask)).members()) == want
+    for mask in masks(target):
+        members = set(target.point_set(mask).members())
+        want = sum(1 << i for i, x in enumerate(images) if x in members)
+        assert preimage_mask(mapping, mask) == want
+
+
+def test_natural_map_mapping_on_the_corpus():
+    models = sorted((Path(__file__).parent.parent / "models").glob("*.gps"))
+    corpus = [parse_model(p.read_text()).module for p in models]
+    finite = [M for M in corpus if M.is_finite]
+    assert len(finite) == 12
+    for M in finite:
+        for source in ("primary", "prime"):
+            res = analyze_natural_map(M, source)
+            assert_point_mapping(res.space, res.ring_space, res.mapping, res.images)
+            assert res.fibers == tuple(
+                (p, sum(1 << i for i, x in enumerate(res.images) if x == p))
+                for p in res.ring_space.points
+            )
+
+
+def test_induced_map_mapping_on_every_quotient():
+    M = GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))])
+    sp = build_space(M)
+    for K in enumerate_submodules(M):
+        _, proj = quotient_module(M, K)
+        pi = InducedSpectrumMap(proj)
+        sp2 = build_space(proj.target)
+        images = [pi.apply(Q2) for Q2 in sp2.points]
+        assert_point_mapping(sp2, sp, pi.analyze().mapping, images)

@@ -219,6 +219,13 @@ def test_spec_subset_of_primary_spectrum():
             assert graded_radical(Q).require().colon().is_prime
 
 
+def test_maximal_closed_form_matches_enumeration():
+    for M in oracle_corpus():
+        for N in enumerate_submodules(M):
+            want = oracles.maximal_oracle(N)
+            assert is_graded_maximal(N) == want, (M.text(), N.text())
+
+
 def test_maximal_implies_prime_implies_primary():
     for M in oracle_corpus():
         subs = enumerate_submodules(M)

@@ -2,7 +2,10 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from gpspec.cli import run
 
@@ -127,6 +130,28 @@ def test_huge_integer_is_a_parse_error(tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: line 4, column 16: integer too long (5000 digits)")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+BIG_PRIME = 10**30 + 57  # past the proven range of the primality test
+
+
+@pytest.mark.parametrize("command", ["radical (p)", "radical (3p)", "check Z_p"])
+def test_big_prime_is_refused_within_a_second(tmp_path, command):
+    # trial division never finished on these; primality past the proven
+    # range is refused with exit 3 and one error line
+    model = tmp_path / "big.gps"
+    if command == "check Z_p":
+        model.write_text(f"group = Z2\nring = Z{BIG_PRIME}\nmodule = Z{BIG_PRIME}@0\n")
+        argv = ["check", str(model)]
+    else:
+        gen = BIG_PRIME if command == "radical (p)" else 3 * BIG_PRIME
+        model.write_text(f"group = Z2\nring = Z\nmodule = Z@0\nsubmodule N = ({gen})\n")
+        argv = ["radical", str(model), "--submodule", "N"]
+    start = time.perf_counter()
+    code, out, err = gps(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err.startswith("error: primality of ") and err.count("\n") == 1
 
 
 def test_exit_code_on_missing_file():

@@ -226,4 +226,22 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert counts == {"plus": 179, "variety": 3300}
+    assert counts == {"plus": 179, "variety": 3228}
+
+
+def test_P3_2_computes_each_basic_open_once(monkeypatch):
+    # D(r) depends on r only through the ideal (r), so P3.2 builds one basic
+    # open per generator: over Z30 the 30 scalars and their 900 products
+    # have the 8 divisors of 30 as generators
+    calls = Counter()
+    real = harness.basic_open
+
+    def counted(space, r):
+        calls[space.module.ring.ideal(r).gen] += 1
+        return real(space, r)
+
+    monkeypatch.setattr(harness, "basic_open", counted)
+    (result,) = run_checks(load("z30.gps"), ["P3.2"], "z30")
+    assert result.status == "pass"
+    assert result.detail == "1020 instantiations"
+    assert calls == {d: 1 for d in (1, 2, 3, 5, 6, 10, 15, 30)}

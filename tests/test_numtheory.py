@@ -1,0 +1,140 @@
+"""numtheory against sympy as an independent oracle: factorization,
+primality, divisors and radicals on every small n, on seeded random n up to
+10^24 and on the hard cases of each kernel (prime powers, balanced
+semiprimes, Carmichael numbers and strong pseudoprimes)."""
+
+import random
+import time
+from math import prod
+
+import pytest
+import sympy
+
+from gpspec import numtheory
+from gpspec.algebra import InvariantError
+from gpspec.numtheory import PSI13, divisors, factorize, is_prime, radical_int
+from gpspec.spectra import UnknownResultError
+
+PSI12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, PSI12)
+CARMICHAEL = (561, 41041)
+SEMIPRIMES = (
+    999999999959 * 999999999989,  # the two largest 12-digit primes
+    100000000003 * 100000000019,
+    sympy.nextprime(345678901234) * sympy.prevprime(876543210987),
+)
+PRIME_POWERS = (
+    2**100, 3**60, 1009**7, 1000003**3, (2**31 - 1) ** 2, 999999999989**2,
+)
+# the hardest in-range split above takes about 1 s on a shared 2-vCPU VM
+HARDEST_SPLIT_BUDGET_S = 20
+
+
+def agree(n):
+    """Every function against sympy on n >= 1."""
+    expected = sympy.factorint(n)
+    got = factorize(n)
+    assert got == expected and list(got) == sorted(expected), n
+    assert is_prime(n) == sympy.isprime(n), n
+    assert radical_int(n) == prod(expected), n
+
+
+def test_every_n_up_to_20000():
+    for n in range(1, 20001):
+        agree(n)
+        assert divisors(n) == sympy.divisors(n), n
+    assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
+    assert radical_int(0) == 0 and radical_int(-12) == 6
+
+
+def test_small_inputs_never_leave_trial_division(monkeypatch):
+    # below TRIAL_BOUND**2 trial division is the whole answer
+    def forbidden(n):
+        raise AssertionError(f"probable-prime test on {n}")
+
+    monkeypatch.setattr(numtheory, "_probable_prime", forbidden)
+    for n in [*range(1, 5000), *range(999000, 1002000)]:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert factorize(n) == sympy.factorint(n), n
+
+
+def test_seeded_random_n_up_to_1e24():
+    rng = random.Random(20240917)
+    for _ in range(60):
+        agree(rng.randrange(1, 10**rng.randrange(6, 25)))
+
+
+def test_prime_powers_and_semiprimes():
+    for n in PRIME_POWERS + SEMIPRIMES:
+        agree(n)
+    for n in PRIME_POWERS:
+        assert divisors(n) == sympy.divisors(n), n
+
+
+def test_carmichael_numbers_and_strong_pseudoprimes():
+    for n in CARMICHAEL + STRONG_PSEUDOPRIMES:
+        assert not is_prime(n), n
+        agree(n)
+
+
+def test_base_41_is_the_witness_of_psi12(monkeypatch):
+    assert not is_prime(PSI12)
+    monkeypatch.setattr(numtheory, "BASES", numtheory.BASES[:-1])
+    assert is_prime(PSI12)  # every base below 41 passes it
+
+
+def test_primality_past_psi13_is_refused():
+    with pytest.raises(UnknownResultError):
+        is_prime(PSI13)  # composite, but a strong pseudoprime to every base
+    with pytest.raises(UnknownResultError):
+        is_prime(10**30 + 57)
+    with pytest.raises(UnknownResultError):
+        factorize(3 * (10**30 + 57))
+    # a witness proves compositeness at any size
+    assert not is_prime((10**30 + 57) * 1000003)
+    assert not is_prime((10**30 + 57) ** 2)
+
+
+def test_factors_below_psi13_of_any_product():
+    # a product past PSI13 still factors when every part is provable
+    n = 2**200 * 3**7 * 1000003**2 * (10**12 + 39) * (10**13 + 37)
+    assert n > PSI13
+    assert factorize(n) == {2: 200, 3: 7, 1000003: 2, 10**12 + 39: 1, 10**13 + 37: 1}
+    assert radical_int(n) == 2 * 3 * 1000003 * (10**12 + 39) * (10**13 + 37)
+
+
+def test_hardest_in_range_split_is_bounded():
+    start = time.perf_counter()
+    assert factorize(999999999959 * 999999999989) == {999999999959: 1, 999999999989: 1}
+    assert time.perf_counter() - start < HARDEST_SPLIT_BUDGET_S
+
+
+def test_rho_budget_ends_in_a_refusal(monkeypatch):
+    monkeypatch.setattr(numtheory, "RHO_STEPS", 4096)
+    with pytest.raises(UnknownResultError, match="4096 rho steps"):
+        factorize(999999999959 * 999999999989)
+
+
+def test_factorization_is_multiplied_back(monkeypatch):
+    # a split that is not a factor must not pass as a factorization
+    monkeypatch.setattr(numtheory, "_brent", lambda n, budget: 1000)
+    monkeypatch.setattr(numtheory, "_probable_prime", lambda n: n != 1009 * 1013)
+    with pytest.raises(InvariantError):
+        factorize(1009 * 1013)
+
+
+def test_factorize_does_not_call_is_prime(monkeypatch):
+    # the traced is_prime counts outside callers only
+    monkeypatch.setattr(numtheory, "is_prime", None)
+    assert factorize(1000003 * 999999999989) == {1000003: 1, 999999999989: 1}
+
+
+def test_divisors_past_float_precision():
+    # a float square root truncates 2**53 + 1 to 2**53, and 10**400 has none
+    n = (2**53 + 1) ** 2
+    assert 2**53 + 1 in divisors(n)
+    assert divisors(n) == sympy.divisors(n)
+    big = divisors(10**400)
+    assert len(big) == 401**2 and big == sympy.divisors(10**400)
+    with pytest.raises(ValueError):
+        divisors(0)

@@ -26,8 +26,8 @@ def tour(n):
         N = M.submodule([(d,)]) if d else M.zero_submodule
         print(f"  variety of {N.text():4} ->", variety(sp, N).indices())
 
-    # closure of a single point: the variety of its radical (check P4.1
-    # compares this route with the smallest closed superset)
+    # closure of a single point: the intersection of the closed sets that
+    # contain it (check P4.1 compares it with the variety of the radical)
     print("  closure of point 0:", closure(sp.singleton(0)).indices())
     print("  radical core of the whole space:", radical_core(sp.full).text())
 

@@ -53,8 +53,9 @@ class LazyRingError(AlgebraError):
 
 def per_module(fn):
     """Memoise fn(x, *args, **kwargs) in the memo of x's module, x being a
-    GradedModule or a submodule of one: the value lives and dies with the
-    module, and equal calls share one result, which nobody may mutate."""
+    GradedModule or anything with a `module` attribute (a submodule, a
+    module space): the value lives and dies with the module, and equal calls
+    share one result, which nobody may mutate."""
 
     @wraps(fn)
     def memoised(x, *args, **kwargs):

@@ -51,23 +51,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, space_flag=False, fmt=True):
+    def common(sp, space_flag=False, dot=False):
         sp.add_argument("input", help="model file (.gps)")
         if space_flag:
             sp.add_argument(
                 "--space", choices=["spec", "pspec"], default="pspec",
                 help="which spectrum to work on (default pspec)",
             )
-        if fmt:
-            sp.add_argument(
-                "--format", choices=["text", "json", "dot"], default="text"
-            )
+        sp.add_argument(
+            "--format", choices=["text", "json", "dot"] if dot else ["text", "json"],
+            default="text",
+        )
         sp.add_argument(
             "--enum-bound", type=int,
             help="largest module size that will be enumerated "
             f"(default: GPS_ENUM_BOUND, else {DEFAULT_ENUM_BOUND})",
         )
-        sp.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("parse", help="validate and echo the canonical form"))
     common(sub.add_parser("spec", help="list the prime spectrum"))
@@ -85,13 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="use radical containment instead of colon containment")
 
     common(sub.add_parser("topology", help="space, closed sets and analysis"),
-           space_flag=True)
+           space_flag=True, dot=True)
 
     common(sub.add_parser("rho", help="analysis of the natural map"),
            space_flag=True)
 
     sp = sub.add_parser("check", help="run the theorem catalog")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--theorem", action="append", metavar="ID", default=None,
                     help="check id to run (repeatable; default: the whole catalog)")
     return p
@@ -186,7 +186,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         model, stem = _load_model(args.input)
 
         if args.command == "parse":
-            _no_dot(args)
             if args.format == "json":
                 _emit(stdout, render(model, "json"))
             else:
@@ -194,7 +193,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command in ("spec", "pspec", "max"):
-            _no_dot(args)
             kind = {"spec": "prime", "pspec": "primary", "max": "maximal"}[args.command]
             points = spectrum_points(model.module, kind, bound)
             if args.format == "json":
@@ -213,7 +211,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command == "radical":
-            _no_dot(args)
             N = _named(model, args.submodule)
             res = graded_radical(N, bound)
             if res.status == "unknown":
@@ -233,7 +230,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command == "variety":
-            _no_dot(args)
             N = _named(model, args.submodule)
             space = topology.build_space(model.module, args.space, bound)
             pts = topology.variety(space, N, star=args.star)
@@ -262,7 +258,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command == "rho":
-            _no_dot(args)
             res = maps.analyze_natural_map(
                 model.module, "primary" if args.space == "pspec" else "prime", bound
             )
@@ -273,7 +268,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             return EXIT_OK
 
         if args.command == "check":
-            _no_dot(args)
             selection = args.theorem if args.theorem else "all"
             results = harness.run_checks(model, selection, stem, bound, args.seed)
             failed = [r for r in results if r.status == "fail"]
@@ -331,11 +325,6 @@ def _named(model: Model, name: str):
     if name not in model.named_submodules:
         raise ParseError(0, 0, f"no submodule named {name!r} in the model")
     return model.named_submodules[name]
-
-
-def _no_dot(args) -> None:
-    if getattr(args, "format", "text") == "dot":
-        raise AlgebraError(f"dot output is not defined for {args.command!r}")
 
 
 def main() -> None:

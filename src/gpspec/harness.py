@@ -7,7 +7,7 @@ ideals (and triples where families are quantified) of a finite instance;
 subset-quantified statements run over all subsets up to 2^12 points and over
 256 seeded samples beyond that.  The two sides of an identity are always
 computed by independent routines (for example closure as the variety of the
-radical core versus the smallest closed superset in the lattice).
+radical core versus the intersection of the closed sets containing it).
 Implications whose hypothesis is Unknown are skipped, never assumed.
 """
 
@@ -38,9 +38,7 @@ from .maps import (
     identity_map,
     image_mask,
     preimage_mask,
-    reduced_ring,
 )
-from .numtheory import divisors
 from .spectra import (
     graded_radical,
     in_primary_spectrum,
@@ -56,9 +54,10 @@ from .topology import (
     PointSet,
     _finite_subcover_exists,
     analyze_space,
+    base_scalars,
     basic_open,
-    build_ring_space,
     build_space,
+    closure,
     ideal_core,
     is_irreducible_subset,
     is_primary_top_module,
@@ -66,7 +65,6 @@ from .topology import (
     is_union_of_members,
     ring_basic_open,
     ring_variety,
-    smallest_closed_superset,
     specialization_closures,
     star_variety_family,
     union_gap,
@@ -150,18 +148,17 @@ class Context:
         return build_space(self.module, SPEC, self.bound)
 
     @cached_property
-    def reduced(self):
-        return reduced_ring(self.module)
-
-    @cached_property
-    def ring_space(self):
-        self.require_finite()
-        return build_ring_space(self.reduced.ring)
-
-    @cached_property
     def rho(self) -> MapAnalysis:
         self.require_finite()
         return analyze_natural_map(self.module, "primary", self.bound)
+
+    @cached_property
+    def reduced(self):
+        return self.rho.reduced
+
+    @cached_property
+    def ring_space(self):
+        return self.rho.ring_space
 
     @cached_property
     def phi(self) -> MapAnalysis:
@@ -206,7 +203,7 @@ class Context:
         ring = self.module.ring
         if ring.is_finite:
             return tuple(range(ring.modulus))
-        return tuple(sorted({0, 1, *divisors(self.module.base_scale())}))
+        return tuple(base_scalars(self.module.base_scale()))
 
     def subset_masks(self, space) -> list[int]:
         n = len(space.points)
@@ -777,9 +774,8 @@ def check_P4_1(ctx: Context):
     sp = ctx.pspec
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
-        Y = sp.point_set(mask)
         via_eta = ctx.nu_masks[ctx.core_position(mask)]
-        via_lattice = smallest_closed_superset(Y).mask
+        via_lattice = closure(sp.point_set(mask)).mask
         if via_eta != via_lattice:
             _fail("closure routes disagree", mask)
         count += 1
@@ -822,11 +818,12 @@ def check_T4_4(ctx: Context):
             continue
         Y = sp.point_set(mask)
         eta = ctx.subs[ctx.core_position(mask)]
+        irreducible = is_irreducible_subset(sp, mask)
         if eta.is_proper and is_graded_primary(eta):
-            if not is_irreducible_subset(sp, mask):
+            if not irreducible:
                 _fail("primary radical core but reducible subset", mask)
             count += 1
-        if is_irreducible_subset(sp, mask):
+        if irreducible:
             meet = None
             for i in Y.indices():
                 c = sp.radicals[i].colon()
@@ -938,7 +935,7 @@ def check_P4_9(ctx: Context):
     if not analyze_space(ctx.pspec).t1:
         return 0, "hypothesis fails (not a T1 space)"
     primary = list(ctx.pspec.points)
-    prime = spectrum_points(ctx.module, "prime", ctx.bound)
+    prime = list(ctx.spec.points)
     maximal = spectrum_points(ctx.module, "maximal", ctx.bound)
     if not (primary == prime == maximal):
         _fail("the three spectra differ under T1")

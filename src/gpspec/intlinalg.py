@@ -7,6 +7,7 @@ generate a sublattice of Z^n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 
 Row = tuple[int, ...]
@@ -54,13 +55,12 @@ class _Echelon:
                 if self.tail:
                     self.kernel_tails.append(v[n:])
                 return
-            pos = self._row_at(j)
-            if pos is None:
+            pos = bisect_left(self.pivots, j)
+            if pos == len(self.pivots) or self.pivots[pos] != j:
                 if v[j] < 0:
                     v = [-a for a in v]
-                where = self._insert_at(j)
-                self.rows.insert(where, v)
-                self.pivots.insert(where, j)
+                self.rows.insert(pos, v)
+                self.pivots.insert(pos, j)
                 return
             row = self.rows[pos]
             a, b = row[j], v[j]
@@ -76,17 +76,6 @@ class _Echelon:
                     row[k] = x * rk + y * vk
                     v[k] = -bg * rk + ag * vk
                 # row now has pivot g at column j; v has 0 there
-
-    def _row_at(self, col: int):
-        import bisect
-        i = bisect.bisect_left(self.pivots, col)
-        if i < len(self.pivots) and self.pivots[i] == col:
-            return i
-        return None
-
-    def _insert_at(self, col: int) -> int:
-        import bisect
-        return bisect.bisect_left(self.pivots, col)
 
     def normalize(self) -> None:
         """Make the echelon the canonical HNF: entries above each pivot

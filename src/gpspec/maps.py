@@ -21,6 +21,8 @@ from .algebra import (
     Ideal,
     InvariantError,
     LazyRingError,
+    ModuleMismatchError,
+    QuotientMap,
     annihilator,
     enumerate_submodules,
     ideal_times_module,
@@ -85,22 +87,13 @@ def reduced_ring(M: GradedModule) -> ReducedRing:
 def primary_point_image(Q: GradedSubmodule, rr: ReducedRing | None = None,
                         bound: int = DEFAULT_ENUM_BOUND) -> Ideal:
     """Image of a primary-spectrum point: the colon of its graded radical,
-    reduced modulo the annihilator.  The image is checked to be prime."""
+    reduced modulo the annihilator.  The image is checked to be prime.  It
+    serves the prime spectrum too, where Gr_M(P) = P."""
     rr = rr or reduced_ring(Q.module)
     rad = graded_radical(Q, bound).require()
     img = rr.reduce_ideal(rad.colon())
     if not img.is_prime:
         raise InvariantError(f"natural image {img.text()} of {Q.text()} is not prime")
-    return img
-
-
-def prime_point_image(P: GradedSubmodule, rr: ReducedRing | None = None) -> Ideal:
-    """Image of a prime-spectrum point: its colon reduced modulo the
-    annihilator; agrees with the primary image since Gr_M(P) = P."""
-    rr = rr or reduced_ring(P.module)
-    img = rr.reduce_ideal(P.colon())
-    if not img.is_prime:
-        raise InvariantError(f"natural image {img.text()} of {P.text()} is not prime")
     return img
 
 
@@ -158,10 +151,7 @@ def analyze_natural_map(
     space = build_space(M, PSPEC if source == "primary" else SPEC, bound)
     ring_space = build_ring_space(rr.ring)
 
-    if source == "primary":
-        images = tuple(primary_point_image(Q, rr, bound) for Q in space.points)
-    else:
-        images = tuple(prime_point_image(P, rr) for P in space.points)
+    images = tuple(primary_point_image(Q, rr, bound) for Q in space.points)
     mapping = tuple(ring_space.index_of(img) for img in images)
 
     inj: Trilean = Trilean.yes()
@@ -264,15 +254,11 @@ class PermutationMap:
         vec = self.source.reduce_vector(vec)
         return tuple(vec[i] for i in self.assignment)
 
-    def image_submodule(self, N: GradedSubmodule) -> GradedSubmodule:
-        gens = [
-            self.apply(self.source.embed_block(g, row))
-            for g, block in zip(self.source.degrees, N.blocks)
-            for row in block
-        ]
-        return self.target.submodule(gens)
+    image_submodule = QuotientMap.image_submodule  # push generators forward
 
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
+        if N2.module != self.target:
+            raise ModuleMismatchError("submodule lives in a different module")
         inverse = [0] * len(self.assignment)
         for j, i in enumerate(self.assignment):
             inverse[i] = j

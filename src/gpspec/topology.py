@@ -97,9 +97,6 @@ class FiniteSpace:
         self.base: tuple[tuple[int, int], ...] = ()
         # the graded radical of each point, for module spaces
         self.radicals: tuple[GradedSubmodule, ...] = ()
-        # (N : M) -> variety mask; the non-star variety depends on N only
-        # through its colon
-        self._colon_masks: dict[Ideal, int] = {}
 
     @property
     def is_empty(self) -> bool:
@@ -135,7 +132,8 @@ def build_space(
     space = FiniteSpace(kind, points, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
     _fill_families(
-        space, enumerate_submodules(M, bound), variety, _base_scalars(M), basic_open
+        space, enumerate_submodules(M, bound), variety, base_scalars(M.base_scale()),
+        basic_open,
     )
     return space
 
@@ -155,11 +153,11 @@ def _fill_families(space: FiniteSpace, generators, closed_of, scalars, open_of) 
     space.base = tuple((r, m) for m, r in base.items())
 
 
-def _base_scalars(M: GradedModule) -> list[int]:
-    """Representative scalars indexing every distinct basic open: 0, 1 and
-    the divisors of the lcm of factor orders and ring modulus.  r.M only
-    depends on gcd(r, that lcm), so the list is exhaustive."""
-    return sorted({0, 1, *numtheory.divisors(M.base_scale())})
+def base_scalars(n: int) -> list[int]:
+    """0, 1 and the divisors of n: representative scalars for every distinct
+    basic open when n is the module's base scale (r.M depends on r only
+    through gcd(r, n)) or the ring modulus."""
+    return sorted({0, 1, *numtheory.divisors(n)})
 
 
 def build_ring_space(ring: BaseRing) -> FiniteSpace:
@@ -169,8 +167,9 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
         raise AlgebraError("ring spectrum of Z is infinite; lazy mode only")
     points = ring.prime_ideals()
     space = FiniteSpace(RINGSPEC, points, ring=ring)
-    scalars = sorted({0, 1, *numtheory.divisors(ring.modulus)})
-    _fill_families(space, ring.ideals(), ring_variety, scalars, ring_basic_open)
+    _fill_families(
+        space, ring.ideals(), ring_variety, base_scalars(ring.modulus), ring_basic_open
+    )
     return space
 
 
@@ -183,27 +182,26 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> Point
     On the primary spectrum: points whose graded radical contains N (star)
     or whose radical-colon contains (N : M) (default, the closed sets of the
     topology).  On the prime spectrum the same with the point itself in
-    place of its radical.
+    place of its radical.  Both are memoised with the space; the default
+    depends on N only through (N : M).
     """
     if space.kind == RINGSPEC:
         raise AlgebraError("use ring_variety on ring spectra")
     if N.module != space.module:
         raise AlgebraError("submodule lives in a different module")
-    if star:
-        mask = 0
-        for i, R in enumerate(space.radicals):
-            if R.contains(N):
-                mask |= 1 << i
-        return PointSet(space, mask)
-    c = N.colon()
-    mask = space._colon_masks.get(c)
-    if mask is None:
-        mask = 0
-        for i, R in enumerate(space.radicals):
-            if R.colon().contains(c):
-                mask |= 1 << i
-        space._colon_masks[c] = mask
-    return PointSet(space, mask)
+    return _star_variety(space, N) if star else _colon_variety(space, N.colon())
+
+
+@per_module
+def _star_variety(space: FiniteSpace, N: GradedSubmodule) -> PointSet:
+    return PointSet(space, sum(1 << i for i, R in enumerate(space.radicals)
+                               if R.contains(N)))
+
+
+@per_module
+def _colon_variety(space: FiniteSpace, c: Ideal) -> PointSet:
+    return PointSet(space, sum(1 << i for i, R in enumerate(space.radicals)
+                               if R.colon().contains(c)))
 
 
 def variety_membership(
@@ -269,25 +267,16 @@ def ideal_core(Z: PointSet) -> Ideal:
     return space.ring.ideal(gen)
 
 
-def smallest_closed_superset(Y: PointSet) -> PointSet:
-    """Lattice-theoretic closure: intersection of all closed sets containing
-    Y (the family is closed under intersection, so this is closed)."""
+def closure(Y: PointSet) -> PointSet:
+    """Topological closure: the intersection of the closed sets containing Y
+    (the family is closed under intersection, so this is closed).  On the
+    primary spectrum it is the variety of the radical core; P4.1 checks that."""
     space = Y.space
     acc = space.full_mask
     for m in space.closed_masks:
         if Y.mask & ~m == 0:
             acc &= m
     return PointSet(space, acc)
-
-
-def closure(Y: PointSet) -> PointSet:
-    """Topological closure: on the primary spectrum the variety of the
-    radical core, elsewhere the smallest closed superset.  P4.1 compares the
-    two routes on the primary spectrum."""
-    space = Y.space
-    if space.kind != PSPEC:
-        return smallest_closed_superset(Y)
-    return variety(space, radical_core(Y))
 
 
 # -- analysis ------------------------------------------------------------------
@@ -325,10 +314,7 @@ def is_irreducible_subset(space: FiniteSpace, mask: int) -> bool:
 def specialization_closures(space: FiniteSpace) -> list[int]:
     """Closure mask of each singleton; point j specializes point i (edge
     i -> j) when j lies in the closure of {i}."""
-    return [
-        smallest_closed_superset(space.singleton(i)).mask
-        for i in range(len(space.points))
-    ]
+    return [closure(space.singleton(i)).mask for i in range(len(space.points))]
 
 
 def _finite_subcover_exists(target: int, cover: list[int]) -> bool:

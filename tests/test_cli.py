@@ -49,10 +49,26 @@ def test_radical_command():
     assert payload["text"] == "2Z" and payload["top"] is False
 
 
-def test_dot_rejected_outside_topology():
+def refused_by_parser(capsys, *argv) -> str:
+    """The argument parser's complaint about argv, which exits with code 2."""
+    with pytest.raises(SystemExit) as exc:
+        gps(*argv)
+    assert exc.value.code == 2, argv
+    return capsys.readouterr().err
+
+
+def test_dot_rejected_outside_topology(capsys):
     for cmd in (["parse"], ["pspec"], ["radical", "--submodule", "N3"]):
-        code, out, err = gps(cmd[0], str(MODELS / "z6.gps"), *cmd[1:], "--format", "dot")
-        assert code == 2 and "dot" in err
+        err = refused_by_parser(capsys, cmd[0], str(MODELS / "z6.gps"), *cmd[1:],
+                                "--format", "dot")
+        assert "dot" in err
+
+
+def test_seed_only_on_check(capsys):
+    assert "--seed" in refused_by_parser(capsys, "spec", str(MODELS / "z6.gps"),
+                                         "--seed", "1")
+    code, out, _ = gps("check", str(MODELS / "z6.gps"), "--seed", "3")
+    assert code == 0 and "0 failed" in out
 
 
 def test_variety_command():
@@ -258,7 +274,7 @@ def test_internal_invariant_survives_optimize_and_exits_4():
     # natural image of the zero submodule of Z6, which is not a prime point
     script = (
         "from gpspec import cli, maps\n"
-        "cli.spectrum_points = lambda M, kind, bound: [maps.prime_point_image(M.zero_submodule)]\n"
+        "cli.spectrum_points = lambda M, kind, bound: [maps.primary_point_image(M.zero_submodule)]\n"
         "raise SystemExit(cli.run(['pspec', 'models/z6.gps']))\n"
     )
     proc = subprocess.run(

@@ -36,6 +36,27 @@ def test_roster_is_the_documented_catalog():
 def test_natural_map_shares_the_catalog_space():
     ctx = harness.Context(load("z4z8.gps"), "z4z8", DEFAULT_ENUM_BOUND, 0)
     assert ctx.rho.space is ctx.pspec
+    # one ring spectrum and one reduced ring per run: P3.2 reads rho's
+    # mapping, which indexes rho's ring spectrum
+    assert ctx.ring_space is ctx.rho.ring_space
+    assert ctx.reduced is ctx.rho.reduced
+
+
+def test_star_varieties_are_computed_once_per_run(monkeypatch):
+    # every star-variety consumer (T2.1, T2.2, P2.3, L2.6, C2.7) reads the
+    # one memo of its space, so a whole run tests each radical against each
+    # submodule at most once per spectrum
+    calls = Counter()
+    contains = GradedSubmodule.contains
+
+    def counted(self, other):
+        calls["contains"] += 1
+        return contains(self, other)
+
+    monkeypatch.setattr(GradedSubmodule, "contains", counted)
+    results = run_checks(load("z8z9.gps"), "all", "z8z9")
+    assert not [r for r in results if r.status == "fail"]
+    assert calls["contains"] <= 144
 
 
 def test_all_checks_pass_on_z6():

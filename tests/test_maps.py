@@ -6,6 +6,7 @@ from gpspec.algebra import (
     BaseRing,
     GradedModule,
     GradingGroup,
+    ModuleMismatchError,
     enumerate_submodules,
     quotient_module,
 )
@@ -18,11 +19,10 @@ from gpspec.maps import (
     image_mask,
     preimage_mask,
     primary_point_image,
-    prime_point_image,
     reduced_ring,
 )
 from gpspec.dsl import parse_model
-from gpspec.spectra import in_primary_spectrum, spectrum_points
+from gpspec.spectra import in_primary_spectrum
 from gpspec.topology import analyze_space, build_space
 
 Z = BaseRing(0)
@@ -77,13 +77,6 @@ def test_point_images():
     # lazy mode over Z still answers pointwise
     MZ = GradedModule(Z, Z2G, [(0, (0,))])
     assert primary_point_image(MZ.submodule([(4,)])) == Z.ideal(2)
-
-
-def test_phi_agrees_with_rho_on_primes():
-    for M in (zmod(6), zmod(8), zmod(12), GradedModule(Z, Z2G, [(2, (0,)), (4, (1,))])):
-        rr = reduced_ring(M)
-        for P in spectrum_points(M, "prime"):
-            assert prime_point_image(P, rr) == primary_point_image(P, rr)
 
 
 # -- full analyses ---------------------------------------------------------------
@@ -202,6 +195,17 @@ def test_permutation_map_swap():
     pi = InducedSpectrumMap(swap)
     res = pi.analyze()
     assert res.homeomorphism.is_true
+
+
+def test_permutation_map_rejects_foreign_submodules():
+    # as QuotientMap does, both directions refuse a submodule of another module
+    M = GradedModule(Z, Z2G, [(4, (0,)), (4, (0,))])
+    swap = PermutationMap(M, (1, 0))
+    N = GradedModule(Z, Z2G, [(2, (0,)), (8, (1,))]).submodule([(1, 0)])
+    with pytest.raises(ModuleMismatchError):
+        swap.image_submodule(N)
+    with pytest.raises(ModuleMismatchError):
+        swap.preimage_submodule(N)
 
 
 def test_permutation_map_relists_factors():

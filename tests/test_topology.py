@@ -23,7 +23,6 @@ from gpspec.topology import (
     radical_core,
     ring_basic_open,
     ring_variety,
-    smallest_closed_superset,
     variety,
     variety_membership,
 )
@@ -134,7 +133,7 @@ def test_closure_equals_lattice_closure_all_subsets():
     for sp in (space_z6(), space_z8(), build_space(zmod(12))):
         for mask in range(sp.full_mask + 1):
             Y = sp.point_set(mask)
-            assert closure(Y).mask == smallest_closed_superset(Y).mask
+            assert closure(Y).mask == variety(sp, radical_core(Y)).mask
 
 
 def test_closed_family_is_topology():
@@ -200,21 +199,27 @@ def test_variety_laws():
 
 
 def test_variety_memo_matches_fresh_space():
-    # the non-star variety is memoised by (N : M); every memoised mask must
-    # equal the mask recomputed on a freshly built space with an empty memo
+    # variety is memoised with the space, the non-star kind by (N : M) and
+    # the star kind by N; every memoised mask must equal the mask of a space
+    # built afresh on an equal module (whose memo is its own), and the
+    # definition read off the radicals
     for M in (
         GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
         GradedModule(Z, Z2G, [(6, (0,)), (10, (1,))]),
     ):
         sp = build_space(M)
         subs = enumerate_submodules(M)
-        assert set(sp._colon_masks) == {N.colon() for N in subs}
+        by_colon = {N.colon(): variety(sp, N) for N in subs}
         fresh = build_space(GradedModule(Z, Z2G, M.factors))
+        assert fresh is not sp
         for N in subs:
-            fresh._colon_masks.clear()
-            assert variety(sp, N).mask == variety(fresh, N).mask
-            assert variety(sp, N).mask == sum(
+            assert variety(sp, N) is by_colon[N.colon()]
+            assert variety(sp, N, star=True) is variety(sp, N, star=True)
+            assert variety(sp, N).mask == variety(fresh, N).mask == sum(
                 1 << i for i, R in enumerate(sp.radicals) if R.colon().contains(N.colon())
+            )
+            assert variety(sp, N, star=True).mask == variety(fresh, N, star=True).mask == sum(
+                1 << i for i, R in enumerate(sp.radicals) if R.contains(N)
             )
 
 

@@ -12,7 +12,6 @@ relation rows), which makes equality of submodules syntactic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce, wraps
 from itertools import product as iproduct
 from math import gcd, lcm, prod
@@ -69,16 +68,57 @@ def per_module(fn):
     return memoised
 
 
-@dataclass(frozen=True)
-class GradingGroup:
+class Value:
+    """Base of the small value classes, whose fields are their `__slots__`:
+    equal by class and fields, hashed as the tuple of the fields, printed as
+    Name(field=value, ...), immutable unless a class restores object's
+    __setattr__ and __delattr__.  __init__ takes all fields by position or
+    keyword; classes built or compared often override these methods alike."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class GradingGroup(Value):
     """Finite abelian grading group, a product of cyclic groups in additive
     tuple notation.  The identity is the all-zeros tuple."""
 
-    cyclic_orders: tuple[int, ...]
+    __slots__ = ("cyclic_orders",)
 
-    def __post_init__(self):
-        if not self.cyclic_orders or any(n < 1 for n in self.cyclic_orders):
-            raise AlgebraError(f"cyclic orders must be >= 1: {self.cyclic_orders}")
+    def __init__(self, cyclic_orders: tuple[int, ...]):
+        if not cyclic_orders or any(n < 1 for n in cyclic_orders):
+            raise AlgebraError(f"cyclic orders must be >= 1: {cyclic_orders}")
+        object.__setattr__(self, "cyclic_orders", cyclic_orders)
 
     @property
     def identity(self) -> tuple[int, ...]:
@@ -100,15 +140,23 @@ class GradingGroup:
         return [tuple(t) for t in iproduct(*(range(n) for n in self.cyclic_orders))]
 
 
-@dataclass(frozen=True)
-class BaseRing:
+class BaseRing(Value):
     """Z (modulus 0) or Z/n (modulus n >= 2), trivially graded."""
 
-    modulus: int
+    __slots__ = ("modulus",)
 
-    def __post_init__(self):
-        if self.modulus < 0 or self.modulus == 1:
-            raise AlgebraError(f"ring modulus must be 0 or >= 2: {self.modulus}")
+    def __init__(self, modulus: int):
+        if modulus < 0 or modulus == 1:
+            raise AlgebraError(f"ring modulus must be 0 or >= 2: {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is BaseRing:
+            return self.modulus == other.modulus
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus,))
 
     @property
     def is_finite(self) -> bool:
@@ -161,24 +209,32 @@ class BaseRing:
         return "Z" if self.modulus == 0 else f"Z{self.modulus}"
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Value):
     """Principal ideal with a canonical nonnegative generator.
 
     Over Z the generator is >= 0 and 0 means the zero ideal.  Over Z/n the
     generator is a divisor of n, with n itself denoting the zero ideal.
     """
 
-    ring: BaseRing
-    gen: int
+    __slots__ = ("ring", "gen")
 
-    def __post_init__(self):
-        n = self.ring.modulus
+    def __init__(self, ring: BaseRing, gen: int):
+        n = ring.modulus
         if n == 0:
-            if self.gen < 0:
+            if gen < 0:
                 raise AlgebraError("canonical generator must be >= 0")
-        elif self.gen < 1 or n % self.gen != 0:
-            raise AlgebraError(f"generator {self.gen} is not a divisor of {n}")
+        elif gen < 1 or n % gen != 0:
+            raise AlgebraError(f"generator {gen} is not a divisor of {n}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gen", gen)
+
+    def __eq__(self, other):
+        if other.__class__ is Ideal:
+            return self.gen == other.gen and self.ring == other.ring
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.gen))
 
     @property
     def is_zero(self) -> bool:
@@ -236,12 +292,15 @@ class Ideal:
         return f"Ideal({self.ring.text()}, {self.text()})"
 
 
-@dataclass(frozen=True)
-class QuotientInvariants:
-    """Smith invariants of one degree component M_g/N_g."""
+class QuotientInvariants(Value):
+    """Smith invariants of one degree component M_g/N_g: the free rank and
+    the torsion factors d_1 | d_2 | ... | d_t, each >= 2."""
 
-    free_rank: int
-    torsion_factors: tuple[int, ...]  # d_1 | d_2 | ... | d_t, each >= 2
+    __slots__ = ("free_rank", "torsion_factors")
+
+    def __init__(self, free_rank: int, torsion_factors: tuple[int, ...]):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
 
     @property
     def is_finite(self) -> bool:
@@ -279,13 +338,14 @@ class GradedModule:
             for g in self.degrees
         }
         self._key = (ring, group, factors)
+        self._hash = hash(self._key)
         self.memo: dict = {}  # values derived from this module, see per_module
 
     def __eq__(self, other):
         return isinstance(other, GradedModule) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"GradedModule({self.text()})"

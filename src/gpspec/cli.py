@@ -4,7 +4,7 @@ Commands: parse, spec, pspec, max, radical, variety, topology, rho, check.
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 check failure, 2 input error, 3 an exact answer was required but no
 strategy could provide one (including refused infinite enumerations),
-4 internal error (an internal invariant failed).
+4 internal error (an internal invariant failed, or a check raised).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import harness, maps, topology
@@ -270,22 +271,19 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         if args.command == "check":
             selection = args.theorem if args.theorem else "all"
             results = harness.run_checks(model, selection, stem, bound, args.seed)
-            failed = [r for r in results if r.status == "fail"]
+            n = Counter(r.status for r in results)
             if args.format == "json":
                 _emit(stdout, to_json_text(check_report_json(results)))
             else:
                 for r in results:
-                    tag = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[r.status]
                     extra = " (vacuous)" if r.status == "pass" and r.vacuous else ""
-                    _emit(stdout, f"{tag}{extra} {r.check_id}: {r.detail}")
-                n_pass = sum(1 for r in results if r.status == "pass")
-                n_skip = sum(1 for r in results if r.status == "skip")
-                _emit(
-                    stdout,
-                    f"{n_pass} passed, {len(failed)} failed, {n_skip} skipped "
-                    f"on {stem}",
-                )
-            return EXIT_CHECK_FAILED if failed else EXIT_OK
+                    _emit(stdout, f"{r.status.upper()}{extra} {r.check_id}: {r.detail}")
+                errored = f", {n['error']} errored" if n["error"] else ""
+                _emit(stdout, f"{n['pass']} passed, {n['fail']} failed, "
+                      f"{n['skip']} skipped{errored} on {stem}")
+            if n["error"]:
+                return EXIT_INTERNAL_ERROR
+            return EXIT_CHECK_FAILED if n["fail"] else EXIT_OK
 
         raise AlgebraError(f"unhandled command {args.command!r}")
 

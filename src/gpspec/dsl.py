@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from . import maps, topology
 from .algebra import (
@@ -30,6 +29,7 @@ from .algebra import (
     GradedSubmodule,
     GradingGroup,
     Ideal,
+    Value,
 )
 from .spectra import Trilean
 
@@ -45,13 +45,16 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}{tok}")
 
 
-@dataclass
-class Model:
-    group: GradingGroup
-    ring: BaseRing
-    module: GradedModule
-    named_submodules: dict[str, GradedSubmodule] = field(default_factory=dict)
-    named_subsets: dict[str, list[str]] = field(default_factory=dict)
+class Model(Value):
+    __slots__ = ("group", "ring", "module", "named_submodules", "named_subsets")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, group: GradingGroup, ring: BaseRing, module: GradedModule,
+                 named_submodules: dict[str, GradedSubmodule] | None = None,
+                 named_subsets: dict[str, list[str]] | None = None):
+        super().__init__(group, ring, module,
+                         {} if named_submodules is None else named_submodules,
+                         {} if named_subsets is None else named_subsets)
 
     def __eq__(self, other):
         return (

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
     DEFAULT_ENUM_BOUND,
+    AlgebraError,
     GradedModule,
     Ideal,
     SubmoduleLattice,
     UnknownCheckError,
+    Value,
     enumerate_submodules,
     ideal_times_module,
     lattice,
@@ -90,15 +91,16 @@ class CheckFailure(Exception):
         super().__init__(message)
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    status: str  # "pass" | "fail" | "skip"
-    instance: str
-    detail: str = ""
-    vacuous: bool = False
-    counterexample: object = None
-    elapsed: float = 0.0
+class CheckResult(Value):
+    """One check's outcome on one instance: "pass", "fail", "skip" or "error"."""
+
+    __slots__ = ("check_id", "status", "instance", "detail", "vacuous",
+                 "counterexample", "elapsed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, check_id: str, status: str, instance: str, detail: str = "",
+                 vacuous: bool = False, counterexample: object = None, elapsed: float = 0.0):
+        super().__init__(check_id, status, instance, detail, vacuous, counterexample, elapsed)
 
 
 class Context:
@@ -1001,16 +1003,15 @@ def check_selftest_fail(ctx: Context):
     _fail("deliberate self-test failure (exit-code exercise)")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """A catalog entry: its guards (`requires`) and the check body they
     protect.  `fn` runs both, so a Check rebuilt from (check_id, title, fn)
     keeps its guards."""
 
-    check_id: str
-    title: str
-    body: object
-    requires: tuple = ()
+    __slots__ = ("check_id", "title", "body", "requires")
+
+    def __init__(self, check_id: str, title: str, body, requires: tuple = ()):
+        super().__init__(check_id, title, body, requires)
 
     def fn(self, ctx: Context):
         for guard in self.requires:
@@ -1087,7 +1088,8 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the selected checks against one instance.  The selection is
     "all", one check id, or a list of ids; unknown ids raise.  The self-test
-    id runs only when named explicitly."""
+    id runs only when named explicitly.  A check raising anything but Skip,
+    CheckFailure or an AlgebraError gets status "error" and the run goes on."""
     by_id = {c.check_id: c for c in CATALOG}
     if selection == "all":
         chosen = list(CATALOG)
@@ -1113,6 +1115,11 @@ def run_checks(
             status, vacuous, detail, ce = "skip", False, s.reason, None
         except CheckFailure as f:
             status, vacuous, detail, ce = "fail", False, f.message, f.counterexample
+        except AlgebraError:
+            raise
+        except Exception as exc:  # a bug in the check: record it, run the rest
+            detail = f"{type(exc).__name__}: {exc}"
+            status, vacuous, ce = "error", False, None
         elapsed = time.perf_counter() - start
         results.append(
             CheckResult(

@@ -10,8 +10,6 @@ available (lazy mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     DEFAULT_ENUM_BOUND,
     AlgebraError,
@@ -23,6 +21,7 @@ from .algebra import (
     LazyRingError,
     ModuleMismatchError,
     QuotientMap,
+    Value,
     annihilator,
     enumerate_submodules,
     ideal_times_module,
@@ -40,13 +39,10 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class ReducedRing:
+class ReducedRing(Value):
     """R/Ann(M), presented as Z/m (or Z again when Ann(M) = 0)."""
 
-    source: BaseRing
-    ann: Ideal
-    ring: BaseRing
+    __slots__ = ("source", "ann", "ring")
 
     @property
     def is_lazy(self) -> bool:
@@ -74,6 +70,7 @@ class ReducedRing:
         return self.ring.ideals()
 
 
+@per_module
 def reduced_ring(M: GradedModule) -> ReducedRing:
     ann = annihilator(M)
     if ann.is_unit:
@@ -82,6 +79,12 @@ def reduced_ring(M: GradedModule) -> ReducedRing:
         return ReducedRing(M.ring, ann, M.ring)
     # over Z/n the annihilator generator a gives Z/a; over Z likewise
     return ReducedRing(M.ring, ann, BaseRing(ann.gen))
+
+
+@per_module
+def reduced_ring_space(M: GradedModule) -> FiniteSpace:
+    """The prime spectrum of R/Ann(M), built once per module."""
+    return build_ring_space(reduced_ring(M).ring)
 
 
 def primary_point_image(Q: GradedSubmodule, rr: ReducedRing | None = None,
@@ -97,23 +100,14 @@ def primary_point_image(Q: GradedSubmodule, rr: ReducedRing | None = None,
     return img
 
 
-@dataclass(frozen=True)
-class MapAnalysis:
-    """Exact analysis of a natural map in the finite regime."""
+class MapAnalysis(Value):
+    """Exact analysis of a natural map in the finite regime: `kind` "rho" or
+    "phi" (primary or prime side), `mapping` the ring-space index of each
+    point's image, `fibers` the (prime of the reduced ring, mask) pairs."""
 
-    kind: str                       # "rho" (primary side) or "phi" (prime side)
-    space: FiniteSpace
-    ring_space: FiniteSpace
-    reduced: ReducedRing
-    images: tuple[Ideal, ...]
-    mapping: tuple[int, ...]        # ring-space index of each point's image
-    injective: Trilean
-    surjective: Trilean
-    continuity_ok: bool
-    image_identities_ok: bool | None
-    open_closed: Trilean
-    homeomorphism: Trilean
-    fibers: tuple[tuple[Ideal, int], ...]  # (prime of the reduced ring, mask)
+    __slots__ = ("kind", "space", "ring_space", "reduced", "images", "mapping",
+                 "injective", "surjective", "continuity_ok", "image_identities_ok",
+                 "open_closed", "homeomorphism", "fibers")
 
 
 def image_mask(mapping, mask: int) -> int:
@@ -149,7 +143,7 @@ def analyze_natural_map(
         raise LazyRingError("the reduced ring spectrum of Z is not materialized")
     kind = "rho" if source == "primary" else "phi"
     space = build_space(M, PSPEC if source == "primary" else SPEC, bound)
-    ring_space = build_ring_space(rr.ring)
+    ring_space = reduced_ring_space(M)
 
     images = tuple(primary_point_image(Q, rr, bound) for Q in space.points)
     mapping = tuple(ring_space.index_of(img) for img in images)
@@ -270,13 +264,10 @@ class PermutationMap:
         return self.source.submodule(gens)
 
 
-@dataclass(frozen=True)
-class PiAnalysis:
-    mapping: tuple[int, ...]  # source-spectrum index of each target point's image
-    injective: bool
-    surjective: bool
-    continuity_ok: bool
-    homeomorphism: Trilean
+class PiAnalysis(Value):
+    """Induced spectrum map: `mapping` is the source index of each target point."""
+
+    __slots__ = ("mapping", "injective", "surjective", "continuity_ok", "homeomorphism")
 
 
 class InducedSpectrumMap:

@@ -11,7 +11,6 @@ intersection of the N + pM over the primes p | e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
 from math import prod
@@ -23,6 +22,7 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Ideal,
+    Value,
     enumerate_submodules,
     ideal_times_module,
     per_module,
@@ -39,14 +39,16 @@ class UnknownResultError(AlgebraError):
     """Raised when an exact answer is required but no strategy applies."""
 
 
-@dataclass(frozen=True)
-class Trilean:
+class Trilean(Value):
     """Exact three-valued answer: True, False with a checkable witness, or
     Unknown with the reason no strategy applied."""
 
-    value: bool | None
-    witness: object = None
-    reason: str = ""
+    __slots__ = ("value", "witness", "reason")
+
+    def __init__(self, value: bool | None, witness: object = None, reason: str = ""):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     @classmethod
     def yes(cls) -> "Trilean":
@@ -77,17 +79,20 @@ class Trilean:
         return {True: "true", False: "false", None: "unknown"}[self.value]
 
 
-@dataclass(frozen=True)
-class RadicalResult:
+class RadicalResult(Value):
     """Outcome of the graded radical of a submodule: the intersection of all
     graded prime submodules containing it, or Unknown when no exact strategy
-    applied."""
+    applied.  The status is "submodule" or "unknown"; `strategies` are those
+    tried, in order, up to the one that answered."""
 
-    status: str  # "submodule" | "unknown"
-    submodule: GradedSubmodule | None = None
-    # strategies tried, in order, up to the one that answered
-    strategies: tuple[str, ...] = ()
-    reason: str = ""
+    __slots__ = ("status", "submodule", "strategies", "reason")
+
+    def __init__(self, status: str, submodule: GradedSubmodule | None = None,
+                 strategies: tuple[str, ...] = (), reason: str = ""):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "submodule", submodule)
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def is_known(self) -> bool:

@@ -9,7 +9,6 @@ served by the pointwise membership predicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from . import numtheory
@@ -21,6 +20,7 @@ from .algebra import (
     GradedSubmodule,
     Ideal,
     InvariantError,
+    Value,
     enumerate_submodules,
     ideal_times_module,
     per_module,
@@ -32,16 +32,16 @@ SPEC = "spec"
 RINGSPEC = "ringspec"
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Value):
     """Subset of a space's canonical point list, as a bitmask."""
 
-    space: "FiniteSpace"
-    mask: int
+    __slots__ = ("space", "mask")
 
-    def __post_init__(self):
-        if not 0 <= self.mask <= self.space.full_mask:
-            raise InvariantError(f"mask {self.mask} is not a subset of the space")
+    def __init__(self, space: FiniteSpace, mask: int):
+        if not 0 <= mask <= space.full_mask:
+            raise InvariantError(f"mask {mask} is not a subset of the space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
 
     def __contains__(self, index: int) -> bool:
         return bool(self.mask >> index & 1)
@@ -282,19 +282,12 @@ def closure(Y: PointSet) -> PointSet:
 # -- analysis ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    connected: bool
-    irreducible: bool
-    t0: bool
-    t1: bool
-    sober: bool
-    spectral: bool
-    quasi_compact: bool
-    trivial_topology: bool
-    is_empty: bool
-    components: tuple[int, ...]          # masks of the irreducible components
-    generic_points: tuple[tuple[int, tuple[int, ...]], ...]  # (closed mask, points)
+class TopologyReport(Value):
+    """Flags of a finite space, component masks, (closed mask, generic points) pairs."""
+
+    __slots__ = ("connected", "irreducible", "t0", "t1", "sober", "spectral",
+                 "quasi_compact", "trivial_topology", "is_empty", "components",
+                 "generic_points")
 
 
 def is_irreducible_subset(space: FiniteSpace, mask: int) -> bool:

@@ -1,5 +1,7 @@
 import gc
 import random
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from gpspec.algebra import (
     GradedModule,
     GradedSubmodule,
     GradingGroup,
+    Ideal,
     InfiniteEnumerationError,
     ModuleMismatchError,
     _enumerate_block_subgroups,
@@ -548,3 +551,103 @@ def test_quotient_preserves_degrees():
         comps_v = set(M.homogeneous_components(v))
         comps_w = set(Q.homogeneous_components(w))
         assert comps_w <= comps_v
+
+
+# -- value semantics ------------------------------------------------------------
+
+
+def test_values_are_immutable():
+    from gpspec.harness import CATALOG
+    from gpspec.spectra import Trilean
+
+    space = build_space(zmod_module(6), PSPEC)
+    values = (Z, Z2G, Z.ideal(2), Trilean.yes(), space.full, CATALOG[0],
+              analyze_natural_map(zmod_module(6)))
+    for value in values:
+        field = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert not hasattr(value, "__dict__")
+
+
+def test_values_compare_and_hash_by_class_and_fields():
+    from gpspec.maps import ReducedRing
+    from gpspec.spectra import Trilean
+
+    assert BaseRing(0) == Z and hash(BaseRing(0)) == hash(Z) == hash((0,))
+    assert Z.ideal(2) == Z.ideal(-2) and hash(Z.ideal(2)) == hash(Z.ideal(-2))
+    for ring, gen in ((Z, 0), (Z, 6), (BaseRing(12), 4)):
+        assert hash(ring.ideal(gen)) == hash((ring, gen))
+    assert GradingGroup((2,)) == Z2G and hash(Z2G) == hash(((2,),))
+    assert Z.ideal(2) != BaseRing(2) and Z.ideal(2) != BaseRing(12).ideal(2)
+    assert Trilean(False, witness=3) == Trilean.no(3) != Trilean.no(4)
+    assert hash(Trilean.no(3)) == hash((False, 3, ""))
+    rr = ReducedRing(Z, Z.ideal(6), BaseRing(6))
+    assert rr == ReducedRing(source=Z, ann=Z.ideal(6), ring=BaseRing(6))
+    assert repr(rr) == "ReducedRing(source=BaseRing(modulus=0), ann=Ideal(Z, (6)), " \
+        "ring=BaseRing(modulus=6))"
+
+
+def test_value_constructors_keep_their_signatures():
+    import copy
+    import pickle
+
+    from gpspec.harness import Check
+    from gpspec.maps import ReducedRing
+    from gpspec.spectra import RadicalResult, Trilean
+    from gpspec.topology import TopologyReport
+
+    assert Ideal(ring=Z, gen=4) == Ideal(Z, 4)
+    assert Trilean(None, reason="r").reason == "r" and Trilean(True).witness is None
+    assert RadicalResult("unknown", reason="r").strategies == ()
+    check = Check("x", "title", len)
+    assert check.requires == () and Check("x", "title", len, requires=(len,)).requires
+    flags = dict.fromkeys(TopologyReport.__slots__[:9], True)
+    report = TopologyReport(**flags, components=(1,), generic_points=())
+    assert report.connected and report.components == (1,)
+    for bad in ((Z,), (Z, Z.ideal(0), Z, Z)):
+        with pytest.raises(TypeError):
+            ReducedRing(*bad)
+    with pytest.raises(TypeError):
+        ReducedRing(Z, Z.ideal(0), ring=Z, source=Z)
+    with pytest.raises(TypeError):
+        ReducedRing(Z, Z.ideal(0), Z, extra=1)
+    for value in (Ideal(Z, 4), Trilean.no(Z.ideal(3)), check):
+        assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+
+
+def test_mutable_records_stay_mutable_and_unhashable():
+    from gpspec.harness import CheckResult
+
+    result = CheckResult("T2.1", "pass", "z6")
+    assert (result.detail, result.vacuous, result.counterexample, result.elapsed) == (
+        "", False, None, 0.0)
+    result.detail = "changed"
+    assert result == CheckResult("T2.1", "pass", "z6", detail="changed")
+    model = parse_model("group = Z2\nring = Z\nmodule = Z@0\n")
+    model.named_submodules["N"] = model.module.zero_submodule
+    assert model.named_subsets == {} and model != parse_model(
+        "group = Z2\nring = Z\nmodule = Z@0\n")
+    for record in (result, model):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_value_invariants_hold_under_optimize():
+    # the constructor checks are plain raises, not asserts
+    script = (
+        "from gpspec.algebra import AlgebraError, BaseRing, GradingGroup, Ideal\n"
+        "for make in (lambda: BaseRing(1), lambda: BaseRing(-2), "
+        "lambda: Ideal(BaseRing(6), 4), lambda: Ideal(BaseRing(0), -1), "
+        "lambda: GradingGroup(())):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except AlgebraError:\n"
+        "        continue\n"
+        "    raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, cwd=Path(__file__).parent.parent)
+    assert proc.returncode == 0, proc.stderr

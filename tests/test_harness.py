@@ -1,5 +1,7 @@
-import dataclasses
 import io
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +42,60 @@ def test_natural_map_shares_the_catalog_space():
     # mapping, which indexes rho's ring spectrum
     assert ctx.ring_space is ctx.rho.ring_space
     assert ctx.reduced is ctx.rho.reduced
+
+
+def test_one_ring_spectrum_per_module(monkeypatch):
+    # rho and phi share the reduced ring and its spectrum, memoised with M
+    calls = Counter()
+    real = maps.build_ring_space
+
+    def counted(ring):
+        calls[ring] += 1
+        return real(ring)
+
+    monkeypatch.setattr(maps, "build_ring_space", counted)
+    ctx = harness.Context(load("z8z9.gps"), "z8z9", DEFAULT_ENUM_BOUND, 0)
+    assert ctx.rho.ring_space is ctx.phi.ring_space
+    assert ctx.rho.reduced is ctx.phi.reduced is maps.reduced_ring(ctx.module)
+    assert sum(calls.values()) == 1
+    calls.clear()
+    results = run_checks(load("z8z9.gps"), "all", "z8z9")
+    assert not [r for r in results if r.status == "fail"]
+    assert sum(calls.values()) == 1
+
+
+def test_a_raising_check_is_an_error_result():
+    # a guard with a bug: the run records it and goes on, the CLI exits 4
+    # with no traceback, and the other checks report as before
+    script = (
+        "import sys\n"
+        "from gpspec import cli, harness\n"
+        "def broken(ctx):\n"
+        "    return 1 / 0\n"
+        "harness.CATALOG = tuple(\n"
+        "    harness.Check(c.check_id, c.title, c.body, (broken,)) if c.check_id == 'T2.4'\n"
+        "    else c for c in harness.CATALOG)\n"
+        "raise SystemExit(cli.run(sys.argv[1:]))\n"
+    )
+
+    def gps(*argv):
+        return subprocess.run([sys.executable, "-c", script, "check", "models/z6.gps", *argv],
+                              capture_output=True, text=True, cwd=MODELS.parent)
+
+    proc = gps("--format", "json")
+    assert proc.returncode == 4
+    assert proc.stderr == ""  # no traceback
+    results = json.loads(proc.stdout)["results"]
+    assert [r["id"] for r in results] == list(ROSTER)
+    want = {r.check_id: r.status for r in run_checks(load("z6.gps"), "all", "z6")}
+    assert {r["id"]: r["status"] for r in results} == {**want, "T2.4": "error"}
+    error = next(r for r in results if r["id"] == "T2.4")
+    assert error["detail"] == "ZeroDivisionError: division by zero"
+    text = gps()
+    assert text.returncode == 4 and "Traceback" not in text.stderr
+    lines = text.stdout.splitlines()
+    assert "ERROR T2.4: ZeroDivisionError: division by zero" in lines
+    assert lines[-1] == "30 passed, 0 failed, 5 skipped, 1 errored on z6"
 
 
 def test_star_varieties_are_computed_once_per_run(monkeypatch):
@@ -176,7 +232,8 @@ def test_surjectivity_guard_binds_the_surjective_statements(monkeypatch):
         res = real(M, source, bound)
         if source != "primary":
             return res
-        return dataclasses.replace(res, surjective=Trilean.no(None))
+        fields = {name: getattr(res, name) for name in type(res).__slots__}
+        return type(res)(**{**fields, "surjective": Trilean.no(None)})
 
     monkeypatch.setattr(harness, "analyze_natural_map", not_onto)
     results = run_checks(load("z6.gps"), "all", "z6")

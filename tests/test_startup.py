@@ -122,3 +122,29 @@ def test_traced_check_matches_untraced(tmp_path):
     snapshot = json.loads(trace.read_text())
     assert snapshot["missing"] == []
     assert snapshot["calls"]["harness.run_checks"] == 1
+
+
+def test_no_command_loads_dataclasses():
+    # the value classes are plain slotted classes: no command pays for the
+    # stdlib `dataclasses` (and the `inspect` it imports); `-S` keeps a site
+    # hook of the machine from importing it first
+    probe = ("import io, sys\n"
+             "if sys.argv[1:]:\n"
+             "    from gpspec import cli\n"
+             "    code = cli.run(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())\n"
+             "else:\n"
+             "    import gpspec\n"
+             "    code = 0\n"
+             "print(code, 'dataclasses' in sys.modules)\n")
+    for argv in (
+        [],
+        ["parse", "models/z6.gps"],
+        ["pspec", "models/z6.gps"],
+        ["radical", "models/z.gps", "--submodule", "N"],
+        ["variety", "models/z6.gps", "--submodule", "N3"],
+        ["topology", "models/z6.gps"],
+        ["rho", "models/z6.gps"],
+        ["check", "models/z6.gps"],
+    ):
+        proc = python("-S", "-c", probe, *argv)
+        assert proc.stdout.split() == ["0", "False"], (argv, proc.stderr)

@@ -2,7 +2,10 @@
 
 Matrices are tuples of row tuples over plain Python ints, so everything is
 exact at any magnitude.  Row convention throughout: the rows of a matrix
-generate a sublattice of Z^n.
+generate a sublattice of Z^n.  The Smith elimination tracks its unimodular
+transforms only for callers that map coordinates (quotient maps, element
+orders); the quotient invariants behind every colon run it on the matrix
+alone.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_normal_form(rows, ncols: int):
+def smith_normal_form(rows, ncols: int, transforms: bool = True):
     """Smith reduction of the lattice generated by `rows` inside Z^ncols.
 
     Returns (invariants, V, Vinv) where invariants is the list d_1 | d_2 | ...
@@ -180,41 +183,43 @@ def smith_normal_form(rows, ncols: int):
     mutually inverse ncols x ncols unimodular matrices such that the row
     lattice of A maps onto the diagonal lattice under x -> x . V.  The
     quotient Z^ncols / rowspace is then (+) Z/d_j (+) Z^(ncols - len(invariants)).
+    With transforms=False the same elimination runs on A alone and V, Vinv
+    are None.
     """
     A = [list(r) for r in rows if any(r)]
     m, n = len(A), ncols
-    V = _identity(n)
-    Vinv = _identity(n)
+    V = Vinv = None
+    cols = A  # the rows every column operation acts on
+    if transforms:
+        V, Vinv = _identity(n), _identity(n)
+        cols = A + V  # V's rows follow A's columns; Vinv takes the inverse row ops
 
     def col_addmul(dst: int, src: int, q: int) -> None:
-        for i in range(m):
-            A[i][dst] += q * A[i][src]
-        for i in range(n):
-            V[i][dst] += q * V[i][src]
-        for k in range(n):
-            Vinv[src][k] -= q * Vinv[dst][k]
+        for r in cols:
+            r[dst] += q * r[src]
+        if transforms:
+            rs, rd = Vinv[src], Vinv[dst]
+            for k in range(n):
+                rs[k] -= q * rd[k]
 
     def col_swap(c1: int, c2: int) -> None:
-        for i in range(m):
-            A[i][c1], A[i][c2] = A[i][c2], A[i][c1]
-        for i in range(n):
-            V[i][c1], V[i][c2] = V[i][c2], V[i][c1]
-        Vinv[c1], Vinv[c2] = Vinv[c2], Vinv[c1]
+        for r in cols:
+            r[c1], r[c2] = r[c2], r[c1]
+        if transforms:
+            Vinv[c1], Vinv[c2] = Vinv[c2], Vinv[c1]
 
     def col_combine(c1: int, c2: int, t: int) -> None:
         # columns (c1, c2) <- (x*c1 + y*c2, -b/g*c1 + a/g*c2) clearing A[t][c2]
         a, b = A[t][c1], A[t][c2]
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
-        for i in range(m):
-            u, w = A[i][c1], A[i][c2]
-            A[i][c1], A[i][c2] = x * u + y * w, -bg * u + ag * w
-        for i in range(n):
-            u, w = V[i][c1], V[i][c2]
-            V[i][c1], V[i][c2] = x * u + y * w, -bg * u + ag * w
-        r1, r2 = Vinv[c1], Vinv[c2]
-        Vinv[c1] = [ag * u + bg * w for u, w in zip(r1, r2)]
-        Vinv[c2] = [-y * u + x * w for u, w in zip(r1, r2)]
+        for r in cols:
+            u, w = r[c1], r[c2]
+            r[c1], r[c2] = x * u + y * w, -bg * u + ag * w
+        if transforms:
+            r1, r2 = Vinv[c1], Vinv[c2]
+            Vinv[c1] = [ag * u + bg * w for u, w in zip(r1, r2)]
+            Vinv[c2] = [-y * u + x * w for u, w in zip(r1, r2)]
 
     t = 0
     while t < min(m, n):
@@ -294,12 +299,14 @@ def smith_normal_form(rows, ncols: int):
         from .algebra import InvariantError  # algebra imports this module
 
         raise InvariantError(f"Smith invariants {invariants} are not all positive")
+    if not transforms:
+        return invariants, None, None
     return invariants, tuple(tuple(r) for r in V), tuple(tuple(r) for r in Vinv)
 
 
 def quotient_invariants_of(rows, ncols: int) -> tuple[int, list[int]]:
     """(free_rank, torsion factors > 1) of Z^ncols / rowspace(rows)."""
-    inv, _, _ = smith_normal_form(rows, ncols)
+    inv, _, _ = smith_normal_form(rows, ncols, transforms=False)
     return ncols - len(inv), [d for d in inv if d > 1]
 
 

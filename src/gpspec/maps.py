@@ -87,14 +87,12 @@ def reduced_ring_space(M: GradedModule) -> FiniteSpace:
     return build_ring_space(reduced_ring(M).ring)
 
 
-def primary_point_image(Q: GradedSubmodule, rr: ReducedRing | None = None,
-                        bound: int = DEFAULT_ENUM_BOUND) -> Ideal:
+def primary_point_image(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> Ideal:
     """Image of a primary-spectrum point: the colon of its graded radical,
     reduced modulo the annihilator.  The image is checked to be prime.  It
     serves the prime spectrum too, where Gr_M(P) = P."""
-    rr = rr or reduced_ring(Q.module)
     rad = graded_radical(Q, bound).require()
-    img = rr.reduce_ideal(rad.colon())
+    img = reduced_ring(Q.module).reduce_ideal(rad.colon())
     if not img.is_prime:
         raise InvariantError(f"natural image {img.text()} of {Q.text()} is not prime")
     return img
@@ -129,6 +127,16 @@ def preimage_mask(mapping, mask: int) -> int:
     return out
 
 
+def _one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
+    """The first enumerated submodule of M for each distinct colon (N : M).
+    A non-star variety, and every ideal derived from (N : M), depends on N
+    only through it, so a loop over these covers every closed set."""
+    first: dict[Ideal, GradedSubmodule] = {}
+    for N in enumerate_submodules(M, bound):
+        first.setdefault(N.colon(), N)
+    return first.values()
+
+
 @per_module
 def analyze_natural_map(
     M: GradedModule, source: str = "primary", bound: int = DEFAULT_ENUM_BOUND
@@ -145,7 +153,7 @@ def analyze_natural_map(
     space = build_space(M, PSPEC if source == "primary" else SPEC, bound)
     ring_space = reduced_ring_space(M)
 
-    images = tuple(primary_point_image(Q, rr, bound) for Q in space.points)
+    images = tuple(primary_point_image(Q, bound) for Q in space.points)
     mapping = tuple(ring_space.index_of(img) for img in images)
 
     inj: Trilean = Trilean.yes()
@@ -179,7 +187,7 @@ def analyze_natural_map(
     image_identities_ok: bool | None = None
     if surj.is_true:
         image_identities_ok = True
-        for N in enumerate_submodules(M, bound):
+        for N in _one_per_colon(M, bound):
             closed = variety(space, N)
             img_mask = image_mask(mapping, closed.mask)
             want = ring_variety(ring_space, rr.reduce_ideal(N.colon())).mask
@@ -301,7 +309,7 @@ class InducedSpectrumMap:
         surjective = image_mask(mapping, sp2.full_mask) == sp.full_mask
 
         continuity_ok = True
-        for N in enumerate_submodules(M, bound):
+        for N in _one_per_colon(M, bound):
             want = variety(
                 sp2, ideal_times_module(N.colon().radical(), M2)
             ).mask

@@ -1,20 +1,49 @@
 """Exact number theory helpers for integers of any size.
 
-Trial division by the numbers below TRIAL_BOUND settles every n below
-TRIAL_BOUND**2.  Above that, primality is the strong probable-prime test to
-the first 13 prime bases, exact below PSI13 (Sorenson & Webster, Math. Comp.
-2017), and factorization splits what trial division leaves with Pollard's
-rho in Brent's variant (Brent 1980), within RHO_STEPS steps.  Past either
-limit the answer is UnknownResultError, never a guess.
+The primes below TRIAL_BOUND come from a sieve at import, and one gcd of n
+with their product, PRIMORIAL, picks out the small primes dividing a larger
+n.  A number with no prime factor below TRIAL_BOUND is 1 or prime when it is
+below PROVEN_BELOW = 1009**2, 1009 being the least prime past TRIAL_BOUND.
+Above that, primality is the strong probable-prime test to the BASES in
+turn; it answers "prime" after k passing bases once n < psi_k, the least
+strong pseudoprime to the first k bases (the PSI table, OEIS A014233:
+Jaeschke, Math. Comp. 1993, up to k = 8; Jiang & Deng, Math. Comp. 2014,
+k = 9..11; Sorenson & Webster, Math. Comp. 2017, k = 12, 13), so it is
+exact below PSI13.  Factorization splits what trial division leaves with
+Pollard's rho in Brent's variant (Brent 1980), within RHO_STEPS steps.  Past
+either limit the answer is UnknownResultError, never a guess.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt, prod
 
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
 TRIAL_BOUND = 1000
+SMALL_PRIMES = _primes_below(TRIAL_BOUND)
+_SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+PRIMORIAL = prod(SMALL_PRIMES)
+PROVEN_BELOW = 1009**2  # coprime to PRIMORIAL and below this: 1 or prime
 BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PSI13 = 3317044064679887385961981  # the least strong pseudoprime to all BASES
+# PSI[k - 1] = psi_k, the least strong pseudoprime to the first k BASES (A014233)
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+PSI13 = PSI[-1]  # the least strong pseudoprime to all BASES
 RHO_STEPS = 1 << 24  # rho iterations per factorization, all splits together
 
 
@@ -35,16 +64,23 @@ def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     out: dict[int, int] = {}
-    m, p = n, 2
-    while p * p <= m and p < TRIAL_BOUND:
-        if m % p == 0:
+    # g has the prime factors of m below TRIAL_BOUND: n itself when n is
+    # below it, else gcd(n, PRIMORIAL)
+    m = n
+    g = n if n < TRIAL_BOUND else gcd(n, PRIMORIAL)
+    primes = iter(SMALL_PRIMES)
+    while g > 1:
+        p = next(primes)
+        if p * p > g:  # g is a prime
+            p = g
+        if g % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             out[p] = e
-        p += 1 if p == 2 else 2
-    if p * p > m:  # m is 1 or a prime
+            g = gcd(g, m)
+    if m < PROVEN_BELOW:  # m is 1 or a prime
         if m > 1:
             out[m] = 1
         return out
@@ -54,7 +90,7 @@ def factorize(n: int) -> dict[int, int]:
         root = isqrt(m)
         if root * root == m:  # rho would pay sqrt(root) steps for this split
             stack += (root, root)
-        elif _probable_prime(m):
+        elif m < PROVEN_BELOW or _probable_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _brent(m, budget)
@@ -68,23 +104,24 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _probable_prime(n: int) -> bool:
-    """Strong probable-prime test of n to every base in BASES, for n with no
+    """Strong probable-prime test of n to the BASES in turn, for n with no
     prime factor below TRIAL_BOUND: False proves n composite; True proves it
-    prime below PSI13 and is refused at or above it."""
+    prime once n < psi_k after k bases, and is refused at or above PSI13."""
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
         s += 1
-    for a in BASES:
+    for a, psi in zip(BASES, PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
     if n >= PSI13:
         raise _unknown(f"primality of {n} is not proven at or above {PSI13}")
     return True
@@ -148,14 +185,11 @@ def is_prime(n: int) -> bool:
     >>> is_prime(1009), is_prime(3215031751), is_prime(2**61 - 1)
     (True, False, True)
     """
-    if n < 2:
+    if n < TRIAL_BOUND:
+        return n in _SMALL_PRIME_SET
+    if gcd(n, PRIMORIAL) > 1:
         return False
-    p = 2
-    while p * p <= n and p < TRIAL_BOUND:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return p * p > n or _probable_prime(n)
+    return n < PROVEN_BELOW or _probable_prime(n)
 
 
 def divisors(n: int) -> list[int]:

@@ -2,9 +2,14 @@ import random
 from itertools import product
 from math import gcd
 
+import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix as SymMatrix
+from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
+from gpspec import intlinalg
+from gpspec.algebra import BaseRing, GradedModule, GradingGroup, enumerate_submodules
 from gpspec.intlinalg import (
     element_order_in_quotient,
     hermite_normal_form,
@@ -160,6 +165,61 @@ def test_quotient_invariants():
     assert (free, tor) == (1, [2])
     free, tor = quotient_invariants_of([], 2)
     assert (free, tor) == (2, [])
+
+
+# small entries, zeros (so zero rows) and entries within 10 of +-10^12
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    st.integers(10**12 - 10, 10**12 + 10),
+    st.integers(-(10**12) - 10, -(10**12) + 10),
+)
+
+
+@st.composite
+def integer_matrices(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[ENTRIES] * n), max_size=5))
+    return rows, n
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_matrices())
+def test_quotient_invariants_without_transforms(case):
+    # the transform-free elimination agrees with the tracked one and with sympy
+    rows, n = case
+    inv, V, Vinv = smith_normal_form(rows, n)
+    got = quotient_invariants_of(rows, n)
+    assert got == (n - len(inv), [d for d in inv if d > 1])
+    assert smith_normal_form(rows, n, transforms=False) == (inv, None, None)
+    nonzero = [r for r in rows if any(r)]
+    if nonzero:
+        sym = [abs(int(d)) for d in invariant_factors(SymMatrix(nonzero)) if d]
+    else:
+        sym = []
+    assert got == (n - len(sym), [d for d in sorted(sym) if d > 1])
+
+
+def test_colon_builds_no_transforms(monkeypatch):
+    # only QuotientMap and element_order_in_quotient need V and Vinv
+    def forbidden(n):
+        raise AssertionError("Smith transforms built")
+
+    monkeypatch.setattr(intlinalg, "_identity", forbidden)
+    with pytest.raises(AssertionError):
+        smith_normal_form([(2, 4)], 2)
+    Z = BaseRing(0)
+    modules = [
+        GradedModule(Z, GradingGroup((2,)), [(4, (0,)), (6, (1,)), (2, (0,))]),
+        GradedModule(BaseRing(12), GradingGroup((2, 2)), [(12, (1, 0)), (6, (1, 0))]),
+        GradedModule(Z, GradingGroup((2,)), [(0, (0,)), (3, (0,)), (0, (1,))]),
+    ]
+    for M in modules[:2]:
+        for N in enumerate_submodules(M):
+            N.colon()
+    M = modules[2]
+    for gens in ([(2, 1, 0)], [(10**12, 0, 7)], [(0, 0, 0)], [(5, 2, 0), (0, 0, 3)]):
+        M.submodule(gens).colon()
 
 
 def test_element_order_in_quotient():

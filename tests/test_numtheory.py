@@ -12,8 +12,20 @@ import sympy
 
 from gpspec import numtheory
 from gpspec.algebra import InvariantError
-from gpspec.numtheory import PSI13, divisors, factorize, is_prime, radical_int
+from gpspec.numtheory import (
+    PRIMORIAL,
+    PROVEN_BELOW,
+    PSI,
+    PSI13,
+    SMALL_PRIMES,
+    TRIAL_BOUND,
+    divisors,
+    factorize,
+    is_prime,
+    radical_int,
+)
 from gpspec.spectra import UnknownResultError
+from sympy.ntheory.primetest import mr
 
 PSI12 = 318665857834031151167461  # strong pseudoprime to the bases 2..37
 STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, PSI12)
@@ -56,6 +68,56 @@ def test_small_inputs_never_leave_trial_division(monkeypatch):
     for n in [*range(1, 5000), *range(999000, 1002000)]:
         assert is_prime(n) == sympy.isprime(n), n
         assert factorize(n) == sympy.factorint(n), n
+
+
+def test_trial_division_edges(monkeypatch):
+    # the sieve and the gcd settle everything below 1009**2, the square of
+    # the least prime past TRIAL_BOUND
+    assert SMALL_PRIMES == tuple(sympy.primerange(TRIAL_BOUND))
+    assert PRIMORIAL == prod(SMALL_PRIMES)
+    assert PROVEN_BELOW == sympy.nextprime(TRIAL_BOUND) ** 2 == 1009**2
+    real = numtheory._probable_prime
+
+    def guarded(n):
+        assert n >= PROVEN_BELOW, f"probable-prime test on {n}"
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "_probable_prime", guarded)
+    edges = (
+        997**2, 997 * 1009, 1009**2, 1000003, 1009 * 1013, PRIMORIAL,
+        PRIMORIAL * 1009, 997**3 * 1009**2 * 1013, 2**40 * 1009 * 1013,
+    )
+    for n in (*edges, *range(PROVEN_BELOW - 3000, PROVEN_BELOW + 3000)):
+        agree(n)
+
+
+def test_psi_table():
+    # psi_k is the least strong pseudoprime to the first k BASES (A014233):
+    # each entry is composite, passes the strong test to those k bases and
+    # is found composite by a later base
+    assert len(PSI) == len(numtheory.BASES) and PSI[-1] == PSI13
+    assert list(PSI) == sorted(PSI)
+    for k, psi in enumerate(PSI, 1):
+        assert not sympy.isprime(psi), k
+        assert mr(psi, numtheory.BASES[:k]), k
+        if k < len(PSI):
+            assert not is_prime(psi), k
+
+
+def test_primes_just_below_each_psi(monkeypatch):
+    # the test stops once n < psi_k after k bases: every n just below psi_k
+    # agrees with sympy
+    for psi in PSI:
+        for n in range(max(psi - 200, PROVEN_BELOW), psi):
+            assert is_prime(n) == sympy.isprime(n), n
+    # base 0 calls every n composite, so the largest prime below psi_k is
+    # proven only if the test stops after the first k bases
+    bases = numtheory.BASES
+    for k, psi in enumerate(PSI, 1):
+        p = sympy.prevprime(psi)
+        if p >= PROVEN_BELOW:
+            monkeypatch.setattr(numtheory, "BASES", bases[:k] + (0,) * (len(bases) - k))
+            assert numtheory._probable_prime(p), k
 
 
 def test_seeded_random_n_up_to_1e24():

@@ -337,6 +337,14 @@ class GradedModule:
             g: tuple(i for i, (_, d) in enumerate(factors) if d == g)
             for g in self.degrees
         }
+        # per degree, the HNF of the relation rows o e_i of the finite factors
+        self._moduli = {
+            g: tuple(
+                tuple(o if q == pos else 0 for q in range(len(slots)))
+                for pos, o in enumerate(factors[i][0] for i in slots) if o
+            )
+            for g, slots in self.slots.items()
+        }
         self._key = (ring, group, factors)
         self._hash = hash(self._key)
         self.memo: dict = {}  # values derived from this module, see per_module
@@ -435,13 +443,7 @@ class GradedModule:
         return tuple(vec)
 
     def moduli_rows(self, g) -> tuple[tuple[int, ...], ...]:
-        slots = self.slots[g]
-        rows = []
-        for pos, i in enumerate(slots):
-            o = self.factors[i][0]
-            if o:
-                rows.append(tuple(o if q == pos else 0 for q in range(len(slots))))
-        return tuple(rows)
+        return self._moduli[g]
 
     # -- submodules -------------------------------------------------------
 
@@ -569,6 +571,11 @@ class GradedSubmodule:
     def quotient_is_finite(self) -> bool:
         return all(self.quotient_invariants(g).is_finite for g in self.module.degrees)
 
+    def colon_radical(self) -> Ideal:
+        """rad(N : M), memoised with M by the colon, so that each module
+        factors each distinct colon generator once."""
+        return _radical(self.module, self.colon())
+
     @per_module
     def colon(self) -> Ideal:
         """(N :_R M), the ideal of ring elements multiplying M into N: the
@@ -614,9 +621,7 @@ class GradedSubmodule:
         M = self.module
         out = []
         for g, block in zip(M.degrees, self.blocks):
-            moduli = intlinalg.hermite_normal_form(
-                M.moduli_rows(g), len(M.slots[g])
-            )
+            moduli = M.moduli_rows(g)
             for row in block:
                 red = M.block_of(M.reduce_vector(M.embed_block(g, row)), g)
                 if any(red) and not intlinalg.lattice_contains(moduli, row):
@@ -638,14 +643,32 @@ class GradedSubmodule:
         return ", ".join("(" + ",".join(map(str, v)) + ")" for v in gens)
 
 
+@per_module
+def _radical(M: GradedModule, I: Ideal) -> Ideal:
+    return I.radical()
+
+
 def ideal_times_module(I: Ideal, M: GradedModule) -> GradedSubmodule:
     """I . M, the submodule generated by c*e_i over all factors."""
     if I.ring != M.ring:
         raise AlgebraError("ideal ring differs from module ring")
-    c = I.gen
-    return M.submodule(
-        [tuple(c if j == i else 0 for j in range(len(M.factors))) for i in range(len(M.factors))]
-    )
+    return _times_module(M, I.gen)
+
+
+@per_module
+def _times_module(M: GradedModule, c: int) -> GradedSubmodule:
+    """c . M, memoised with M.  Per degree, the lattice of the c e_i and the
+    moduli rows o_i e_i is the diagonal one with entries gcd(c, o_i), and
+    that diagonal with its zero rows dropped is its HNF."""
+    blocks = []
+    for g in M.degrees:
+        slots = M.slots[g]
+        entries = [gcd(c, M.factors[i][0]) for i in slots]
+        blocks.append(tuple(
+            tuple(d if q == pos else 0 for q in range(len(slots)))
+            for pos, d in enumerate(entries) if d
+        ))
+    return GradedSubmodule(M, blocks)
 
 
 def annihilator(M: GradedModule) -> Ideal:

@@ -461,11 +461,11 @@ def check_L2_6(ctx: Context):
         if variety(ss, N, star=True).mask != preimage_mask(inclusion, star_mask):
             _fail("prime-side star variety is not the restriction", N)
         cm = pos[ideal_times_module(N.colon(), M)]
-        gm = pos[ideal_times_module(N.colon().radical(), M)]
+        gm = pos[ideal_times_module(N.colon_radical(), M)]
         if not nu_mask == nu[cm] == star[cm] == star[gm]:
             _fail("colon reformulations of the variety differ", N)
         count += 3
-    rads = [N.colon().radical() for N in subs]
+    rads = [N.colon_radical() for N in subs]
     primary_points = set(ps.points)
     on_points = [N in primary_points for N in subs]
     n = len(subs)

@@ -311,7 +311,7 @@ class InducedSpectrumMap:
         continuity_ok = True
         for N in _one_per_colon(M, bound):
             want = variety(
-                sp2, ideal_times_module(N.colon().radical(), M2)
+                sp2, ideal_times_module(N.colon_radical(), M2)
             ).mask
             if preimage_mask(mapping, variety(sp, N).mask) != want:
                 continuity_ok = False

@@ -9,15 +9,21 @@ turn; it answers "prime" after k passing bases once n < psi_k, the least
 strong pseudoprime to the first k bases (the PSI table, OEIS A014233:
 Jaeschke, Math. Comp. 1993, up to k = 8; Jiang & Deng, Math. Comp. 2014,
 k = 9..11; Sorenson & Webster, Math. Comp. 2017, k = 12, 13), so it is
-exact below PSI13.  Factorization splits what trial division leaves with
-Pollard's rho in Brent's variant (Brent 1980), within RHO_STEPS steps.  Past
+exact below PSI13.  Factorization takes exact roots of perfect powers and
+splits the rest of what trial division leaves with Pollard's rho in
+Brent's variant (Brent 1980), within RHO_STEPS steps.  Past
 either limit the answer is UnknownResultError, never a guess.
+
+Whether n is a prime power needs no factoring (Bernstein, Detecting perfect
+powers in essentially linear time, Math. Comp. 1998): the gcd with
+PRIMORIAL, exact integer roots, and one probable-prime test of a number that
+is no perfect power, where a witness proves two distinct primes.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log2, prod
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -87,9 +93,10 @@ def factorize(n: int) -> dict[int, int]:
     budget, stack = [RHO_STEPS], [m]
     while stack:
         m = stack.pop()
-        root = isqrt(m)
-        if root * root == m:  # rho would pay sqrt(root) steps for this split
-            stack += (root, root)
+        power = _perfect_power(m)
+        if power:  # rho would pay sqrt(root) steps for this split
+            root, k = power
+            stack += (root,) * k
         elif m < PROVEN_BELOW or _probable_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
@@ -157,6 +164,64 @@ def _brent(n: int, budget: list[int]) -> int:
                 g = gcd(x - ys, n)
         if g != n:
             return g
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's iteration from above, from
+    2^(log2(n)/k) rounded up by far more than the float error of log2."""
+    if k == 2:
+        return isqrt(n)
+    e = log2(n) / k
+    s = max(int(e) - 52, 0)  # x = 2^(e - s), below 2^53, shifted by s
+    x = (int(2 ** (e - s) * (1 + 2**-30)) + 2) << s
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int] | None:
+    """(m, k) with n = m^k for the least k >= 2 that has an exact root (a
+    prime), for n with no prime factor below TRIAL_BOUND; None when n is no
+    perfect power.  Every prime of n is at least 1009, so only k with
+    1009^k <= n can have a root."""
+    k = 2
+    while 1009**k <= n:
+        m = _iroot(n, k)
+        if m**k == n:
+            return m, k
+        k += 1
+    return None
+
+
+def prime_power_root(n: int) -> int | None:
+    """The prime p when n = p^k for some k >= 1, else None; no rho.
+
+    A small prime p dividing n settles it: n is a power of p iff nothing is
+    left once the p-part is stripped.  Otherwise a perfect power n = m^k
+    recurses on m, and a number that is no perfect power is p itself or has
+    two distinct primes; `_probable_prime` decides which, refused at or
+    above PSI13 exactly where is_prime is.
+
+    >>> prime_power_root(2**40), prime_power_root(1009**3), prime_power_root(12)
+    (2, 1009, None)
+    """
+    if n < 1:
+        raise ValueError(f"prime_power_root expects n >= 1, got {n}")
+    g = gcd(n, PRIMORIAL)
+    if g > 1:
+        if g not in _SMALL_PRIME_SET:
+            return None
+        while n % g == 0:
+            n //= g
+        return g if n == 1 else None
+    if n < PROVEN_BELOW:  # 1 or a prime
+        return n if n > 1 else None
+    power = _perfect_power(n)
+    if power:
+        return prime_power_root(power[0])
+    return n if _probable_prime(n) else None
 
 
 def prime_factors(n: int) -> list[int]:

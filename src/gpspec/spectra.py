@@ -4,14 +4,14 @@ prime, primary and maximal spectra of finite graded modules.
 
 Each decision is read off the colon (N : M) and the torsion exponents e_g
 of the degree components M_g/N_g: N is graded prime (primary) iff (N : M)
-(its radical) is a prime ideal and, when M/N has a free part, every e_g = 1;
-when M/N is finite and (N : M) = (e), the graded radical of N is the
-intersection of the N + pM over the primes p | e.
+(its radical) is a prime ideal and, when M/N has a free part, every e_g = 1.
+A nonzero colon (e) has a prime radical iff e is a prime power, which
+numtheory.prime_power_root decides without factoring e.  When M/N is finite
+and (N : M) = (e), the graded radical of N is N + rad(e)M.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import product as iproduct
 from math import prod
 
@@ -21,7 +21,6 @@ from .algebra import (
     AlgebraError,
     GradedModule,
     GradedSubmodule,
-    Ideal,
     Value,
     enumerate_submodules,
     ideal_times_module,
@@ -111,10 +110,10 @@ def _require_proper(N: GradedSubmodule, what: str) -> None:
         raise ImproperSubmoduleError(f"{what} is defined only for proper submodules")
 
 
-def _order_condition(N: GradedSubmodule, target: Ideal) -> bool:
+def _order_condition(N: GradedSubmodule, target_is_prime: bool) -> bool:
     """Whether ann(m + N) <= target for every homogeneous m outside N, for
-    target (N : M) or its radical: iff target is prime and, when M/N has a
-    free part, every e_g = 1.
+    target (N : M) or its radical, given whether target is prime: iff it is
+    and, when M/N has a free part, every e_g = 1.
 
     ann(m + N) = (o), o the order of m + N; (0) lies in every ideal and the
     finite o > 1 in degree g are the divisors > 1 of e_g, so each prime
@@ -122,7 +121,7 @@ def _order_condition(N: GradedSubmodule, target: Ideal) -> bool:
     e = lcm e_g, and p | e in target forces target = (p).  M/N with a free
     part: target is the prime (0), holding no p.
     """
-    return target.is_prime and (
+    return target_is_prime and (
         N.quotient_is_finite()
         or all(N.quotient_invariants(g).exponent == 1 for g in N.module.degrees)
     )
@@ -131,13 +130,14 @@ def _order_condition(N: GradedSubmodule, target: Ideal) -> bool:
 def is_graded_prime(P: GradedSubmodule) -> bool:
     """Whether rm in P forces m in P or r in (P : M), for homogeneous r, m."""
     _require_proper(P, "graded primeness")
-    return _order_condition(P, P.colon())
+    return _order_condition(P, P.colon().is_prime)
 
 
 def is_graded_primary(Q: GradedSubmodule) -> bool:
     """Whether rm in Q forces m in Q or r in the radical of (Q : M)."""
     _require_proper(Q, "graded primariness")
-    return _order_condition(Q, Q.colon().radical())
+    e = Q.colon().gen  # 0 only for the prime (0) of Z
+    return _order_condition(Q, e == 0 or numtheory.prime_power_root(e) is not None)
 
 
 @per_module
@@ -192,10 +192,14 @@ def graded_radical(
     Strategies in priority order; the first that answers gives the result
     and `strategies` lists those tried, in order, up to it.
     * prime-itself: N when N is prime.
-    * finite-quotient-transport: when |M/N| <= bound and (N : M) = (e), the
-      meet of the N + pM over the primes p | e.  A prime P over N has
-      (P : M) = (p) with p | e, so P holds N + pM, itself a prime (M/(N + pM)
-      is a nonzero F_p-space with colon (p)).
+    * finite-quotient-transport: when |M/N| <= bound and (N : M) = (e),
+      N + rad(e)M.  A prime P over N has (P : M) = (p) with p | e, so P
+      holds N + pM, itself a prime (M/(N + pM) is a nonzero F_p-space with
+      colon (p)); the radical is the meet of the N + pM over p | e.  Degree
+      by degree, in A = M_g/N_g, whose exponent divides e, N + pM is the
+      preimage of pA, the sum of pA_p and the Sylow parts A_q, q != p; so
+      the meet is the preimage of the sum of the qA_q over q | e, and so is
+      N + rad(e)M, since rad(e)/q is a unit on A_q.
     * multiplication-identity: rad(N : M) . M when M is multiplication.
     """
     _require_proper(N, "the graded radical")
@@ -210,15 +214,13 @@ def graded_radical(
         tried.append("finite-quotient-transport")
         size = prod(N.quotient_invariants(g).size() for g in M.degrees)
         if size <= bound:
-            return RadicalResult("submodule", reduce(GradedSubmodule.intersect, [
-                N.plus(ideal_times_module(M.ring.ideal(p), M))
-                for p in numtheory.prime_factors(N.colon().gen)
-            ]), tuple(tried))
+            rad = N.plus(ideal_times_module(N.colon_radical(), M))
+            return RadicalResult("submodule", rad, tuple(tried))
         reason = f"|M/N| = {size} exceeds enumeration bound {bound}"
 
     if is_multiplication(M).is_true:
         tried.append("multiplication-identity")
-        rad = ideal_times_module(N.colon().radical(), M)
+        rad = ideal_times_module(N.colon_radical(), M)
         return RadicalResult("submodule", rad, tuple(tried))
 
     return RadicalResult(
@@ -236,7 +238,7 @@ def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> 
     if not is_graded_primary(Q):
         return False
     rad = graded_radical(Q, bound).require()
-    return rad.colon() == Q.colon().radical()
+    return rad.colon() == Q.colon_radical()
 
 
 def is_graded_maximal(N: GradedSubmodule) -> bool:

@@ -500,6 +500,18 @@ def test_ideal_times_module():
     assert ideal_times_module(BaseRing(6).zero_ideal, M6).is_zero
     M = zxz()
     assert ideal_times_module(Z.ideal(3), M) == M.submodule([(3, 0), (0, 3)])
+    # the diagonal blocks are the HNF of the generators c e_i, byte for byte,
+    # with mixed degrees, free factors and c sharing part of each order
+    for ring, factors in (
+        (Z, [(0, (0,)), (12, (1,)), (8, (0,)), (9, (1,)), (0, (1,))]),
+        (BaseRing(72), [(72, (0,)), (8, (0,)), (9, (1,)), (6, (1,))]),
+    ):
+        M = GradedModule(ring, Z2G, factors)
+        for c in (0, 1, 2, 3, 4, 6, 8, 12, 18, 24, 36, 72):
+            unit = [tuple(c * (j == i) for j in range(len(factors))) for i in range(len(factors))]
+            got = ideal_times_module(ring.ideal(c), M)
+            assert got.blocks == M.submodule(unit).blocks, (ring, c)
+            assert ideal_times_module(ring.ideal(c), M) is got  # memoised with M
 
 
 # -- quotient modules -------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gpspec import cli, harness, maps, topology
+from gpspec import cli, harness, maps, numtheory, topology
 from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule
 from gpspec.dsl import parse_model
 from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
@@ -305,6 +305,26 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
     assert counts == {"plus": 179, "variety": 1268}
+
+
+def test_catalog_factors_each_colon_once(monkeypatch):
+    # the radical of a colon is memoised with the module by the ideal, so a
+    # whole run factors each distinct colon generator once per module (the
+    # run calls factorize 2,772 times when every colon radical factors
+    # afresh); the count is deterministic
+    calls = Counter()
+    real = numtheory.factorize
+
+    def counted(n):
+        calls[n] += 1
+        return real(n)
+
+    monkeypatch.setattr(numtheory, "factorize", counted)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    results = run_checks(model, "all", "heavy")
+    assert not [r for r in results if r.status == "fail"]
+    assert sum(calls.values()) == 199
+    assert set(calls) == {1, 2, 4, 8}
 
 
 def test_P3_2_computes_each_basic_open_once(monkeypatch):

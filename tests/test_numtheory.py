@@ -1,7 +1,8 @@
 """numtheory against sympy as an independent oracle: factorization,
-primality, divisors and radicals on every small n, on seeded random n up to
-10^24 and on the hard cases of each kernel (prime powers, balanced
-semiprimes, Carmichael numbers and strong pseudoprimes)."""
+primality, prime powers, divisors and radicals on every small n, on seeded
+random n up to 10^24 and on the hard cases of each kernel (prime powers,
+perfect powers of composites, balanced semiprimes, Carmichael numbers and
+strong pseudoprimes)."""
 
 import random
 import time
@@ -9,6 +10,7 @@ from math import prod
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gpspec import numtheory
 from gpspec.algebra import InvariantError
@@ -22,6 +24,7 @@ from gpspec.numtheory import (
     divisors,
     factorize,
     is_prime,
+    prime_power_root,
     radical_int,
 )
 from gpspec.spectra import UnknownResultError
@@ -49,6 +52,12 @@ def agree(n):
     assert got == expected and list(got) == sorted(expected), n
     assert is_prime(n) == sympy.isprime(n), n
     assert radical_int(n) == prod(expected), n
+    assert prime_power_root(n) == power_root_of(expected), n
+
+
+def power_root_of(factorization):
+    """The prime of a prime power, else None, read off sympy's answer."""
+    return next(iter(factorization)) if len(factorization) == 1 else None
 
 
 def test_every_n_up_to_20000():
@@ -200,3 +209,63 @@ def test_divisors_past_float_precision():
     assert len(big) == 401**2 and big == sympy.divisors(10**400)
     with pytest.raises(ValueError):
         divisors(0)
+
+
+# -- prime powers without factoring -------------------------------------------
+
+PRIMES = st.one_of(
+    st.sampled_from(SMALL_PRIMES),
+    st.sampled_from(list(sympy.primerange(TRIAL_BOUND, 3000))),  # 1009 and up
+    st.sampled_from((1000003, 999999999989, 2**61 - 1, 10**20 + 39)),
+)
+PRIME_POWER = st.builds(pow, PRIMES, st.integers(1, 6))
+# cofactors that take n past PSI13 with sympy still fast on the product;
+# 10**30 + 57 is a prime that is_prime refuses
+PAST_PSI13 = st.sampled_from((10**30 + 57, 2**89 - 1, (10**20 + 39) ** 2, 1009**9))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    PRIME_POWER,
+    st.builds(int.__mul__, PRIME_POWER, PRIME_POWER),
+    st.builds(lambda p, q, k: (p * q) ** k, PRIMES, PRIMES, st.integers(2, 6)),
+    st.builds(lambda s, k, m: s**k * m, st.sampled_from(SMALL_PRIMES),
+              st.integers(1, 120), st.one_of(st.just(1), PAST_PSI13)),
+))
+def test_prime_power_root_agrees_with_sympy(n):
+    assert prime_power_root(n) == power_root_of(sympy.factorint(n)), n
+
+
+def test_prime_powers_never_run_rho(monkeypatch):
+    def forbidden(n, budget):
+        raise AssertionError(f"rho on {n}")
+
+    monkeypatch.setattr(numtheory, "_brent", forbidden)
+    for p, k in ((2, 1), (1009, 7), (1013, 3), (999999999989, 5), (10**20 + 39, 4)):
+        assert prime_power_root(p**k) == p, (p, k)
+        assert factorize(p**k) == {p: k}, (p, k)  # exact roots, not rho
+    for n in ((1009 * 1013) ** 3, 2**4 * 91081 * 280591, 5 * 33967 * 5585761,
+              (10**20 + 39) * (10**20 + 129), 3 * (10**30 + 57), PRIMORIAL, 1):
+        assert prime_power_root(n) is None, n
+
+
+def test_integer_roots_against_sympy():
+    # Newton from a float guess: exact at m^k - 1, m^k and m^k + 1, for
+    # roots past float range and for k past the primes below 1000
+    rng = random.Random(13)
+    for _ in range(400):
+        k = rng.randrange(3, 1200)
+        m = rng.randrange(2, 2 ** rng.randrange(2, 1200 if k < 40 else 20))
+        for n in (m**k - 1, m**k, m**k + 1):
+            assert numtheory._iroot(n, k) == sympy.integer_nthroot(n, k)[0], (m, k)
+    assert prime_power_root(1013**1013) == 1013
+
+
+def test_prime_power_root_is_refused_where_is_prime_is():
+    for n in (10**30 + 57, (10**30 + 57) ** 3):
+        with pytest.raises(UnknownResultError):
+            prime_power_root(n)
+    with pytest.raises(UnknownResultError):
+        is_prime(10**30 + 57)
+    with pytest.raises(ValueError):
+        prime_power_root(0)

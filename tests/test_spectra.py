@@ -1,8 +1,10 @@
+import time
 from functools import reduce
 
 import pytest
 
 import oracles
+from gpspec import numtheory
 from gpspec.algebra import (
     DEFAULT_ENUM_BOUND,
     BaseRing,
@@ -104,6 +106,7 @@ def replaced_route_corpus():
         GradedModule(Z, Z2G, [(6, (0,)), (6, (0,))]),
         GradedModule(Z, Z2G, [(16, (0,)), (16, (0,))]),
         GradedModule(Z, Z2G, [(8, (0,)), (9, (1,))]),
+        GradedModule(Z, Z2G, [(12, (0,)), (10, (1,))]),  # three primes in e = 60
     ]
     subs = [N for M in finite for N in enumerate_submodules(M) if N.is_proper]
     z_z4 = GradedModule(Z, Z2G, [(0, (0,)), (4, (1,))])
@@ -121,7 +124,8 @@ def replaced_route_corpus():
 def test_closed_forms_match_replaced_routes():
     # the divisor loop and the quotient transport are the oracles here
     subs = replaced_route_corpus()
-    assert len(subs) == 31 + 29 + 82 + 11 + 16
+    assert len(subs) == 31 + 29 + 82 + 11 + 23 + 16
+    assert max(len(numtheory.factorize(N.colon().gen)) for N in subs) == 3
     for N in subs:
         case = (N.module.text(), N.text())
         assert N.quotient_is_finite(), case
@@ -362,3 +366,42 @@ def test_cancellation_claim_with_free_factor():
     gens = [0, 2, 3, 4, 6, 8]
     scaled = [ideal_times_module(Z.ideal(g), M) for g in gens]
     assert len(set(scaled)) == len(gens)
+
+
+def test_primariness_and_membership_never_run_rho(monkeypatch):
+    # a colon that is not a prime power is refuted at its first small prime,
+    # and a prime-power colon is settled by roots and Miller-Rabin; shapes of
+    # the slowest pointwise queries: colons 2^4*91081*280591 (over Z/n) and
+    # 5*33967*5585761, and (p^2), (p^3) for the 12-digit prime p
+    def forbidden(n, budget):
+        raise AssertionError(f"rho on {n}")
+
+    monkeypatch.setattr(numtheory, "_brent", forbidden)
+    n = 408904141936  # 2^4 * 91081 * 280591
+    over_zn = GradedModule(BaseRing(n), GradingGroup((2, 2)),
+                           [(n, (0, 0)), (8, (0, 0))])
+    free = GradedModule(Z, GradingGroup((3,)), [(0, (2,))])
+    p = 999999999989
+    cases = [
+        (over_zn.submodule([(n, 6), (511130177420, 3)]), False),
+        (over_zn.submodule([(1635616567744, 4)]), False),
+        (free.submodule([(948657719435,)]), False),  # 5 * 33967 * 5585761
+        (free.submodule([(76545587,)]), False),
+        (free.submodule([(p**2,)]), True),
+        (free.submodule([(p**3,)]), True),
+    ]
+    for N, want in cases:
+        assert is_graded_primary(N) is want, N
+        assert in_primary_spectrum(N) is want, N
+
+
+def test_primariness_of_a_41_digit_semiprime_is_prompt():
+    # (10^20 + 39)(10^20 + 129) has no small factor, is past PSI13 and is no
+    # perfect power: one Miller-Rabin witness refutes it, where factoring it
+    # runs out the whole rho budget
+    M = GradedModule(Z, Z2G, [(0, (0,))])
+    N = M.submodule([((10**20 + 39) * (10**20 + 129),)])
+    start = time.perf_counter()
+    assert not is_graded_primary(N)
+    assert not in_primary_spectrum(N)
+    assert time.perf_counter() - start < 1

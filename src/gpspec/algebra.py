@@ -321,30 +321,31 @@ class GradedModule:
     """Direct sum of cyclic factors (order, degree); order 0 encodes Z."""
 
     def __init__(self, ring: BaseRing, group: GradingGroup, factors):
-        factors = tuple((int(o), group.reduce(d)) for o, d in factors)
-        for o, _ in factors:
-            if o < 0 or o == 1:
-                raise AlgebraError(f"factor order must be 0 or >= 2: {o}")
-            if ring.modulus and (o == 0 or ring.modulus % o != 0):
-                raise AlgebraError(
-                    f"factor order {o} does not divide ring modulus {ring.modulus}"
-                )
+        n = ring.modulus
+        reduced, slots, bad = [], {}, None
+        for i, (o, d) in enumerate(factors):
+            o, d = int(o), group.reduce(d)
+            if bad is None and (o < 0 or o == 1 or n and (o == 0 or n % o)):
+                bad = o  # raised once every degree has passed its arity check
+            reduced.append((o, d))
+            slots.setdefault(d, []).append(i)
+        if bad is not None:
+            if bad < 0 or bad == 1:
+                raise AlgebraError(f"factor order must be 0 or >= 2: {bad}")
+            raise AlgebraError(f"factor order {bad} does not divide ring modulus {n}")
         self.ring = ring
         self.group = group
-        self.factors = factors
-        self.degrees = tuple(sorted({d for _, d in factors}))
-        self.slots = {
-            g: tuple(i for i, (_, d) in enumerate(factors) if d == g)
-            for g in self.degrees
-        }
+        self.factors = factors = tuple(reduced)
+        self.degrees = tuple(sorted(slots))
+        self.slots = {g: tuple(slots[g]) for g in self.degrees}
         # per degree, the HNF of the relation rows o e_i of the finite factors
-        self._moduli = {
-            g: tuple(
-                tuple(o if q == pos else 0 for q in range(len(slots)))
-                for pos, o in enumerate(factors[i][0] for i in slots) if o
-            )
-            for g, slots in self.slots.items()
-        }
+        self._moduli = {}
+        for g, here in self.slots.items():
+            rows = []
+            for pos, i in enumerate(here):
+                if factors[i][0]:
+                    rows.append((0,) * pos + (factors[i][0],) + (0,) * (len(here) - pos - 1))
+            self._moduli[g] = tuple(rows)
         self._key = (ring, group, factors)
         self._hash = hash(self._key)
         self.memo: dict = {}  # values derived from this module, see per_module
@@ -450,16 +451,13 @@ class GradedModule:
     def submodule(self, gens) -> GradedSubmodule:
         """Smallest graded submodule containing the given elements.  Mixed
         generators are split into their homogeneous components first."""
-        per_degree: dict[tuple[int, ...], list] = {g: [] for g in self.degrees}
-        for v in gens:
-            for g, comp in self.homogeneous_components(v).items():
-                per_degree[g].append(self.block_of(comp, g))
-        blocks = tuple(
-            intlinalg.hermite_normal_form(
-                list(per_degree[g]) + list(self.moduli_rows(g)), len(self.slots[g])
-            )
-            for g in self.degrees
-        )
+        vecs = [self.reduce_vector(v) for v in gens]
+        blocks = []
+        for g in self.degrees:
+            slots = self.slots[g]
+            rows = [row for row in (tuple(v[i] for i in slots) for v in vecs) if any(row)]
+            rows += self._moduli[g]
+            blocks.append(intlinalg.hermite_normal_form(rows, len(slots)))
         return GradedSubmodule(self, blocks)
 
     @property
@@ -545,16 +543,10 @@ class GradedSubmodule:
 
     @property
     def is_full(self) -> bool:
-        k = len(self.module.factors)
-        count = 0
-        for g, block in zip(self.module.degrees, self.blocks):
-            n = len(self.module.slots[g])
-            if block != tuple(
-                tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-            ):
-                return False
-            count += n
-        return count == k
+        """N = M exactly when 1 lies in (N : M): 1 . M lies in N forces N = M,
+        and (M : M) is the unit ideal.  The colon is memoised, so the
+        predicates that ask for it after checking properness pay once."""
+        return self.colon().is_unit
 
     @property
     def is_proper(self) -> bool:
@@ -691,9 +683,10 @@ def _enumerate_block_subgroups(orders: tuple[int, ...]):
     lattices = [()]
     for i in reversed(range(n)):
         grown = []
+        pivots = numtheory.divisors(orders[i])
         for below in lattices:
             ranges = [range(row[j]) for j, row in enumerate(below, i + 1)]
-            for h in numtheory.divisors(orders[i]):
+            for h in pivots:
                 q = orders[i] // h
                 for tail in iproduct(*ranges):
                     scaled = (0,) * (i + 1) + tuple(q * a for a in tail)

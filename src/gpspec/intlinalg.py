@@ -5,7 +5,10 @@ exact at any magnitude.  Row convention throughout: the rows of a matrix
 generate a sublattice of Z^n.  The Smith elimination tracks its unimodular
 transforms only for callers that map coordinates (quotient maps, element
 orders); the quotient invariants behind every colon run it on the matrix
-alone.
+alone.  A one-column lattice is its gcd: the subgroup of Z generated by
+a_1, ..., a_m is gZ with g = gcd(a_1, ..., a_m), so its HNF is (g) (empty
+for g = 0) and its quotient is Z/g (Z for g = 0); hermite_normal_form and
+quotient_invariants_of answer it without the elimination.
 """
 
 from __future__ import annotations
@@ -106,13 +109,22 @@ def hermite_normal_form(rows, ncols: int) -> Matrix:
     >>> hermite_normal_form([(2, 7), (0, 4)], 2)
     ((2, 3), (0, 4))
     """
+    rows = _checked(rows, ncols)
+    if ncols == 1:
+        g = gcd(*(r[0] for r in rows))
+        return ((g,),) if g else ()
     ech = _Echelon(ncols)
     for r in rows:
-        if len(r) != ncols:
-            raise ValueError(f"row arity {len(r)} != {ncols}")
         ech.add(r)
     ech.normalize()
     return tuple(tuple(r) for r in ech.rows)
+
+
+def _checked(rows, ncols: int):
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError(f"row arity {len(r)} != {ncols}")
+        yield r
 
 
 def reduce_mod_lattice(basis: Matrix, vec) -> Row:
@@ -306,6 +318,9 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
 
 def quotient_invariants_of(rows, ncols: int) -> tuple[int, list[int]]:
     """(free_rank, torsion factors > 1) of Z^ncols / rowspace(rows)."""
+    if ncols == 1:  # Z/g, or Z for g = 0
+        g = gcd(*(r[0] for r in rows))
+        return (0, [g] if g > 1 else []) if g else (1, [])
     inv, _, _ = smith_normal_form(rows, ncols, transforms=False)
     return ncols - len(inv), [d for d in inv if d > 1]
 

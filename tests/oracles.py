@@ -4,8 +4,12 @@ Everything here works by exhaustive enumeration over finite structures and is
 deliberately independent of the lattice/Smith machinery it cross-checks, except
 `divisor_order_condition`, `transport_radical` and `maximal_oracle`: the
 enumeration routes that the library's closed forms for primeness, the radical
-and maximality replaced, kept as references for them; and `coset_key`, a
-Hermite-form coset label that only the order-multiset oracle uses.
+and maximality replaced, kept as references for them; `echelon_hnf`,
+`component_blocks` and `identity_blocks_full`, the general elimination and the
+construction routes that one-column gcds, the one-pass submodule and the colon
+test for N = M replaced; and `coset_key`, a Hermite-form coset label that only
+the order-multiset oracle uses.  `oracle_corpus` lists the finite modules the
+spectra oracles run on.
 """
 
 from __future__ import annotations
@@ -16,12 +20,66 @@ from math import gcd, prod
 
 from gpspec import intlinalg, numtheory
 from gpspec.algebra import (
+    BaseRing,
     GradedModule,
     GradedSubmodule,
+    GradingGroup,
     Ideal,
     enumerate_submodules,
     quotient_module,
 )
+
+
+def oracle_corpus() -> list[GradedModule]:
+    Z, Z2G = BaseRing(0), GradingGroup((2,))
+    return [
+        *(GradedModule(BaseRing(n), Z2G, [(n, (0,))]) for n in (6, 8, 12, 9)),
+        GradedModule(Z, Z2G, [(2, (0,)), (4, (1,))]),
+        GradedModule(Z, Z2G, [(4, (0,)), (4, (0,))]),
+        GradedModule(Z, Z2G, [(2, (0,)), (9, (1,))]),
+        GradedModule(BaseRing(12), Z2G, [(4, (0,)), (6, (1,))]),
+        GradedModule(Z, GradingGroup((2, 2)), [(2, (1, 0)), (8, (0, 1))]),
+    ]
+
+
+def echelon_hnf(rows, ncols: int) -> intlinalg.Matrix:
+    """The HNF by the general incremental elimination, at any column count."""
+    ech = intlinalg._Echelon(ncols)
+    for r in rows:
+        ech.add(r)
+    ech.normalize()
+    return tuple(tuple(r) for r in ech.rows)
+
+
+def component_blocks(M: GradedModule, gens) -> tuple:
+    """Blocks of the submodule generated by gens: each generator split into
+    its homogeneous components, each degree's component blocks and relation
+    rows o e_i put in Hermite form by the general elimination."""
+    per_degree = {g: [] for g in M.degrees}
+    for v in gens:
+        for g, comp in M.homogeneous_components(v).items():
+            per_degree[g].append(M.block_of(comp, g))
+    blocks = []
+    for g in M.degrees:
+        orders = [M.factors[i][0] for i in M.slots[g]]
+        n = len(orders)
+        moduli = [tuple(o if j == i else 0 for j in range(n)) for i, o in enumerate(orders) if o]
+        assert M.moduli_rows(g) == tuple(moduli)
+        blocks.append(echelon_hnf(per_degree[g] + moduli, n))
+    return tuple(blocks)
+
+
+def identity_blocks_full(N: GradedSubmodule) -> bool:
+    """N = M read off the canonical form: every block is the identity and
+    the blocks cover every factor."""
+    M = N.module
+    count = 0
+    for g, block in zip(M.degrees, N.blocks):
+        n = len(M.slots[g])
+        if block != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+            return False
+        count += n
+    return count == len(M.factors)
 
 
 def vec_add(M: GradedModule, a, b):

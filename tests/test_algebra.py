@@ -6,6 +6,7 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gpspec.algebra import (
@@ -123,6 +124,78 @@ def test_module_validation():
         GradedModule(Z, Z2G, [(1, (0,))])  # order 1 factor
     M = GradedModule(BaseRing(6), Z2G, [(6, (0,)), (3, (1,))])
     assert M.size == 18 and M.exponent == 6
+
+
+@pytest.mark.parametrize("ring, factors, message", [
+    (Z, [(1, (0,))], "factor order must be 0 or >= 2: 1"),
+    (Z, [(-4, (0,))], "factor order must be 0 or >= 2: -4"),
+    (BaseRing(6), [(4, (0,))], "factor order 4 does not divide ring modulus 6"),
+    (BaseRing(6), [(0, (0,))], "factor order 0 does not divide ring modulus 6"),
+    (Z, [(2, (0, 1))], "degree arity 2 != 1"),
+    # every degree's arity is checked before any order, and the first bad
+    # order wins
+    (Z, [(1, (0,)), (2, (0, 1))], "degree arity 2 != 1"),
+    (Z, [(2, (0,)), (-1, (1,)), (3, ())], "degree arity 0 != 1"),
+    (BaseRing(6), [(4, (0,)), (1, (1,))], "factor order 4 does not divide ring modulus 6"),
+    (BaseRing(12), [(6, (1,)), (0, (0,)), (1, (0,))],
+     "factor order 0 does not divide ring modulus 12"),
+])
+def test_module_construction_errors(ring, factors, message):
+    with pytest.raises(AlgebraError) as info:
+        GradedModule(ring, Z2G, factors)
+    assert type(info.value) is AlgebraError and str(info.value) == message
+
+
+def test_submodule_generator_arity_error():
+    M = GradedModule(Z, Z2G, [(2, (0,)), (0, (1,))])
+    with pytest.raises(ModuleMismatchError, match=r"^vector arity 3 != 2 factors$"):
+        M.submodule([(1, 2), (1, 2, 3)])
+
+
+# the oracle corpus, free factors, Z/n rings and mixed degrees
+PARITY_MODULES = oracles.oracle_corpus() + [
+    zxz(),
+    GradedModule(Z, Z2G, [(0, (0,)), (4, (1,)), (0, (1,))]),
+    GradedModule(Z, GradingGroup((3,)), [(12, (0,)), (0, (1,)), (9, (2,)), (0, (0,))]),
+    GradedModule(BaseRing(10**12), Z2G, [(10**12, (0,)), (10**6, (1,)), (4, (0,))]),
+    GradedModule(Z, GradingGroup((2, 2)), [(0, (1, 1)), (6, (0, 0)), (3, (1, 1))]),
+]
+# small entries, zeros and entries within 10 of +-10^12
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    st.integers(10**12 - 10, 10**12 + 10),
+    st.integers(-(10**12) - 10, -(10**12) + 10),
+)
+
+
+@st.composite
+def modules_with_generators(draw):
+    M = draw(st.sampled_from(PARITY_MODULES))
+    gens = draw(st.lists(st.tuples(*[ENTRIES] * M.rank), max_size=4))
+    return M, gens
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(modules_with_generators())
+def test_submodule_blocks_match_the_component_route(case):
+    M, gens = case
+    assert M.submodule(gens).blocks == oracles.component_blocks(M, gens)
+
+
+def test_is_full_reads_the_colon():
+    # (N : M) is the unit ideal exactly when every block is the identity
+    subs = [N for M in oracles.oracle_corpus() for N in enumerate_submodules(M)]
+    subs += [GradedModule(ring, Z2G, []).zero_submodule for ring in (Z, BaseRing(6))]
+    M = GradedModule(Z, Z2G, [(0, (0,)), (4, (0,)), (6, (1,))])
+    pick = random.Random(15)
+    for _ in range(200):
+        gens = [tuple(pick.randint(-6, 6) for _ in range(3)) for _ in range(pick.randint(0, 3))]
+        subs.append(M.submodule(gens))
+    subs += [M.full_submodule, M.submodule([(1, 1, 0), (0, 3, 1), (0, 2, 0)])]
+    assert sum(N.is_full for N in subs) > len(oracles.oracle_corpus()) + 3
+    for N in subs:
+        assert N.is_full == oracles.identity_blocks_full(N), (N.module.text(), N.text())
 
 
 def test_homogeneous_decomposition():

@@ -8,7 +8,8 @@ from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
-from gpspec import intlinalg
+import oracles
+from gpspec import intlinalg, spectra
 from gpspec.algebra import BaseRing, GradedModule, GradingGroup, enumerate_submodules
 from gpspec.intlinalg import (
     element_order_in_quotient,
@@ -198,6 +199,59 @@ def test_quotient_invariants_without_transforms(case):
     else:
         sym = []
     assert got == (n - len(sym), [d for d in sorted(sym) if d > 1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_matrices())
+def test_hnf_matches_the_general_elimination(case):
+    rows, n = case
+    # one column is a gcd; the general elimination stays the reference
+    assert hermite_normal_form(rows, n) == oracles.echelon_hnf(rows, n)
+
+
+def test_hnf_one_column_keeps_the_arity_check():
+    assert hermite_normal_form([(-6,), (0,), (4,)], 1) == ((2,),)
+    assert hermite_normal_form([(0,)], 1) == hermite_normal_form([], 1) == ()
+    for rows in ([(2,), (3, 0)], [()]):
+        with pytest.raises(ValueError, match="row arity"):
+            hermite_normal_form(rows, 1)
+
+
+def test_cyclic_degree_blocks_run_no_elimination(monkeypatch):
+    # with one cyclic or free factor per degree every block is one column,
+    # so each query reads gcds: no echelon and no Smith elimination runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general elimination on a one-column block")
+
+    monkeypatch.setattr(intlinalg, "_Echelon", forbidden)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
+    M = GradedModule(BaseRing(0), GradingGroup((3,)), [(12, (0,)), (0, (1,)), (9, (2,))])
+    answers = []
+    for gens in ([(2, 6, 3)], [(4, 0, 0), (0, 10**12 + 3, 0)], [(3, 5, 0)],
+                 [(0, 0, 3), (6, 4, 0)], [(1, 2, 0), (0, 0, 1)], [(4, 4, 1)],
+                 [(0, 1, 0)], [(6, 0, 1)]):
+        N = M.submodule(gens)
+        radical = spectra.graded_radical(N)
+        answers.append((
+            N.colon().text(),
+            spectra.is_graded_prime(N),
+            spectra.is_graded_primary(N),
+            radical.submodule.text() if radical.is_known else radical.reason,
+            spectra.in_primary_spectrum(N),
+        ))
+    too_big = f"|M/N| = {36 * (10**12 + 3)} exceeds enumeration bound 20000"
+    free = "quotient infinite"
+    unknown = " and module not known to be multiplication"
+    assert answers == [
+        ("(6)", False, False, "(2,0,0), (0,6,0), (0,0,3)", False),
+        (f"({36 * (10**12 + 3)})", False, False, too_big + unknown, False),
+        ("(45)", False, False, "(3,0,0), (0,5,0), (0,0,3)", False),
+        ("(12)", False, False, "(6,0,0), (0,2,0), (0,0,3)", False),
+        ("(2)", True, True, "(1,0,0), (0,2,0), (0,0,1)", True),
+        ("(4)", False, True, "(2,0,0), (0,2,0), (0,0,1)", True),
+        ("(36)", False, False, "(6,0,0), (0,1,0), (0,0,3)", False),
+        ("(0)", False, False, free + unknown, False),
+    ]
 
 
 def test_colon_builds_no_transforms(monkeypatch):

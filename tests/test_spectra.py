@@ -72,22 +72,8 @@ def test_properness_errors():
         in_primary_spectrum(M6.full_submodule)
 
 
-def oracle_corpus():
-    return [
-        zmod(6),
-        zmod(8),
-        zmod(12),
-        zmod(9),
-        GradedModule(Z, Z2G, [(2, (0,)), (4, (1,))]),
-        GradedModule(Z, Z2G, [(4, (0,)), (4, (0,))]),
-        GradedModule(Z, Z2G, [(2, (0,)), (9, (1,))]),
-        GradedModule(BaseRing(12), Z2G, [(4, (0,)), (6, (1,))]),
-        GradedModule(Z, GradingGroup((2, 2)), [(2, (1, 0)), (8, (0, 1))]),
-    ]
-
-
 def test_prime_primary_match_exhaustive_oracle():
-    for M in oracle_corpus():
+    for M in oracles.oracle_corpus():
         for N in enumerate_submodules(M):
             if not N.is_proper:
                 continue
@@ -155,7 +141,7 @@ def test_radical_examples():
 def test_radical_against_prime_intersection_oracle():
     # finite instances: the radical must equal the intersection of the primes
     # containing N, computed directly over the enumerated prime spectrum
-    for M in oracle_corpus():
+    for M in oracles.oracle_corpus():
         subs = enumerate_submodules(M)
         primes = [P for P in subs if P.is_proper and is_graded_prime(P)]
         for N in subs:
@@ -173,7 +159,7 @@ def test_radical_strategy_consistency_multiplication():
     # is the one place that compares them: the default bound reaches the
     # quotient transport, bound=1 rules the transport out and reaches the
     # colon-radical identity, and both must equal the identity computed here
-    modules = [M for M in oracle_corpus() if is_multiplication(M).is_true]
+    modules = [M for M in oracles.oracle_corpus() if is_multiplication(M).is_true]
     assert len(modules) == 5
     answered_by = set()
     for M in modules:
@@ -214,7 +200,7 @@ def test_spectrum_enumeration_examples():
 
 
 def test_spec_subset_of_primary_spectrum():
-    for M in oracle_corpus():
+    for M in oracles.oracle_corpus():
         prime = set(spectrum_points(M, "prime"))
         primary = set(spectrum_points(M, "primary"))
         assert prime <= primary
@@ -224,14 +210,14 @@ def test_spec_subset_of_primary_spectrum():
 
 
 def test_maximal_closed_form_matches_enumeration():
-    for M in oracle_corpus():
+    for M in oracles.oracle_corpus():
         for N in enumerate_submodules(M):
             want = oracles.maximal_oracle(N)
             assert is_graded_maximal(N) == want, (M.text(), N.text())
 
 
 def test_maximal_implies_prime_implies_primary():
-    for M in oracle_corpus():
+    for M in oracles.oracle_corpus():
         subs = enumerate_submodules(M)
         for N in subs:
             if N.is_proper and is_graded_maximal(N):

@@ -52,14 +52,28 @@ class LazyRingError(AlgebraError):
 
 def per_module(fn):
     """Memoise fn(x, *args, **kwargs) in the memo of x's module, x being a
-    GradedModule or anything with a `module` attribute (a submodule, a
-    module space): the value lives and dies with the module, and equal calls
-    share one result, which nobody may mutate."""
+    GradedModule, a GradedSubmodule or a module space; equal calls share one
+    result, which nobody may mutate.
+
+    Keys never hold the module: a module's entry is keyed (fn, *args) and a
+    submodule N's (fn, N.blocks, *args), so equal submodules built apart
+    share one entry.  A query's values (ideals, quotient invariants, block
+    tuples) are plain data too, so nothing in the memo leads back to the
+    module and reference counting frees it, memo and all, once its last
+    user lets go.  Results describing the whole module (its enumeration and
+    lattice table, its spaces and their varieties, keyed by the space, and
+    its natural maps) hold the module; they are left to the collector."""
 
     @wraps(fn)
     def memoised(x, *args, **kwargs):
-        memo = getattr(x, "module", x).memo
-        key = (fn, x, *args, *sorted(kwargs.items())) if kwargs else (fn, x, *args)
+        if x.__class__ is GradedSubmodule:
+            memo, key = x.module.memo, (fn, x.blocks, *args)
+        elif x.__class__ is GradedModule:
+            memo, key = x.memo, (fn, *args)
+        else:
+            memo, key = x.module.memo, (fn, x, *args)
+        if kwargs:
+            key += tuple(sorted(kwargs.items()))
         value = memo.get(key, memo)  # the memo itself marks a miss
         if value is memo:
             value = memo[key] = fn(x, *args, **kwargs)
@@ -409,10 +423,6 @@ class GradedModule:
             v % o if o else int(v) for v, (o, _) in zip(vec, self.factors)
         )
 
-    @property
-    def zero_vector(self) -> tuple[int, ...]:
-        return (0,) * len(self.factors)
-
     def basis_vector(self, i: int) -> tuple[int, ...]:
         return tuple(1 if j == i else 0 for j in range(len(self.factors)))
 
@@ -644,14 +654,14 @@ def ideal_times_module(I: Ideal, M: GradedModule) -> GradedSubmodule:
     """I . M, the submodule generated by c*e_i over all factors."""
     if I.ring != M.ring:
         raise AlgebraError("ideal ring differs from module ring")
-    return _times_module(M, I.gen)
+    return GradedSubmodule(M, _times_module(M, I.gen))
 
 
 @per_module
-def _times_module(M: GradedModule, c: int) -> GradedSubmodule:
-    """c . M, memoised with M.  Per degree, the lattice of the c e_i and the
-    moduli rows o_i e_i is the diagonal one with entries gcd(c, o_i), and
-    that diagonal with its zero rows dropped is its HNF."""
+def _times_module(M: GradedModule, c: int) -> tuple:
+    """The blocks of c . M, memoised with M.  Per degree, the lattice of the
+    c e_i and the moduli rows o_i e_i is the diagonal one with entries
+    gcd(c, o_i), and that diagonal with its zero rows dropped is its HNF."""
     blocks = []
     for g in M.degrees:
         slots = M.slots[g]
@@ -660,7 +670,7 @@ def _times_module(M: GradedModule, c: int) -> GradedSubmodule:
             tuple(d if q == pos else 0 for q in range(len(slots)))
             for pos, d in enumerate(entries) if d
         ))
-    return GradedSubmodule(M, blocks)
+    return tuple(blocks)
 
 
 def annihilator(M: GradedModule) -> Ideal:
@@ -728,14 +738,19 @@ def enumerate_submodules(
 
 @per_module
 def _submodules(M: GradedModule) -> tuple[GradedSubmodule, ...]:
+    return tuple(GradedSubmodule(M, blocks) for blocks in _submodule_blocks(M))
+
+
+@per_module
+def _submodule_blocks(M: GradedModule) -> tuple[tuple, ...]:
+    """The blocks of every submodule, in canonical order: plain data, so
+    that is_multiplication reads the enumeration without leaving the module
+    in its own memo."""
     per_degree = [
         _enumerate_block_subgroups(tuple(M.factors[i][0] for i in M.slots[g]))
         for g in M.degrees
     ]
-    subs = [GradedSubmodule(M, blocks) for blocks in iproduct(*per_degree)]
-    if not M.degrees:
-        subs = [GradedSubmodule(M, ())]
-    return tuple(sorted(subs, key=GradedSubmodule.sort_key))
+    return tuple(sorted(iproduct(*per_degree), key=lambda b: GradedSubmodule(M, b).sort_key()))
 
 
 class SubmoduleLattice:

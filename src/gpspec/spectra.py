@@ -22,6 +22,7 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Value,
+    _submodule_blocks,
     enumerate_submodules,
     ideal_times_module,
     per_module,
@@ -140,7 +141,6 @@ def is_graded_primary(Q: GradedSubmodule) -> bool:
     return _order_condition(Q, e == 0 or numtheory.prime_power_root(e) is not None)
 
 
-@per_module
 def is_multiplication(M: GradedModule) -> Trilean:
     """Whether every graded submodule N equals (N : M) . M.
 
@@ -149,20 +149,28 @@ def is_multiplication(M: GradedModule) -> Trilean:
     several factors a bounded search over cyclic submodules looks for a
     refutation, and Unknown is returned when it finds none.
     """
+    value, witness, reason = _multiplication(M)
+    return Trilean(value, None if witness is None else GradedSubmodule(M, witness), reason)
+
+
+@per_module
+def _multiplication(M: GradedModule) -> tuple:
+    """is_multiplication(M) as (value, the blocks of the witness, reason)."""
     if M.is_finite and M.size <= DEFAULT_ENUM_BOUND:
-        for N in enumerate_submodules(M):
+        for blocks in _submodule_blocks(M):
+            N = GradedSubmodule(M, blocks)
             if ideal_times_module(N.colon(), M) != N:
-                return Trilean.no(N)
-        return Trilean.yes()
+                return False, blocks, ""
+        return True, None, ""
     if len(M.factors) == 1:
-        return Trilean.yes()  # submodules of a cyclic or rank-1 free module are d.M
+        return True, None, ""  # submodules of a cyclic or rank-1 free module are d.M
     for coords in iproduct(range(WITNESS_SCALE), repeat=len(M.factors)):
         if not any(coords):
             continue
         N = M.submodule([coords])
         if ideal_times_module(N.colon(), M) != N:
-            return Trilean.no(N)
-    return Trilean.unknown("no refuting cyclic submodule within the search bound")
+            return False, N.blocks, ""
+    return None, None, "no refuting cyclic submodule within the search bound"
 
 
 @per_module
@@ -183,7 +191,6 @@ def is_cancellation(M: GradedModule) -> Trilean:
     return Trilean.no((I, J))  # the exponent kills both
 
 
-@per_module
 def graded_radical(
     N: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND
 ) -> RadicalResult:
@@ -202,12 +209,23 @@ def graded_radical(
       N + rad(e)M, since rad(e)/q is a unit on A_q.
     * multiplication-identity: rad(N : M) . M when M is multiplication.
     """
+    status, blocks, strategies, reason = _graded_radical(N, bound)
+    if blocks is None:
+        return RadicalResult(status, None, strategies, reason)
+    rad = N if strategies == ("prime-itself",) else GradedSubmodule(N.module, blocks)
+    return RadicalResult(status, rad, strategies, reason)
+
+
+@per_module
+def _graded_radical(N: GradedSubmodule, bound: int) -> tuple:
+    """graded_radical(N, bound) as (status, the blocks of the radical,
+    strategies, reason)."""
     _require_proper(N, "the graded radical")
     M = N.module
     tried = ["prime-itself"]
 
     if is_graded_prime(N):
-        return RadicalResult("submodule", N, tuple(tried))
+        return "submodule", N.blocks, tuple(tried), ""
 
     reason = "quotient infinite"
     if N.quotient_is_finite():
@@ -215,19 +233,15 @@ def graded_radical(
         size = prod(N.quotient_invariants(g).size() for g in M.degrees)
         if size <= bound:
             rad = N.plus(ideal_times_module(N.colon_radical(), M))
-            return RadicalResult("submodule", rad, tuple(tried))
+            return "submodule", rad.blocks, tuple(tried), ""
         reason = f"|M/N| = {size} exceeds enumeration bound {bound}"
 
     if is_multiplication(M).is_true:
         tried.append("multiplication-identity")
         rad = ideal_times_module(N.colon_radical(), M)
-        return RadicalResult("submodule", rad, tuple(tried))
+        return "submodule", rad.blocks, tuple(tried), ""
 
-    return RadicalResult(
-        "unknown",
-        strategies=tuple(tried),
-        reason=f"{reason} and module not known to be multiplication",
-    )
+    return "unknown", None, tuple(tried), f"{reason} and module not known to be multiplication"
 
 
 def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> bool:

@@ -55,9 +55,6 @@ class PointSet(Value):
     def complement(self) -> "PointSet":
         return PointSet(self.space, self.mask ^ self.space.full_mask)
 
-    def issubset(self, other: "PointSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     @property
     def is_empty(self) -> bool:
         return self.mask == 0

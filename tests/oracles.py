@@ -98,6 +98,10 @@ def is_homogeneous(M: GradedModule, vec) -> bool:
     return len(M.homogeneous_components(vec)) <= 1
 
 
+def zero_vector(M: GradedModule) -> tuple[int, ...]:
+    return (0,) * len(M.factors)
+
+
 def degree_of(M: GradedModule, vec):
     """Degree of a nonzero homogeneous element, else None (zero is
     homogeneous of every degree and also returns None)."""
@@ -107,7 +111,7 @@ def degree_of(M: GradedModule, vec):
 
 def homogeneous_elements(M: GradedModule) -> list:
     """All homogeneous elements of a finite module, zero included once."""
-    out = [M.zero_vector]
+    out = [zero_vector(M)]
     for g in M.degrees:
         for block in product(*(range(M.factors[i][0]) for i in M.slots[g])):
             if any(block):
@@ -128,7 +132,7 @@ def span_closure(M: GradedModule, gens) -> frozenset:
     """Element set of the smallest graded submodule containing gens, computed
     by additive closure of all homogeneous components (finite modules only).
     """
-    seeds = {M.zero_vector}
+    seeds = {zero_vector(M)}
     for v in gens:
         for comp in M.homogeneous_components(v).values():
             seeds.add(M.reduce_vector(comp))
@@ -146,7 +150,7 @@ def span_closure(M: GradedModule, gens) -> frozenset:
 
 def subgroup_closure(M: GradedModule, gens) -> frozenset:
     """Additive closure without homogeneous splitting (plain subgroups)."""
-    closed = {M.zero_vector} | {M.reduce_vector(v) for v in gens}
+    closed = {zero_vector(M)} | {M.reduce_vector(v) for v in gens}
     frontier = list(closed)
     while frontier:
         x = frontier.pop()
@@ -161,7 +165,7 @@ def subgroup_closure(M: GradedModule, gens) -> frozenset:
 def all_subgroups(M: GradedModule) -> set[frozenset]:
     """Every subgroup of a finite module's additive group, as element sets."""
     elements = M.elements()
-    zero = frozenset({M.zero_vector})
+    zero = frozenset({zero_vector(M)})
     seen = {zero}
     queue = [zero]
     while queue:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from test_properties import finite_modules
 from gpspec.algebra import (
     AlgebraError,
     BaseRing,
@@ -28,7 +29,14 @@ from gpspec.algebra import (
 )
 from gpspec.dsl import parse_model
 from gpspec.maps import analyze_natural_map
-from gpspec.spectra import graded_radical, is_cancellation, is_multiplication
+from gpspec.spectra import (
+    graded_radical,
+    in_primary_spectrum,
+    is_cancellation,
+    is_graded_primary,
+    is_graded_prime,
+    is_multiplication,
+)
 from gpspec.topology import PSPEC, build_space
 
 Z = BaseRing(0)
@@ -334,7 +342,8 @@ def test_lattice_table_against_hnf_route():
 
 def test_module_memo_matches_fresh_module():
     # every other value memoised on the module: a repeated call returns the
-    # identical object, an equal fresh module gives an equal value
+    # identical memoised data (the radical's and witness's blocks, wrapped
+    # afresh) and adds no entry, an equal fresh module gives an equal value
     for factors in ([(4, (0,)), (2, (1,))], [(6, (0,))], [(2, (0,)), (2, (0,))]):
         M, fresh = GradedModule(Z, Z2G, factors), GradedModule(Z, Z2G, factors)
         subs = enumerate_submodules(M)
@@ -347,10 +356,17 @@ def test_module_memo_matches_fresh_module():
                 assert N.quotient_invariants(g) is inv and F.quotient_invariants(g) == inv
             assert N.colon() is N.colon() and F.colon() == N.colon()
             if N.is_proper:
-                r = graded_radical(N)
-                assert graded_radical(N) is r and graded_radical(F) == r
-        for fn in (is_multiplication, is_cancellation):
-            assert fn(M) is fn(M) and fn(fresh) == fn(M)
+                r, entries = graded_radical(N), len(M.memo)
+                again = graded_radical(N)
+                assert again == r and again.submodule.blocks is r.submodule.blocks
+                assert len(M.memo) == entries and graded_radical(F) == r
+        m, entries = is_multiplication(M), len(M.memo)
+        again = is_multiplication(M)
+        assert again == m and len(M.memo) == entries and is_multiplication(fresh) == m
+        if m.witness is not None:
+            assert again.witness.blocks is m.witness.blocks
+        assert is_cancellation(M) is is_cancellation(M)
+        assert is_cancellation(fresh) == is_cancellation(M)
         sp, sp2 = build_space(M), build_space(fresh)
         assert build_space(M) is sp
         assert build_space(M, kind=PSPEC, bound=64) is build_space(M, bound=64, kind=PSPEC)
@@ -381,6 +397,116 @@ def test_memo_is_freed_with_its_module():
     del M
     gc.collect()
     assert ref() is None
+
+
+def test_memo_keys_hold_blocks_not_modules():
+    M = GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))])
+    # equal submodules built apart share one entry per query
+    N, twin = M.submodule([(2, 0, 0)]), M.submodule([(6, 0, 0), (4, 0, 0)])
+    assert N == twin and N is not twin
+    for query in (GradedSubmodule.colon, GradedSubmodule.colon_radical, graded_radical,
+                  lambda X: X.quotient_invariants((1,))):
+        query(N)
+        entries = len(M.memo)
+        query(twin)
+        assert len(M.memo) == entries
+    # distinct submodules never share one: one colon entry per submodule
+    subs = enumerate_submodules(M)
+    for X in subs:
+        X.colon()
+    colon = GradedSubmodule.colon.__wrapped__
+    assert sum(key[0] is colon for key in M.memo) == len(subs) == 32
+    # on the query path no key holds a submodule, and no key ever holds M
+    assert not any(isinstance(part, GradedSubmodule) for key in M.memo for part in key)
+    _use_every_memo(M)
+    assert not any(part is M for key in M.memo for part in key)
+
+
+def _ask_every_query(modulus, group, factors, gens):
+    """Build M and N from plain data, ask every query of the query path and
+    return a weak reference to M: nothing else leaves the call."""
+    M = GradedModule(BaseRing(modulus), GradingGroup(group), factors)
+    N = M.submodule(gens)
+    for g in M.degrees:
+        N.quotient_invariants(g)
+    ideal_times_module(N.colon(), M)
+    N.colon_radical()
+    for query in (is_graded_prime, is_graded_primary, graded_radical, in_primary_spectrum):
+        try:
+            query(N)
+        except AlgebraError:  # N = M, or an unknown radical: refusals are answers too
+            pass
+    is_multiplication(M)
+    is_cancellation(M)
+    return weakref.ref(M)
+
+
+def _collector_frees(modules):
+    """Ask every query on each module of `modules`, given as plain data, and
+    return the modules still alive afterwards together with the number of
+    objects the cyclic collector freed, in automatic collections while the
+    queries ran and in a full collection after them.  gc.callbacks reports
+    the automatic collections, so the count is exact with the collector on."""
+    gc.collect()
+    freed = []
+
+    def count(phase, info):
+        if phase == "stop":
+            freed.append(info["collected"])
+
+    gc.callbacks.append(count)
+    try:
+        refs = [_ask_every_query(*data) for data in modules]
+    finally:
+        gc.callbacks.remove(count)
+    alive = [data for data, ref in zip(modules, refs) if ref() is not None]
+    return alive, sum(freed) + gc.collect()
+
+
+QUERY_PATH_MODULES = (
+    # free factors with entries near 10^12, in one degree and in two
+    (0, (2,), [(0, (0,)), (0, (1,))], [(10**12, 0), (0, 999999999989)]),
+    (0, (2,), [(0, (0,)), (0, (0,)), (6, (1,))], [(10**12, 2 * 10**12 + 6, 3)]),
+    (0, (2,), [(0, (0,))], [(948657719435,)]),
+    # Z/n with n past DEFAULT_ENUM_BOUND, alone and beside a small factor
+    (0, (2,), [(1000003 * 1000033, (0,))], [(1000003,)]),
+    (0, (2,), [(408904141936, (0,)), (8, (1,))], [(16 * 91081, 2)]),
+    (1000003 * 2, (2,), [(1000003 * 2, (0,))], [(2,)]),
+    # small finite modules: prime, primary and neither, N = 0 and N = M
+    (0, (2,), [(4, (0,)), (2, (1,))], [(2, 0)]),
+    (0, (2,), [(6, (0,))], [(2,)]),
+    (0, (2,), [(2, (0,)), (2, (0,))], []),
+    (12, (2, 2), [(12, (0, 0)), (4, (1, 0)), (6, (0, 1))], [(3, 1, 2)]),
+    (0, (3,), [(9, (0,)), (3, (2,))], [(1, 0), (0, 1)]),
+)
+
+
+def test_query_path_leaves_no_cycles():
+    # the query path memoises plain data under keys without the module, so
+    # reference counting alone frees M, its submodules and its memo
+    assert _collector_frees(QUERY_PATH_MODULES) == ([], 0)
+
+
+@st.composite
+def module_data(draw):
+    """The plain data of a module of finite_modules() with up to two free
+    factors added over Z, and of up to three generators whose free entries
+    reach 10^6, so that the colon's generator factors at once."""
+    M = draw(finite_modules())
+    factors = list(M.factors)
+    if M.ring.modulus == 0:
+        degrees = draw(st.lists(st.sampled_from(M.group.elements()), max_size=2))
+        factors += [(0, d) for d in degrees]
+    coords = [st.integers(0, o - 1) if o else st.integers(-(10**6), 10**6) for o, _ in factors]
+    gens = draw(st.lists(st.tuples(*coords), max_size=3))
+    return M.ring.modulus, M.group.cyclic_orders, factors, gens
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(st.lists(module_data(), min_size=8, max_size=16))
+def test_generated_queries_leave_no_cycles(modules):
+    # many modules per example: the two full collections cost more than the queries
+    assert _collector_frees(modules) == ([], 0)
 
 
 def test_properness():
@@ -584,7 +710,10 @@ def test_ideal_times_module():
             unit = [tuple(c * (j == i) for j in range(len(factors))) for i in range(len(factors))]
             got = ideal_times_module(ring.ideal(c), M)
             assert got.blocks == M.submodule(unit).blocks, (ring, c)
-            assert ideal_times_module(ring.ideal(c), M) is got  # memoised with M
+            # memoised with M: a second call wraps the same blocks, adding no entry
+            entries = len(M.memo)
+            assert ideal_times_module(ring.ideal(c), M).blocks is got.blocks
+            assert len(M.memo) == entries
 
 
 # -- quotient modules -------------------------------------------------------

@@ -5,13 +5,17 @@ recorded exit code and the recorded sha256 of its stdout: the calls on
 models/, and the calls on the instances the benchmark generates under
 perfbench/.work/ (written here to a temporary directory).  Every pointwise
 query must give the recorded answer text.  The benchmark's own modules
-supply the inputs and the query answering; they are only read.
+supply the inputs and the query answering; they are only read.  The whole
+pointwise pool, answered in one fresh interpreter, must leave nothing for
+the cyclic collector: a count, so the gate is deterministic.
 """
 
 import hashlib
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from gpspec.cli import run
@@ -79,3 +83,35 @@ def test_pointwise_answers_match_recorded_references():
         if got != ref["answer"]:
             mismatches.append(f"{q['key']}: {got!r}, recorded {ref['answer']!r}")
     assert mismatches == []
+
+
+COLLECTOR_COUNT = """
+import gc, importlib.util, json, sys
+from pathlib import Path
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, Path(sys.argv[1]) / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+workloads, worker = load("workloads"), load("worker")
+pool = workloads.query_pool()
+gc.collect()
+stops = []
+gc.callbacks.append(lambda phase, info: phase == "stop" and stops.append(info["collected"]))
+answers = [worker.answer(q) for q in pool]
+gc.collect()
+print(json.dumps({"queries": len(answers), "collected": sum(stops)}))
+"""
+
+
+def test_pointwise_pool_leaves_no_cyclic_garbage():
+    # every query's module is freed by reference counting as soon as the
+    # answer is in, so neither the collections the pool triggers nor a full
+    # one after it find anything
+    proc = subprocess.run(
+        [sys.executable, "-c", COLLECTOR_COUNT, str(PERFBENCH)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(proc.stdout) == {"queries": 360, "collected": 0}

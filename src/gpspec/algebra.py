@@ -423,9 +423,6 @@ class GradedModule:
             v % o if o else int(v) for v, (o, _) in zip(vec, self.factors)
         )
 
-    def basis_vector(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if j == i else 0 for j in range(len(self.factors)))
-
     def homogeneous_components(self, vec) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Degree -> component, omitting zero components.  The decomposition
         is unique and sums back to vec."""
@@ -472,11 +469,11 @@ class GradedModule:
 
     @property
     def zero_submodule(self) -> GradedSubmodule:
-        return self.submodule([])
+        return GradedSubmodule(self, _times_module(self, 0))
 
     @property
     def full_submodule(self) -> GradedSubmodule:
-        return self.submodule([self.basis_vector(i) for i in range(len(self.factors))])
+        return GradedSubmodule(self, _times_module(self, 1))
 
 
 class GradedSubmodule:
@@ -659,13 +656,19 @@ def ideal_times_module(I: Ideal, M: GradedModule) -> GradedSubmodule:
 
 @per_module
 def _times_module(M: GradedModule, c: int) -> tuple:
-    """The blocks of c . M, memoised with M.  Per degree, the lattice of the
-    c e_i and the moduli rows o_i e_i is the diagonal one with entries
-    gcd(c, o_i), and that diagonal with its zero rows dropped is its HNF."""
+    """The blocks of c . M, memoised with M."""
+    return _diagonal_blocks(M, (c,) * len(M.factors))
+
+
+def _diagonal_blocks(M: GradedModule, coeffs) -> tuple:
+    """The blocks of the submodule generated by the c_k e_k, coeffs being
+    the c_k in factor order.  Per degree, the lattice of the c_k e_k and the
+    moduli rows o_k e_k is the diagonal one with entries gcd(c_k, o_k), and
+    that diagonal with its zero rows dropped is its HNF."""
     blocks = []
     for g in M.degrees:
         slots = M.slots[g]
-        entries = [gcd(c, M.factors[i][0]) for i in slots]
+        entries = [gcd(coeffs[i], M.factors[i][0]) for i in slots]
         blocks.append(tuple(
             tuple(d if q == pos else 0 for q in range(len(slots)))
             for pos, d in enumerate(entries) if d
@@ -738,19 +741,12 @@ def enumerate_submodules(
 
 @per_module
 def _submodules(M: GradedModule) -> tuple[GradedSubmodule, ...]:
-    return tuple(GradedSubmodule(M, blocks) for blocks in _submodule_blocks(M))
-
-
-@per_module
-def _submodule_blocks(M: GradedModule) -> tuple[tuple, ...]:
-    """The blocks of every submodule, in canonical order: plain data, so
-    that is_multiplication reads the enumeration without leaving the module
-    in its own memo."""
     per_degree = [
         _enumerate_block_subgroups(tuple(M.factors[i][0] for i in M.slots[g]))
         for g in M.degrees
     ]
-    return tuple(sorted(iproduct(*per_degree), key=lambda b: GradedSubmodule(M, b).sort_key()))
+    subs = (GradedSubmodule(M, blocks) for blocks in iproduct(*per_degree))
+    return tuple(sorted(subs, key=GradedSubmodule.sort_key))
 
 
 class SubmoduleLattice:

@@ -122,6 +122,10 @@ class Context:
 
     def require_finite(self):
         if not self.finite:
+            M = self.module
+            if M.is_finite:
+                raise Skip(f"|M| = {M.size} exceeds enumeration bound {self.bound}: "
+                           "only pointwise checks apply")
             raise Skip("infinite instance: only pointwise checks apply")
 
     @cached_property
@@ -264,13 +268,7 @@ def surjective(ctx: Context):
         raise Skip("natural map not surjective")
 
 
-def multiplication_known(ctx: Context):
-    if is_multiplication(ctx.module).is_unknown:
-        raise Skip("multiplication status unknown")
-
-
 def multiplication(ctx: Context):
-    multiplication_known(ctx)
     if is_multiplication(ctx.module).is_false:
         return 0, "hypothesis fails (not a multiplication module)"
     return None
@@ -482,10 +480,7 @@ def check_L2_6(ctx: Context):
 
 
 def check_C2_7(ctx: Context):
-    ptop = is_primary_top_module(ctx.module, ctx.bound)
-    if ptop.is_unknown:
-        raise Skip("primary-top status unknown")
-    if ptop.is_false:
+    if is_primary_top_module(ctx.module, ctx.bound).is_false:
         return 0, "hypothesis fails (not primary top)"
     fam = star_variety_family(ctx.spec, ctx.bound)
     count = _union_closed(fam, "prime-side star family")
@@ -618,10 +613,7 @@ def check_T2_17(ctx: Context):
     M = ctx.module
     if M.ring.modulus != 0:
         raise Skip("needs the ring of integers (a graded PID)")
-    mult, canc = is_multiplication(M), is_cancellation(M)
-    if mult.is_unknown or canc.is_unknown:
-        raise Skip("multiplication or cancellation status unknown")
-    if not (mult.is_true and canc.is_true):
+    if not (is_multiplication(M).is_true and is_cancellation(M).is_true):
         return 0, "hypothesis fails (not a cancellation multiplication module)"
     candidates = list(dict.fromkeys(
         [M.submodule([tuple(d if i == 0 else 0 for i in range(len(M.factors)))])
@@ -1033,7 +1025,7 @@ CATALOG: tuple[Check, ...] = (
           MULTIPLICATION),
     Check("T2.4", "closed-set axioms for the colon varieties", check_T2_4, FINITE),
     Check("P2.5", "variety of the radical under the stated hypotheses", check_P2_5,
-          (finite, multiplication_known)),
+          FINITE),
     Check("L2.6", "subspace and colon reformulation identities", check_L2_6, FINITE),
     Check("C2.7", "the quasi topology restricts to the prime spectrum", check_C2_7,
           FINITE),

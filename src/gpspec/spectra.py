@@ -12,8 +12,7 @@ and (N : M) = (e), the graded radical of N is N + rad(e)M.
 
 from __future__ import annotations
 
-from itertools import product as iproduct
-from math import prod
+from math import gcd, prod
 
 from . import numtheory
 from .algebra import (
@@ -22,13 +21,11 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Value,
-    _submodule_blocks,
+    _diagonal_blocks,
     enumerate_submodules,
     ideal_times_module,
     per_module,
 )
-
-WITNESS_SCALE = 4  # coordinate bound of the cyclic refutations is_multiplication tries
 
 
 class ImproperSubmoduleError(AlgebraError):
@@ -142,53 +139,45 @@ def is_graded_primary(Q: GradedSubmodule) -> bool:
 
 
 def is_multiplication(M: GradedModule) -> Trilean:
-    """Whether every graded submodule N equals (N : M) . M.
-
-    Finite modules are checked exhaustively.  An infinite module with a single
-    factor is a multiplication module (its submodules are exactly d.M); with
-    several factors a bounded search over cyclic submodules looks for a
-    refutation, and Unknown is returned when it finds none.
-    """
-    value, witness, reason = _multiplication(M)
-    return Trilean(value, None if witness is None else GradedSubmodule(M, witness), reason)
+    """Whether every graded submodule N equals (N : M) . M: iff the factor
+    orders are pairwise coprime, counting gcd(0, o) = o, that is iff M is
+    cyclic (multiplication modules are locally cyclic: El-Bast and Smith,
+    Comm. Algebra 16, 1988).  Otherwise the witness is <e_i>, for the first
+    i whose order shares a factor with a later one: (<e_i> : M) = (L), L the
+    lcm of the other orders (0 if one is free), and L . M = <gcd(L, o_i) e_i>
+    lies strictly inside <e_i>."""
+    blocks = _multiplication_witness(M)
+    return Trilean.yes() if blocks is None else Trilean.no(GradedSubmodule(M, blocks))
 
 
 @per_module
-def _multiplication(M: GradedModule) -> tuple:
-    """is_multiplication(M) as (value, the blocks of the witness, reason)."""
-    if M.is_finite and M.size <= DEFAULT_ENUM_BOUND:
-        for blocks in _submodule_blocks(M):
-            N = GradedSubmodule(M, blocks)
-            if ideal_times_module(N.colon(), M) != N:
-                return False, blocks, ""
-        return True, None, ""
-    if len(M.factors) == 1:
-        return True, None, ""  # submodules of a cyclic or rank-1 free module are d.M
-    for coords in iproduct(range(WITNESS_SCALE), repeat=len(M.factors)):
-        if not any(coords):
-            continue
-        N = M.submodule([coords])
-        if ideal_times_module(N.colon(), M) != N:
-            return False, N.blocks, ""
-    return None, None, "no refuting cyclic submodule within the search bound"
+def _multiplication_witness(M: GradedModule) -> tuple | None:
+    """The blocks of the witness of is_multiplication(M), None if M is
+    multiplication."""
+    orders = [o for o, _ in M.factors]
+    for i, o in enumerate(orders):
+        if any(gcd(o, later) != 1 for later in orders[i + 1 :]):
+            return _diagonal_blocks(M, [int(k == i) for k in range(len(orders))])
+    return None
 
 
 @per_module
 def is_cancellation(M: GradedModule) -> Trilean:
-    """Whether I.M = J.M forces I = J for ideals I, J."""
+    """Whether I.M = J.M forces I = J for ideals I, J.
+
+    A free coordinate recovers the generator of I.  Otherwise the exponent L
+    of M kills M, so over Z the ideals (L) and (2L) refute.  Over Z/n, d.M
+    determines every gcd(d, o_k), hence their lcm gcd(d, L), which is the
+    canonical d when L = n; otherwise (L) and the zero ideal refute."""
     ring = M.ring
-    if ring.is_finite:
-        ideals = ring.ideals()
-        for i, I in enumerate(ideals):
-            for J in ideals[i + 1 :]:
-                if ideal_times_module(I, M) == ideal_times_module(J, M):
-                    return Trilean.no((I, J))
-        return Trilean.yes()
     if any(o == 0 for o, _ in M.factors):
-        return Trilean.yes()  # a free coordinate recovers the generator of I
+        return Trilean.yes()
     L = M.exponent
-    I, J = ring.ideal(L), ring.ideal(2 * L)
-    return Trilean.no((I, J))  # the exponent kills both
+    if not ring.is_finite:
+        return Trilean.no((ring.ideal(L), ring.ideal(2 * L)))
+    if L == ring.modulus:
+        return Trilean.yes()
+    return Trilean.no((ring.ideal(L), ring.zero_ideal))
 
 
 def graded_radical(
@@ -207,7 +196,10 @@ def graded_radical(
       preimage of pA, the sum of pA_p and the Sylow parts A_q, q != p; so
       the meet is the preimage of the sum of the qA_q over q | e, and so is
       N + rad(e)M, since rad(e)/q is a unit on A_q.
-    * multiplication-identity: rad(N : M) . M when M is multiplication.
+    * multiplication-identity: rad(N : M) . M when M is multiplication,
+      that is cyclic (see is_multiplication).
+    Unknown when none applies: M/N is infinite or past the bound, M has
+    factor orders with a common factor, and N is not prime.
     """
     status, blocks, strategies, reason = _graded_radical(N, bound)
     if blocks is None:

@@ -430,8 +430,9 @@ def is_primary_top_module(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> T
     """Whether the star-variety family is closed under finite union, so that
     it defines a topology on the primary spectrum.
 
-    Finite modules are decided exhaustively over all pairs; infinite
-    multiplication modules qualify; otherwise Unknown.
+    Finite modules within the bound are decided exhaustively over all
+    pairs; past it, multiplication (that is cyclic) modules qualify, and
+    any other is Unknown.
     """
     if M.is_finite and M.size <= bound:
         space = build_space(M, PSPEC, bound)
@@ -443,4 +444,4 @@ def is_primary_top_module(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> T
     mult = is_multiplication(M)
     if mult.is_true:
         return Trilean.yes()  # multiplication modules carry the quasi topology
-    return Trilean.unknown("infinite module, not known to be multiplication")
+    return Trilean.unknown("past the enumeration bound and not a multiplication module")

@@ -4,7 +4,9 @@ Everything here works by exhaustive enumeration over finite structures and is
 deliberately independent of the lattice/Smith machinery it cross-checks, except
 `divisor_order_condition`, `transport_radical` and `maximal_oracle`: the
 enumeration routes that the library's closed forms for primeness, the radical
-and maximality replaced, kept as references for them; `echelon_hnf`,
+and maximality replaced, kept as references for them; `multiplication_oracle`
+and `cancellation_oracle`, the enumerated definitions that the gcd tests for
+multiplication and cancellation replaced; `echelon_hnf`,
 `component_blocks` and `identity_blocks_full`, the general elimination and the
 construction routes that one-column gcds, the one-pass submodule and the colon
 test for N = M replaced; and `coset_key`, a Hermite-form coset label that only
@@ -26,6 +28,7 @@ from gpspec.algebra import (
     GradingGroup,
     Ideal,
     enumerate_submodules,
+    ideal_times_module,
     quotient_module,
 )
 
@@ -282,6 +285,25 @@ def maximal_oracle(N: GradedSubmodule) -> bool:
         if L.is_proper and L != N and L.contains(N):
             return False
     return True
+
+
+def multiplication_oracle(M: GradedModule) -> bool:
+    """Whether every enumerated submodule N equals (N : M) . M."""
+    return all(ideal_times_module(N.colon(), M) == N for N in enumerate_submodules(M))
+
+
+def cancellation_oracle(M: GradedModule) -> bool:
+    """Whether distinct ideals I, J always give distinct I . M, over every
+    pair of ideals of Z/n.  Over Z, for finite M of exponent L, over the
+    pairs of (0), (1), ..., (L): every d . M is gcd(d, L) . M, so these
+    already meet every product that any ideal gives."""
+    ring = M.ring
+    if ring.is_finite:
+        ideals = ring.ideals()
+    else:
+        ideals = [ring.ideal(d) for d in range(M.exponent + 1)]
+    products = [ideal_times_module(I, M) for I in ideals]
+    return len(set(products)) == len(products)
 
 
 def divisor_order_condition(N: GradedSubmodule, target: Ideal) -> bool:

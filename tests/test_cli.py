@@ -170,6 +170,16 @@ def test_big_prime_is_refused_within_a_second(tmp_path, command):
     assert err.startswith("error: primality of ") and err.count("\n") == 1
 
 
+def test_radical_past_the_bound_on_a_multiplication_module(tmp_path):
+    # |M| = 1000003 * 1000033 is past the enumeration bound, but M is cyclic,
+    # so the multiplication identity answers: the radical of 0 is 0
+    model = tmp_path / "big.gps"
+    model.write_text("group = Z2\nring = Z\nmodule = Z1000003@0 x Z1000033@1\n"
+                     "submodule Z0 = 0\n")
+    code, out, err = gps("radical", str(model), "--submodule", "Z0")
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_exit_code_on_missing_file():
     code, _, err = gps("parse", "no_such_file.gps")
     assert code == 2 and "error" in err

@@ -140,6 +140,19 @@ def test_integer_instance_checks():
     assert results["T4.11"].status == "skip"
 
 
+def test_finite_module_past_the_bound():
+    # the skips name |M| and the bound, and T2.17 sees a multiplication
+    # module that is not cancellation (it is finite over Z)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z1000003@0 x Z1000033@1\n")
+    results = {r.check_id: r for r in run_checks(model, "all", "big")}
+    assert results["T2.17"].status == "pass" and results["T2.17"].vacuous
+    skip = "|M| = 1000036000099 exceeds enumeration bound 20000: only pointwise checks apply"
+    assert results["T2.4"].detail == skip and results["T4.11"].detail == skip
+    assert sum(r.detail == skip for r in results.values()) == 31
+    infinite = {r.check_id: r for r in run_checks(load("z.gps"), ["T2.4"], "z")}
+    assert infinite["T2.4"].detail == "infinite instance: only pointwise checks apply"
+
+
 def test_vacuous_passes_are_flagged():
     # Z2 x Z2 in one degree is not a multiplication module, so the
     # multiplication-guarded implication passes vacuously

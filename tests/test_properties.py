@@ -1,15 +1,17 @@
-"""Property-based checks of the colon, the prime and primary predicates and
-the graded radical against the brute-force oracles, on generated finite
-modules, and of the model parser on generated models and mutated corpus
-text.
+"""Property-based checks of the colon, the prime and primary predicates, the
+graded radical and the multiplication and cancellation tests against the
+brute-force oracles, on generated finite modules, of the theorem catalog on
+generated models, and of the model parser on generated models and mutated
+corpus text.
 
 The examples are derandomized, so every run checks the same inputs.
 """
 
 from functools import reduce
+from itertools import product
 from pathlib import Path
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from gpspec.algebra import (
@@ -18,9 +20,17 @@ from gpspec.algebra import (
     GradedSubmodule,
     GradingGroup,
     enumerate_submodules,
+    ideal_times_module,
 )
 from gpspec.dsl import Model, ParseError, model_text, parse_model
-from gpspec.spectra import graded_radical, is_graded_primary, is_graded_prime
+from gpspec.harness import run_checks
+from gpspec.spectra import (
+    graded_radical,
+    is_cancellation,
+    is_graded_primary,
+    is_graded_prime,
+    is_multiplication,
+)
 
 MAX_SIZE = 64
 GROUPS = ((2,), (2, 2), (3,))
@@ -93,6 +103,78 @@ def test_radical_against_oracle_prime_intersection(N):
     assert graded_radical(N).require() == want, (N.module.text(), N.text())
 
 
+@st.composite
+def modules_with_free_factors(draw):
+    """Some of the factors of a generated finite module, over its ring or
+    over Z with zero to two free factors of generated degrees added, the
+    factors in a generated order."""
+    M = draw(finite_modules())
+    ring, factors = M.ring, list(M.factors[: draw(st.integers(0, len(M.factors)))])
+    if draw(st.booleans()):
+        ring = BaseRing(0)
+        factors += [(0, draw(st.sampled_from(M.group.elements())))
+                    for _ in range(draw(st.integers(0, 2)))]
+    return GradedModule(ring, M.group, draw(st.permutations(factors)))
+
+
+def z2_graded(modulus, orders):
+    """Over Z or Z/modulus, graded by Z2: Z/o_k in degree k for each order."""
+    return GradedModule(BaseRing(modulus), GradingGroup((2,)),
+                        [(o, (k,)) for k, o in enumerate(orders)])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(modules_with_free_factors())
+@example(z2_graded(6, [6]))
+@example(z2_graded(8, [8]))
+@example(z2_graded(0, [2, 4]))
+@example(z2_graded(4, [4, 2]))
+@example(z2_graded(6, [6, 2]))
+@example(z2_graded(12, [12, 2]))
+def test_multiplication_and_cancellation_against_oracles(M):
+    case = (M.ring.text(), M.text())
+    mult, canc = is_multiplication(M), is_cancellation(M)
+    assert not mult.is_unknown and not canc.is_unknown, case
+    if mult.is_false:
+        N = mult.witness
+        assert ideal_times_module(N.colon(), M) != N, case
+    if canc.is_false:
+        I, J = canc.witness
+        assert I != J and ideal_times_module(I, M) == ideal_times_module(J, M), case
+    if M.is_finite:
+        assert mult.value == oracles.multiplication_oracle(M), case
+        assert canc.value == oracles.cancellation_oracle(M), case
+        return
+    # no oracle enumerates an infinite module: spot-check the positive answers
+    if mult.is_true:
+        for v in product(range(4), repeat=M.rank):
+            N = M.submodule([v])
+            assert ideal_times_module(N.colon(), M) == N, (case, v)
+    if canc.is_true:
+        products = {ideal_times_module(M.ring.ideal(d), M) for d in range(9)}
+        assert len(products) == 9, case
+
+
+# -- the theorem catalog --------------------------------------------------------
+
+
+@st.composite
+def catalog_models(draw):
+    """A model of a generated module with at least one factor (the model
+    format has no zero module), with named submodules and subsets."""
+    M = draw(modules_with_free_factors())
+    assume(M.factors)
+    return with_names(draw, M)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_catalog_passes_or_skips_on_generated_models(model):
+    bad = [(r.check_id, r.status, r.detail) for r in run_checks(model)
+           if r.status not in ("pass", "skip")]
+    assert not bad, (model.ring.text(), model.module.text(), bad)
+
+
 # -- the model parser -----------------------------------------------------------
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
@@ -118,9 +200,14 @@ def models(draw):
         (draw(st.sampled_from(orders)), draw(st.sampled_from(group.elements())))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    M = GradedModule(BaseRing(modulus), group, factors)
+    return with_names(draw, GradedModule(BaseRing(modulus), group, factors))
+
+
+def with_names(draw, M: GradedModule) -> Model:
+    """A model of M with 0-3 named submodules generated by 0-2 vectors each
+    and 0-2 named subsets, drawn with draw."""
     names = draw(st.lists(NAMES, max_size=5, unique=True))
-    vector = st.tuples(*(st.integers(-40, 40) for _ in factors))
+    vector = st.tuples(*(st.integers(-40, 40) for _ in M.factors))
     submodules = {
         name: M.submodule(draw(st.lists(vector, max_size=2))) for name in names[:3]
     }
@@ -129,7 +216,7 @@ def models(draw):
         member = st.sampled_from(sorted(submodules))
         for name in names[3:]:
             subsets[name] = draw(st.lists(member, min_size=1, max_size=3))
-    return Model(group, M.ring, M, submodules, subsets)
+    return Model(M.group, M.ring, M, submodules, subsets)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

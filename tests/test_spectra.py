@@ -237,6 +237,15 @@ def test_is_multiplication_examples():
     assert is_multiplication(GradedModule(Z, Z2G, [(0, (0,))])).is_true
 
 
+def test_is_multiplication_exhaustive_definition():
+    for M in [zmod(6), zmod(8), GradedModule(Z, Z2G, [(2, (0,)), (4, (1,))])]:
+        claim = is_multiplication(M)
+        truth = all(
+            ideal_times_module(N.colon(), M) == N for N in enumerate_submodules(M)
+        )
+        assert claim.value == truth
+
+
 def test_multiplication_past_the_bound_without_enumeration(monkeypatch):
     def forbidden(orders):
         raise AssertionError(f"subgroups of {orders} enumerated")
@@ -264,6 +273,20 @@ def test_is_cancellation_examples():
     I, J = res.witness
     M = zmod(4, ring=Z)
     assert ideal_times_module(I, M) == ideal_times_module(J, M) and I != J
+
+
+def test_is_cancellation_exhaustive_finite_ring():
+    for n in (4, 6, 12):
+        ring = BaseRing(n)
+        M = GradedModule(ring, Z2G, [(n, (0,)), (2 if n % 2 == 0 else 3, (1,))])
+        claim = is_cancellation(M)
+        ideals = ring.ideals()
+        truth = all(
+            ideal_times_module(I, M) != ideal_times_module(J, M)
+            for i, I in enumerate(ideals)
+            for J in ideals[i + 1 :]
+        )
+        assert claim.value == truth
 
 
 def test_trilean_labels():

@@ -263,6 +263,11 @@ def finite(ctx: Context):
     ctx.require_finite()
 
 
+def nonzero(ctx: Context):
+    if not ctx.module.factors:
+        raise Skip("the zero module: R/ann(M) is the zero ring")
+
+
 def surjective(ctx: Context):
     if not ctx.rho.surjective.is_true:
         raise Skip("natural map not surjective")
@@ -1014,7 +1019,8 @@ class Check(Value):
 
 
 FINITE = (finite,)
-SURJECTIVE = (finite, surjective)
+NONZERO = (finite, nonzero)  # the checks that build R/ann(M)
+SURJECTIVE = (finite, nonzero, surjective)
 MULTIPLICATION = (finite, multiplication)
 
 CATALOG: tuple[Check, ...] = (
@@ -1030,12 +1036,12 @@ CATALOG: tuple[Check, ...] = (
     Check("C2.7", "the quasi topology restricts to the prime spectrum", check_C2_7,
           FINITE),
     Check("P2.8", "separation, fibers and injectivity are equivalent", check_P2_8,
-          FINITE),
-    Check("C2.9", "singleton fibers force a bijection", check_C2_9, FINITE),
+          NONZERO),
+    Check("C2.9", "singleton fibers force a bijection", check_C2_9, NONZERO),
     Check("P2.10", "preimage identity (continuity of the natural map)", check_P2_10,
-          FINITE),
-    Check("P2.11", "surjective natural maps are open and closed", check_P2_11, FINITE),
-    Check("C2.12", "bijective iff homeomorphism", check_C2_12, FINITE),
+          NONZERO),
+    Check("P2.11", "surjective natural maps are open and closed", check_P2_11, NONZERO),
+    Check("C2.12", "bijective iff homeomorphism", check_C2_12, NONZERO),
     Check("T2.13", "connectedness transfers along the natural maps", check_T2_13,
           SURJECTIVE),
     Check("L2.14", "primary points transport along epimorphisms", check_L2_14, FINITE),
@@ -1044,17 +1050,17 @@ CATALOG: tuple[Check, ...] = (
     Check("C2.16", "isomorphisms induce homeomorphisms", check_C2_16, FINITE),
     Check("T2.17", "membership via the radical on cancellation modules", check_T2_17),
     Check("P3.1", "the scalar opens form a base", check_P3_1, FINITE),
-    Check("P3.2", "behavior of the scalar opens", check_P3_2, FINITE),
+    Check("P3.2", "behavior of the scalar opens", check_P3_2, NONZERO),
     Check("E3.3", "trivial-topology instances", check_E3_3),
     Check("T3.4", "basic opens are quasi-compact", check_T3_4, SURJECTIVE),
     Check("T3.5", "quasi-compact opens form a multiplicative base", check_T3_5,
           SURJECTIVE),
     Check("P4.1", "closure equals the variety of the radical core", check_P4_1, FINITE),
     Check("T4.2", "point varieties are irreducible", check_T4_2, FINITE),
-    Check("L4.3", "irreducible ring subsets have prime meets", check_L4_3, FINITE),
+    Check("L4.3", "irreducible ring subsets have prime meets", check_L4_3, NONZERO),
     Check("T4.4", "irreducibility via the radical core", check_T4_4, FINITE),
     Check("T4.5", "irreducible closed sets have generic points", check_T4_5, SURJECTIVE),
-    Check("T4.6", "components come from minimal primes", check_T4_6, FINITE),
+    Check("T4.6", "components come from minimal primes", check_T4_6, NONZERO),
     Check("C4.7", "components cover the spectra", check_C4_7, SURJECTIVE),
     Check("P4.8", "subsets with primary core sit inside one fiber", check_P4_8,
           (finite, over_integers, multiplication)),

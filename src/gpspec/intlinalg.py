@@ -7,8 +7,13 @@ transforms only for callers that map coordinates (quotient maps, element
 orders); the quotient invariants behind every colon run it on the matrix
 alone.  A one-column lattice is its gcd: the subgroup of Z generated by
 a_1, ..., a_m is gZ with g = gcd(a_1, ..., a_m), so its HNF is (g) (empty
-for g = 0) and its quotient is Z/g (Z for g = 0); hermite_normal_form and
-quotient_invariants_of answer it without the elimination.
+for g = 0) and its quotient is Z/g (Z for g = 0).  A two-column lattice L
+is read in one pass of extended gcds (Cohen, GTM 138, section 2.4): its HNF
+is ((p, q mod c), (0, c)), p generating the first coordinates of L and c
+generating L meet (0 x Z), and the Smith invariants of Z^2/L are
+d_1 = gcd(p, q, c) and d_2 = pc/d_1, since d_1 is the gcd of the entries and
+d_1 d_2 = |det| (Smith, 1861).  hermite_normal_form and
+quotient_invariants_of answer one and two columns without the elimination.
 """
 
 from __future__ import annotations
@@ -113,11 +118,34 @@ def hermite_normal_form(rows, ncols: int) -> Matrix:
     if ncols == 1:
         g = gcd(*(r[0] for r in rows))
         return ((g,),) if g else ()
+    if ncols == 2:
+        return _two_column_hnf(rows)
     ech = _Echelon(ncols)
     for r in rows:
         ech.add(r)
     ech.normalize()
     return tuple(tuple(r) for r in ech.rows)
+
+
+def _two_column_hnf(rows) -> Matrix:
+    """HNF of the lattice L generated by the rows (a, b) in Z^2, in one pass.
+
+    The pivot row (p, q) has p = the gcd of the first entries so far, and c
+    generates L meet (0 x Z).  Merging (a, b) by g = xp + ya = gcd(p, a)
+    is the unimodular step (p, q), (a, b) -> (g, xq + yb), (0, (p/g)b -
+    (a/g)q), and the new second row feeds c; a row with a = 0 feeds c its b.
+    """
+    p = q = c = 0
+    for a, b in rows:
+        if a:
+            g, x, y = xgcd(p, a)
+            c = gcd(c, p // g * b - a // g * q)
+            p, q = g, x * q + y * b
+        else:
+            c = gcd(c, b)
+    if not p:
+        return ((0, c),) if c else ()
+    return ((p, q % c), (0, c)) if c else ((p, q),)
 
 
 def _checked(rows, ncols: int):
@@ -321,6 +349,16 @@ def quotient_invariants_of(rows, ncols: int) -> tuple[int, list[int]]:
     if ncols == 1:  # Z/g, or Z for g = 0
         g = gcd(*(r[0] for r in rows))
         return (0, [g] if g > 1 else []) if g else (1, [])
+    if ncols == 2:
+        H = _two_column_hnf(rows)
+        if len(H) == 2:  # d_1 = gcd(p, q, c), d_1 d_2 = pc
+            (p, q), (_, c) = H
+            d1 = gcd(p, q, c)
+            return 0, [d for d in (d1, p * c // d1) if d > 1]
+        if H:  # Z + Z/g, g the gcd of the one row
+            g = gcd(*H[0])
+            return 1, [g] if g > 1 else []
+        return 2, []
     inv, _, _ = smith_normal_form(rows, ncols, transforms=False)
     return ncols - len(inv), [d for d in inv if d > 1]
 

@@ -233,18 +233,28 @@ def _graded_radical(N: GradedSubmodule, bound: int) -> tuple:
         rad = ideal_times_module(N.colon_radical(), M)
         return "submodule", rad.blocks, tuple(tried), ""
 
-    return "unknown", None, tuple(tried), f"{reason} and module not known to be multiplication"
+    return "unknown", None, tuple(tried), f"{reason} and module not multiplication"
 
 
 def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> bool:
     """Primary-spectrum membership: Q is graded primary and the colon of its
-    graded radical equals the radical of its colon, both sides computed
-    independently."""
+    graded radical Gr(Q) equals the radical of its colon.
+
+    The equation holds whenever a strategy of graded_radical answers, so
+    membership is graded primariness once the radical is known, and the
+    refusal stays when it is not.  With (Q : M) = (e):
+    * prime-itself: Gr(Q) = Q, whose colon is prime.
+    * finite-quotient-transport: M/(Q + rad(e)M) is A/rad(e)A, A = M/Q of
+      exponent e, and the exponent of A/rad(e)A is gcd(e, rad(e)) = rad(e).
+    * multiplication-identity: M is cyclic, so (J.M : M) = J + ann(M) for
+      J = rad(e) = (j), and ann(M) = (L) lies in (Q : M), hence in J: the
+      colon is gcd(j, L) = j.
+    """
     _require_proper(Q, "primary-spectrum membership")
     if not is_graded_primary(Q):
         return False
-    rad = graded_radical(Q, bound).require()
-    return rad.colon() == Q.colon_radical()
+    graded_radical(Q, bound).require()
+    return True
 
 
 def is_graded_maximal(N: GradedSubmodule) -> bool:

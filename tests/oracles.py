@@ -6,7 +6,9 @@ deliberately independent of the lattice/Smith machinery it cross-checks, except
 enumeration routes that the library's closed forms for primeness, the radical
 and maximality replaced, kept as references for them; `multiplication_oracle`
 and `cancellation_oracle`, the enumerated definitions that the gcd tests for
-multiplication and cancellation replaced; `echelon_hnf`,
+multiplication and cancellation replaced; `colon_identity_membership`, the
+primary-spectrum membership test that re-checked the colon identity the
+radical's strategies already imply; `echelon_hnf`,
 `component_blocks` and `identity_blocks_full`, the general elimination and the
 construction routes that one-column gcds, the one-pass submodule and the colon
 test for N = M replaced; and `coset_key`, a Hermite-form coset label that only
@@ -20,7 +22,7 @@ from functools import reduce
 from itertools import product
 from math import gcd, prod
 
-from gpspec import intlinalg, numtheory
+from gpspec import intlinalg, numtheory, spectra
 from gpspec.algebra import (
     BaseRing,
     GradedModule,
@@ -304,6 +306,15 @@ def cancellation_oracle(M: GradedModule) -> bool:
         ideals = [ring.ideal(d) for d in range(M.exponent + 1)]
     products = [ideal_times_module(I, M) for I in ideals]
     return len(set(products)) == len(products)
+
+
+def colon_identity_membership(Q: GradedSubmodule, bound: int) -> bool:
+    """Q is graded primary and the colon of its graded radical equals the
+    radical of its colon, both sides computed independently."""
+    if not spectra.is_graded_primary(Q):
+        return False
+    rad = spectra.graded_radical(Q, bound).require()
+    return rad.colon() == Q.colon_radical()
 
 
 def divisor_order_condition(N: GradedSubmodule, target: Ideal) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gpspec import cli, harness, maps, numtheory, topology
+from gpspec import cli, harness, intlinalg, maps, numtheory, topology
 from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule
 from gpspec.dsl import parse_model
 from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
@@ -339,13 +339,40 @@ def test_catalog_divisors_are_pinned(monkeypatch):
     assert set(calls) == {1, 2, 4, 8}
 
 
+def test_catalog_elimination_work_is_pinned(monkeypatch):
+    # every degree of Z4@0 x Z8@1 x Z2@0 has one or two columns, so HNFs and
+    # quotient invariants are gcds and extended gcds (226 transform-free
+    # Smith eliminations and 766 echelons when only one column had a closed
+    # form); the
+    # quotient maps alone run the Smith elimination, for their transforms
+    calls = Counter()
+    real_snf, real_echelon = intlinalg.smith_normal_form, intlinalg._Echelon
+
+    def counted_snf(rows, ncols, transforms=True):
+        calls["snf", transforms] += 1
+        return real_snf(rows, ncols, transforms)
+
+    class CountedEchelon(real_echelon):
+        def __init__(self, *args, **kwargs):
+            calls["echelon"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(intlinalg, "_Echelon", CountedEchelon)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    results = run_checks(model, "all", "heavy")
+    assert not [r for r in results if r.status == "fail"]
+    assert (calls["snf", False], calls["echelon"], calls["snf", True]) == (0, 0, 66)
+
+
 def test_catalog_factors_each_colon_once(monkeypatch):
     # the radical of a colon is memoised with the module by the ideal, so a
     # whole run factors each distinct colon generator once per module (the
     # run calls factorize 2,772 times when every colon radical factors
     # afresh); the count is deterministic, and 111 of the calls come from
     # numtheory.divisors (127 of 199 when the enumeration listed an order's
-    # divisors once per partial lattice)
+    # divisors once per partial lattice; 183 calls in all when membership in
+    # the primary spectrum also factored the prime colon of each prime point)
     calls = Counter()
     real = numtheory.factorize
 
@@ -357,7 +384,7 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 183
+    assert sum(calls.values()) == 150
     assert set(calls) == {1, 2, 4, 8}
 
 

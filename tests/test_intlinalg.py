@@ -3,7 +3,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import Matrix as SymMatrix
 from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
@@ -205,7 +205,7 @@ def test_quotient_invariants_without_transforms(case):
 @given(integer_matrices())
 def test_hnf_matches_the_general_elimination(case):
     rows, n = case
-    # one column is a gcd; the general elimination stays the reference
+    # one and two columns read gcds; the general elimination stays the reference
     assert hermite_normal_form(rows, n) == oracles.echelon_hnf(rows, n)
 
 
@@ -215,6 +215,40 @@ def test_hnf_one_column_keeps_the_arity_check():
     for rows in ([(2,), (3, 0)], [()]):
         with pytest.raises(ValueError, match="row arity"):
             hermite_normal_form(rows, 1)
+
+
+# entries up to +-10^13, with zeros and signs; rows may repeat
+WIDE = st.one_of(st.just(0), st.integers(-12, 12), st.integers(-(10**13), 10**13))
+
+
+@st.composite
+def two_column_rows(draw):
+    rows = draw(st.lists(st.tuples(WIDE, WIDE), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    return rows
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(two_column_rows())
+@example([(-6, 9), (4, 2), (0, 12)])  # ((2, 1), (0, 12)): q reduced mod c
+@example([(6, 4), (0, 10)])  # Z/2 + Z/30
+@example([(-3, 5), (6, -10)])  # rank 1, pivot in the first column
+@example([(0, -6), (0, 4), (0, 0)])  # rank 1, pivot in the second column
+@example([(0, 0)])
+def test_two_column_lattices_match_the_eliminations(rows):
+    H = hermite_normal_form(rows, 2)
+    assert H == oracles.echelon_hnf(rows, 2)
+    got = quotient_invariants_of(rows, 2)
+    assert quotient_invariants_of(H, 2) == got
+    inv, _, _ = smith_normal_form(rows, 2, transforms=False)
+    assert got == (2 - len(inv), [d for d in inv if d > 1])
+    nonzero = [r for r in rows if any(r)]
+    sym = [abs(int(d)) for d in invariant_factors(SymMatrix(nonzero)) if d] if nonzero else []
+    assert got == (2 - len(sym), [d for d in sorted(sym) if d > 1])
+    for bad in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="row arity"):
+            hermite_normal_form(rows + [bad], 2)
 
 
 def test_cyclic_degree_blocks_run_no_elimination(monkeypatch):
@@ -241,7 +275,7 @@ def test_cyclic_degree_blocks_run_no_elimination(monkeypatch):
         ))
     too_big = f"|M/N| = {36 * (10**12 + 3)} exceeds enumeration bound 20000"
     free = "quotient infinite"
-    unknown = " and module not known to be multiplication"
+    unknown = " and module not multiplication"
     assert answers == [
         ("(6)", False, False, "(2,0,0), (0,6,0), (0,0,3)", False),
         (f"({36 * (10**12 + 3)})", False, False, too_big + unknown, False),
@@ -251,6 +285,43 @@ def test_cyclic_degree_blocks_run_no_elimination(monkeypatch):
         ("(4)", False, True, "(2,0,0), (0,2,0), (0,0,1)", True),
         ("(36)", False, False, "(6,0,0), (0,1,0), (0,0,3)", False),
         ("(0)", False, False, free + unknown, False),
+    ]
+
+
+def test_two_column_degree_blocks_run_no_elimination(monkeypatch):
+    # with at most two factors per degree every block has one or two
+    # columns, so each query reads gcds and extended gcds: no echelon and
+    # no Smith elimination runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general elimination on a block of at most two columns")
+
+    monkeypatch.setattr(intlinalg, "_Echelon", forbidden)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
+    M = GradedModule(BaseRing(0), GradingGroup((2,)), [(4, (0,)), (6, (0,)), (0, (1,))])
+    answers = []
+    for gens in ([(2, 3, 0)], [(2, 0, 5)], [(1, 1, 0), (0, 0, 1)], [(2, 2, 0), (0, 0, 1)],
+                 [(0, 3, 0), (2, 0, 0), (0, 0, 10**12 + 3)], [(1, 0, 0), (0, 1, 3)],
+                 [(1, 2, 0), (0, 0, 4)], [(0, 1, 0), (0, 0, 2)]):
+        N = M.submodule(gens)
+        radical = spectra.graded_radical(N)
+        answers.append((
+            N.colon().text(),
+            spectra.is_graded_prime(N),
+            spectra.is_graded_primary(N),
+            radical.submodule.text() if radical.is_known else radical.reason,
+            spectra.in_primary_spectrum(N),
+        ))
+    too_big = f"|M/N| = {6 * (10**12 + 3)} exceeds enumeration bound 20000"
+    unknown = " and module not multiplication"
+    assert answers == [
+        ("(0)", False, False, "quotient infinite" + unknown, False),
+        ("(30)", False, False, "(2,0,0), (0,0,5)", False),
+        ("(2)", True, True, "(1,1,0), (0,2,0), (0,0,1)", True),
+        ("(2)", True, True, "(2,0,0), (0,2,0), (0,0,1)", True),
+        (f"({6 * (10**12 + 3)})", False, False, too_big + unknown, False),
+        ("(3)", True, True, "(1,0,0), (0,1,0), (0,0,3)", True),
+        ("(4)", False, True, "(1,0,0), (0,2,0), (0,0,2)", True),
+        ("(4)", False, True, "(2,0,0), (0,1,0), (0,0,2)", True),
     ]
 
 

@@ -344,7 +344,7 @@ def test_radical_transport_on_infinite_module():
     # not multiplication, and the submodule is not prime
     stuck = graded_radical(M.submodule([(4, 0)]))
     assert stuck.status == "unknown"
-    assert stuck.reason == "quotient infinite and module not known to be multiplication"
+    assert stuck.reason == "quotient infinite and module not multiplication"
     with pytest.raises(Exception):
         stuck.require()
 
@@ -359,7 +359,7 @@ def test_radical_unknown_past_the_bound_names_the_bound():
     assert stuck.status == "unknown"
     assert stuck.strategies == ("prime-itself", "finite-quotient-transport")
     assert stuck.reason == (
-        "|M/N| = 16 exceeds enumeration bound 1 and module not known to be multiplication"
+        "|M/N| = 16 exceeds enumeration bound 1 and module not multiplication"
     )
 
 

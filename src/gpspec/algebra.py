@@ -526,23 +526,20 @@ class GradedSubmodule:
         return True
 
     def plus(self, other: GradedSubmodule) -> GradedSubmodule:
-        return self._lattice_op("plus", other)
-
-    def intersect(self, other: GradedSubmodule) -> GradedSubmodule:
-        return self._lattice_op("intersect", other)
-
-    def _lattice_op(self, op: str, other: GradedSubmodule) -> GradedSubmodule:
-        """N + N2 or N meet N2, degree by degree."""
+        """N + N2, degree by degree."""
         self._require_same_module(other)
         M = self.module
-        blocks = []
-        for a, b, g in zip(self.blocks, other.blocks, M.degrees):
-            n = len(M.slots[g])
-            if op == "plus":
-                blocks.append(intlinalg.hermite_normal_form(a + b, n))
-            else:
-                blocks.append(intlinalg.lattice_intersection(a, b, n))
-        return GradedSubmodule(M, blocks)
+        return GradedSubmodule(M, (
+            intlinalg.hermite_normal_form(a + b, len(M.slots[g]))
+            for a, b, g in zip(self.blocks, other.blocks, M.degrees)))
+
+    def intersect(self, other: GradedSubmodule) -> GradedSubmodule:
+        """N meet N2, degree by degree."""
+        self._require_same_module(other)
+        M = self.module
+        return GradedSubmodule(M, (
+            intlinalg.lattice_intersection(a, b, len(M.slots[g]))
+            for a, b, g in zip(self.blocks, other.blocks, M.degrees)))
 
     @property
     def is_zero(self) -> bool:

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Hermite and Smith normal forms, kernels.
+"""Exact integer matrix routines: Hermite and Smith normal forms.
 
 Matrices are tuples of row tuples over plain Python ints, so everything is
 exact at any magnitude.  Row convention throughout: the rows of a matrix
@@ -14,6 +14,8 @@ generating L meet (0 x Z), and the Smith invariants of Z^2/L are
 d_1 = gcd(p, q, c) and d_2 = pc/d_1, since d_1 is the gcd of the entries and
 d_1 d_2 = |det| (Smith, 1861).  hermite_normal_form and
 quotient_invariants_of answer one and two columns without the elimination.
+The meet of two lattices is read off one Hermite form (Zassenhaus; Cohen,
+GTM 138, section 2.4), and membership walks the Hermite rows in pivot order.
 """
 
 from __future__ import annotations
@@ -41,19 +43,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class _Echelon:
-    """Incremental row echelon over Z with gcd pivoting.
+    """Incremental row echelon over Z with gcd pivoting."""
 
-    Rows may carry a transform tail of width `tail`; eliminations act on the
-    full row but pivot search is restricted to the first `ncols` entries.
-    Vectors whose leading part reduces to zero land in `kernel_tails`.
-    """
-
-    def __init__(self, ncols: int, tail: int = 0):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.tail = tail
         self.rows: list[list[int]] = []      # sorted by pivot column
         self.pivots: list[int] = []          # pivot column of each row
-        self.kernel_tails: list[list[int]] = []
 
     def add(self, vec) -> None:
         v = list(vec)
@@ -63,8 +58,6 @@ class _Echelon:
             while j < n and v[j] == 0:
                 j += 1
             if j == n:
-                if self.tail:
-                    self.kernel_tails.append(v[n:])
                 return
             pos = bisect_left(self.pivots, j)
             if pos == len(self.pivots) or self.pivots[pos] != j:
@@ -162,14 +155,12 @@ def reduce_mod_lattice(basis: Matrix, vec) -> Row:
     have equal residuals exactly when they lie in the same coset.
     """
     v = list(vec)
-    pivots = {row_pivot(r): i for i, r in enumerate(basis)}
-    for j in range(len(v)):
-        if j in pivots:
-            row = basis[pivots[j]]
-            q = v[j] // row[j]
-            if q:
-                for k in range(j, len(v)):
-                    v[k] -= q * row[k]
+    for row in basis:  # in pivot order, so each pivot entry is final when read
+        j = row_pivot(row)
+        q = v[j] // row[j]
+        if q:
+            for k in range(j, len(v)):
+                v[k] -= q * row[k]
     return tuple(v)
 
 
@@ -184,31 +175,19 @@ def lattice_contains(basis: Matrix, vec) -> bool:
     return not any(reduce_mod_lattice(basis, vec))
 
 
-def left_kernel(rows, ncols: int) -> Matrix:
-    """HNF basis of { z : z . A = 0 } for the matrix A given by `rows`."""
-    m = len(rows)
-    ech = _Echelon(ncols, tail=m)
-    for i, r in enumerate(rows):
-        tail = [0] * m
-        tail[i] = 1
-        ech.add(list(r) + tail)
-    return hermite_normal_form(ech.kernel_tails, m)
-
-
 def lattice_intersection(basis1: Matrix, basis2: Matrix, ncols: int) -> Matrix:
-    """HNF basis of the intersection of two row lattices in Z^ncols."""
+    """HNF basis of the intersection of two row lattices A, B in Z^ncols.
+
+    The rows (a | a) for a in A and (b | 0) for b in B generate
+    {(a + b | a)}; its vectors with left half zero are exactly (0 | c) for c
+    in A meet B, and the Hermite rows with pivot past ncols generate them,
+    so their right halves are already the canonical HNF of the meet.
+    """
     if not basis1 or not basis2:
         return ()
-    stacked = list(basis1) + list(basis2)
-    gens = []
-    for z in left_kernel(stacked, ncols):
-        v = [0] * ncols
-        for c, row in zip(z[: len(basis1)], basis1):
-            if c:
-                for k in range(ncols):
-                    v[k] += c * row[k]
-        gens.append(v)
-    return hermite_normal_form(gens, ncols)
+    zeros = (0,) * ncols
+    H = hermite_normal_form([a + a for a in basis1] + [b + zeros for b in basis2], 2 * ncols)
+    return tuple(r[ncols:] for r in H if not any(r[:ncols]))
 
 
 def _identity(n: int) -> list[list[int]]:

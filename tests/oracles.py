@@ -11,9 +11,12 @@ primary-spectrum membership test that re-checked the colon identity the
 radical's strategies already imply; `echelon_hnf`,
 `component_blocks` and `identity_blocks_full`, the general elimination and the
 construction routes that one-column gcds, the one-pass submodule and the colon
-test for N = M replaced; and `coset_key`, a Hermite-form coset label that only
-the order-multiset oracle uses.  `oracle_corpus` lists the finite modules the
-spectra oracles run on.
+test for N = M replaced; `left_kernel`, `kernel_intersection` and
+`pivot_dict_reduce`, the transform-tail elimination, the meet through it and
+the pivot-dictionary membership walk that the one Hermite form of the meet
+and the pivot-order walk replaced; and `coset_key`, a Hermite-form coset
+label that only the order-multiset oracle uses.  `oracle_corpus` lists the
+finite modules the spectra oracles run on.
 """
 
 from __future__ import annotations
@@ -54,6 +57,59 @@ def echelon_hnf(rows, ncols: int) -> intlinalg.Matrix:
         ech.add(r)
     ech.normalize()
     return tuple(tuple(r) for r in ech.rows)
+
+
+def left_kernel(rows, ncols: int) -> intlinalg.Matrix:
+    """HNF basis of { z : z . A = 0 } for the matrix A given by `rows`: the
+    incremental gcd elimination of each row with an identity tail appended,
+    keeping the tails whose leading part reduces to zero."""
+    m = len(rows)
+    echelon, pivots, kernel = [], [], []
+    for i, r in enumerate(rows):
+        v = list(r) + [int(k == i) for k in range(m)]
+        j = 0
+        while True:
+            while j < ncols and v[j] == 0:
+                j += 1
+            if j == ncols:
+                kernel.append(v[ncols:])
+                break
+            if j not in pivots:
+                pivots.append(j)
+                echelon.append(v)
+                break
+            row = echelon[pivots.index(j)]
+            g, x, y = intlinalg.xgcd(row[j], v[j])
+            a, b = row[j] // g, v[j] // g
+            for k in range(j, len(v)):
+                row[k], v[k] = x * row[k] + y * v[k], -b * row[k] + a * v[k]
+    return intlinalg.hermite_normal_form(kernel, m)
+
+
+def kernel_intersection(basis1, basis2, ncols: int) -> intlinalg.Matrix:
+    """HNF basis of the meet of two row lattices: the left kernel of the
+    stacked bases, recombined through the first basis."""
+    if not basis1 or not basis2:
+        return ()
+    gens = [
+        [sum(c * row[k] for c, row in zip(z, basis1)) for k in range(ncols)]
+        for z in left_kernel(list(basis1) + list(basis2), ncols)
+    ]
+    return intlinalg.hermite_normal_form(gens, ncols)
+
+
+def pivot_dict_reduce(basis, vec) -> tuple[int, ...]:
+    """Residual of vec modulo the HNF lattice `basis`, scanning every column
+    and looking its pivot row up in a dictionary."""
+    v = list(vec)
+    pivots = {intlinalg.row_pivot(r): i for i, r in enumerate(basis)}
+    for j in range(len(v)):
+        if j in pivots:
+            row = basis[pivots[j]]
+            q = v[j] // row[j]
+            for k in range(j, len(v)):
+                v[k] -= q * row[k]
+    return tuple(v)
 
 
 def component_blocks(M: GradedModule, gens) -> tuple:

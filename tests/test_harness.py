@@ -194,6 +194,19 @@ def test_full_corpus_no_failures_and_roster_covered():
     assert covered >= set(ROSTER)
 
 
+def test_star_masks_equal_the_hnf_star_varieties_on_models():
+    # the element-mask table against one HNF containment per (submodule, point)
+    finite = 0
+    for path in sorted(MODELS.glob("*.gps")):
+        ctx = harness.Context(parse_model(path.read_text()), path.stem, DEFAULT_ENUM_BOUND, 0)
+        if ctx.finite:
+            finite += 1
+            assert ctx.star_masks == [
+                topology.variety(ctx.pspec, N, star=True).mask for N in ctx.subs
+            ], path.stem
+    assert finite >= 10
+
+
 def test_catalog_titles_unique():
     titles = [c.title for c in CATALOG]
     assert len(set(titles)) == len(titles)
@@ -295,15 +308,19 @@ def test_repeated_subset_member_is_one_point(tmp_path):
 
 def test_catalog_lattice_work_is_pinned(monkeypatch):
     # the catalog answers pairs of enumerated submodules from the lattice
-    # table: count the calls of the HNF plus/intersect body and the
-    # variety calls of a whole run; the counts are deterministic, so any
-    # return of per-pair HNF or variety work changes them
+    # table: count the HNF plus and intersect calls and the variety calls
+    # of a whole run; the counts are deterministic, so any return of
+    # per-pair HNF or variety work changes them
     counts = Counter()
-    body = GradedSubmodule._lattice_op
 
-    def counted_body(self, op, other):
-        counts[op] += 1
-        return body(self, op, other)
+    def counted(op):
+        body = getattr(GradedSubmodule, op)
+
+        def counted_body(self, other):
+            counts[op] += 1
+            return body(self, other)
+
+        monkeypatch.setattr(GradedSubmodule, op, counted_body)
 
     real_variety = topology.variety
 
@@ -311,13 +328,14 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
         counts["variety"] += 1
         return real_variety(*args, **kwargs)
 
-    monkeypatch.setattr(GradedSubmodule, "_lattice_op", counted_body)
+    counted("plus")
+    counted("intersect")
     for module in (topology, harness, maps):
         monkeypatch.setattr(module, "variety", counted_variety)
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert counts == {"plus": 179, "variety": 1268}
+    assert counts == {"plus": 179, "variety": 1236}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):

@@ -16,7 +16,6 @@ from gpspec.intlinalg import (
     hermite_normal_form,
     lattice_contains,
     lattice_intersection,
-    left_kernel,
     quotient_invariants_of,
     reduce_mod_lattice,
     smith_normal_form,
@@ -119,7 +118,7 @@ def test_left_kernel():
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = random_matrix(m, n, -6, 6)
-        K = left_kernel(A, n)
+        K = oracles.left_kernel(A, n)
         for z in K:
             for j in range(n):
                 assert sum(z[i] * A[i][j] for i in range(m)) == 0
@@ -140,6 +139,47 @@ def test_lattice_intersection_brute():
         pb = brute_lattice_points(B, n, box)
         pi = brute_lattice_points(I, n, box)
         assert pi == (pa & pb)
+
+
+LATTICE_ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(10**12), 10**12))
+
+
+@st.composite
+def hnf_bases(draw, n):
+    """An HNF basis in Z^n: empty, spanned by up to four drawn rows, or the
+    moduli rows of a block (a diagonal of orders, full rank) with or without
+    drawn rows added."""
+    rows = draw(st.lists(st.tuples(*[LATTICE_ENTRIES] * n), max_size=4))
+    if draw(st.booleans()):
+        orders = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+        rows += [tuple(d if k == j else 0 for k in range(n)) for j, d in enumerate(orders)]
+    return hermite_normal_form(rows, n)
+
+
+@st.composite
+def hnf_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(hnf_bases(n)), draw(hnf_bases(n))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(hnf_pairs())
+@example((1, (), ((2,),)))
+@example((3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ()))
+@example((2, ((4, 0), (0, 8)), ((2, 1), (0, 4))))
+def test_lattice_intersection_matches_the_kernel_route(case):
+    n, A, B = case
+    assert lattice_intersection(A, B, n) == oracles.kernel_intersection(A, B, n), case
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(hnf_pairs().flatmap(lambda case: st.tuples(
+    st.just(case[1]), st.tuples(*[LATTICE_ENTRIES] * case[0]))))
+@example(((), (3, -4)))
+@example((((2, 1, 0), (0, 0, 5)), (7, -3, 12)))
+def test_reduce_mod_lattice_matches_the_pivot_dictionary_walk(case):
+    basis, vec = case
+    assert reduce_mod_lattice(basis, vec) == oracles.pivot_dict_reduce(basis, vec), case
 
 
 def test_smith_invariants_match_sympy():

@@ -1,8 +1,8 @@
 """Property-based checks of the colon, the prime and primary predicates, the
 graded radical, primary-spectrum membership and the multiplication and
 cancellation tests against the brute-force oracles, on generated finite
-modules, of the theorem catalog on generated models, and of the model parser
-on generated models and mutated corpus text.
+modules, of the theorem catalog and its star-variety table on generated
+models, and of the model parser on generated models and mutated corpus text.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -24,7 +24,7 @@ from gpspec.algebra import (
     ideal_times_module,
 )
 from gpspec.dsl import Model, ParseError, model_text, parse_model
-from gpspec.harness import run_checks
+from gpspec.harness import Context, run_checks
 from gpspec.spectra import (
     UnknownResultError,
     graded_radical,
@@ -34,6 +34,7 @@ from gpspec.spectra import (
     is_graded_prime,
     is_multiplication,
 )
+from gpspec.topology import variety
 
 MAX_SIZE = 64
 GROUPS = ((2,), (2, 2), (3,))
@@ -110,13 +111,14 @@ def test_radical_against_oracle_prime_intersection(N):
 def modules_with_free_factors(draw):
     """Some of the factors of a generated finite module, over its ring or
     over Z with zero to two free factors of generated degrees added, the
-    factors in a generated order."""
+    factors in a generated order.  At least one factor is drawn: the zero
+    module is an explicit example of each test that draws from here."""
     M = draw(finite_modules())
-    ring, factors = M.ring, list(M.factors[: draw(st.integers(0, len(M.factors)))])
-    if draw(st.booleans()):
-        ring = BaseRing(0)
-        factors += [(0, draw(st.sampled_from(M.group.elements())))
-                    for _ in range(draw(st.integers(0, 2)))]
+    over_z = draw(st.booleans())
+    free = draw(st.integers(0, 2)) if over_z else 0
+    ring = BaseRing(0) if over_z else M.ring
+    factors = list(M.factors[: draw(st.integers(0 if free else 1, len(M.factors)))])
+    factors += [(0, draw(st.sampled_from(M.group.elements()))) for _ in range(free)]
     return GradedModule(ring, M.group, draw(st.permutations(factors)))
 
 
@@ -128,6 +130,8 @@ def z2_graded(modulus, orders):
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(modules_with_free_factors())
+@example(z2_graded(0, []))
+@example(z2_graded(6, []))
 @example(z2_graded(6, [6]))
 @example(z2_graded(8, [8]))
 @example(z2_graded(0, [2, 4]))
@@ -193,12 +197,8 @@ def test_membership_against_the_colon_identity(case):
 
 @st.composite
 def catalog_models(draw):
-    """A model of a generated module with at least one factor, with named
-    submodules and subsets.  The zero module would take about a quarter of
-    the draws; the catalog property names it as an explicit example."""
-    M = draw(modules_with_free_factors())
-    assume(M.factors)
-    return with_names(draw, M)
+    """A model of a generated module, with named submodules and subsets."""
+    return with_names(draw, draw(modules_with_free_factors()))
 
 
 def zero_module_model(modulus: int) -> Model:
@@ -216,6 +216,18 @@ def test_catalog_passes_or_skips_on_generated_models(model):
     bad = [(r.check_id, r.status, r.detail) for r in run_checks(model)
            if r.status not in ("pass", "skip")]
     assert not bad, (model.ring.text(), model.module.text(), bad)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+@example(zero_module_model(0))
+@example(zero_module_model(6))
+def test_star_masks_equal_the_hnf_star_varieties_on_generated_models(model):
+    ctx = Context(model, "generated", DEFAULT_ENUM_BOUND, 0)
+    assume(ctx.finite)
+    assert ctx.star_masks == [
+        variety(ctx.pspec, N, star=True).mask for N in ctx.subs
+    ], (model.ring.text(), model.module.text())
 
 
 # -- the model parser -----------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import reduce, wraps
 from itertools import product as iproduct
 from math import gcd, lcm, prod
+from operator import mod
 
 from . import intlinalg, numtheory
 
@@ -55,14 +56,14 @@ def per_module(fn):
     GradedModule, a GradedSubmodule or a module space; equal calls share one
     result, which nobody may mutate.
 
-    Keys never hold the module: a module's entry is keyed (fn, *args) and a
-    submodule N's (fn, N.blocks, *args), so equal submodules built apart
-    share one entry.  A query's values (ideals, quotient invariants, block
-    tuples) are plain data too, so nothing in the memo leads back to the
-    module and reference counting frees it, memo and all, once its last
-    user lets go.  Results describing the whole module (its enumeration and
-    lattice table, its spaces and their varieties, keyed by the space, and
-    its natural maps) hold the module; they are left to the collector."""
+    Keys never hold the module: a module's entry is keyed (fn, *args) and a submodule
+    N's (fn, N.blocks, *args), so equal submodules built apart share one entry and no
+    lookup hashes a module or a submodule (their hashes wait for first use).  Values
+    (ideals, block tuples, N.quotients() for all degrees at once) are plain data, so
+    nothing in the memo leads back to the module and reference counting frees it, memo
+    and all, once its last user lets go.  Results describing the whole module (its
+    enumeration and lattice table, its spaces and their varieties, keyed by the space,
+    and its natural maps) hold the module; they are left to the collector."""
 
     @wraps(fn)
     def memoised(x, *args, **kwargs):
@@ -335,10 +336,13 @@ class GradedModule:
     """Direct sum of cyclic factors (order, degree); order 0 encodes Z."""
 
     def __init__(self, ring: BaseRing, group: GradingGroup, factors):
-        n = ring.modulus
+        n, cyclic = ring.modulus, group.cyclic_orders
         reduced, slots, bad = [], {}, None
         for i, (o, d) in enumerate(factors):
-            o, d = int(o), group.reduce(d)
+            o = int(o)
+            if len(d) != len(cyclic):  # GradingGroup.reduce, inline
+                raise AlgebraError(f"degree arity {len(d)} != {len(cyclic)}")
+            d = tuple(map(mod, d, cyclic))
             if bad is None and (o < 0 or o == 1 or n and (o == 0 or n % o)):
                 bad = o  # raised once every degree has passed its arity check
             reduced.append((o, d))
@@ -347,27 +351,28 @@ class GradedModule:
             if bad < 0 or bad == 1:
                 raise AlgebraError(f"factor order must be 0 or >= 2: {bad}")
             raise AlgebraError(f"factor order {bad} does not divide ring modulus {n}")
-        self.ring = ring
-        self.group = group
+        self.ring, self.group = ring, group
         self.factors = factors = tuple(reduced)
         self.degrees = tuple(sorted(slots))
-        self.slots = {g: tuple(slots[g]) for g in self.degrees}
-        # per degree, the HNF of the relation rows o e_i of the finite factors
-        self._moduli = {}
-        for g, here in self.slots.items():
-            rows = []
+        # per degree, its factors and the HNF of their relation rows o e_i, o > 0
+        self.slots, self._moduli = {}, {}
+        for g in self.degrees:
+            here = self.slots[g] = tuple(slots[g])
+            rows, last = [], len(here) - 1
             for pos, i in enumerate(here):
                 if factors[i][0]:
-                    rows.append((0,) * pos + (factors[i][0],) + (0,) * (len(here) - pos - 1))
+                    rows.append((0,) * pos + (factors[i][0],) + (0,) * (last - pos))
             self._moduli[g] = tuple(rows)
         self._key = (ring, group, factors)
-        self._hash = hash(self._key)
+        self._hash = None  # computed on first use
         self.memo: dict = {}  # values derived from this module, see per_module
 
     def __eq__(self, other):
         return isinstance(other, GradedModule) and self._key == other._key
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
     def __repr__(self):
@@ -419,9 +424,7 @@ class GradedModule:
             raise ModuleMismatchError(
                 f"vector arity {len(vec)} != {len(self.factors)} factors"
             )
-        return tuple(
-            v % o if o else int(v) for v, (o, _) in zip(vec, self.factors)
-        )
+        return tuple([v % o if o else int(v) for v, (o, _) in zip(vec, self.factors)])
 
     def homogeneous_components(self, vec) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Degree -> component, omitting zero components.  The decomposition
@@ -462,9 +465,9 @@ class GradedModule:
         blocks = []
         for g in self.degrees:
             slots = self.slots[g]
-            rows = [row for row in (tuple(v[i] for i in slots) for v in vecs) if any(row)]
+            rows = [[v[i] for i in slots] for v in vecs]
             rows += self._moduli[g]
-            blocks.append(intlinalg.hermite_normal_form(rows, len(slots)))
+            blocks.append(intlinalg.unchecked_hnf(rows, len(slots)))
         return GradedSubmodule(self, blocks)
 
     @property
@@ -485,7 +488,7 @@ class GradedSubmodule:
     def __init__(self, module: GradedModule, blocks):
         self.module = module
         self.blocks = tuple(blocks)
-        self._hash = hash((module, self.blocks))
+        self._hash = None  # computed on first use
 
     def __eq__(self, other):
         return (
@@ -495,6 +498,8 @@ class GradedSubmodule:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.module, self.blocks))
         return self._hash
 
     def __repr__(self):
@@ -510,8 +515,7 @@ class GradedSubmodule:
     # -- predicates and lattice operations --------------------------------
 
     def contains_element(self, vec) -> bool:
-        vec = self.module.reduce_vector(vec)
-        comps = self.module.homogeneous_components(vec)
+        comps = self.module.homogeneous_components(vec)  # reduces vec
         return all(
             intlinalg.lattice_contains(self.block(g), self.module.block_of(c, g))
             for g, c in comps.items()
@@ -559,13 +563,20 @@ class GradedSubmodule:
     # -- invariants --------------------------------------------------------
 
     @per_module
+    def quotients(self) -> tuple[QuotientInvariants, ...]:
+        """Smith invariants of every M_g / N_g, aligned with module.degrees."""
+        M, out = self.module, []
+        for g, block in zip(M.degrees, self.blocks):
+            free, tor = intlinalg.quotient_invariants_of(block, len(M.slots[g]))
+            out.append(QuotientInvariants(free, tuple(tor)))
+        return tuple(out)
+
     def quotient_invariants(self, g) -> QuotientInvariants:
         """Smith invariants of M_g / N_g."""
-        free, tor = intlinalg.quotient_invariants_of(self.block(g), len(self.module.slots[g]))
-        return QuotientInvariants(free, tuple(tor))
+        return self.quotients()[self.module.degrees.index(g)]
 
     def quotient_is_finite(self) -> bool:
-        return all(self.quotient_invariants(g).is_finite for g in self.module.degrees)
+        return all(inv.is_finite for inv in self.quotients())
 
     def colon_radical(self) -> Ideal:
         """rad(N : M), memoised with M by the colon, so that each module
@@ -576,17 +587,15 @@ class GradedSubmodule:
     def colon(self) -> Ideal:
         """(N :_R M), the ideal of ring elements multiplying M into N: the
         lcm of the exponents of the M_g/N_g, or zero if one has a free part."""
-        M = self.module
-        invs = [self.quotient_invariants(g) for g in M.degrees]
+        ring, invs = self.module.ring, self.quotients()
         if all(inv.is_finite for inv in invs):
-            return M.ring.ideal(lcm(1, *(inv.exponent for inv in invs)))
-        return M.ring.zero_ideal
+            return ring.ideal(lcm(1, *(inv.exponent for inv in invs)))
+        return ring.zero_ideal
 
     def size(self) -> int:
         M = self.module
         total = 1
-        for g in M.degrees:
-            inv = self.quotient_invariants(g)
+        for g, inv in zip(M.degrees, self.quotients()):
             block_size = prod(M.factors[i][0] for i in M.slots[g])
             total *= block_size // inv.size()
         return total
@@ -612,15 +621,15 @@ class GradedSubmodule:
         return (self.size(), self.blocks)
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
-        """Ambient generator vectors: the HNF rows that are nonzero modulo
-        the factor moduli (a pure relation row contributes nothing)."""
+        """Ambient generator vectors: the HNF rows reduced by their block's orders,
+        less those reducing to zero, which are the rows in the relation lattice."""
         M = self.module
         out = []
         for g, block in zip(M.degrees, self.blocks):
-            moduli = M.moduli_rows(g)
+            orders = [M.factors[i][0] for i in M.slots[g]]
             for row in block:
-                red = M.block_of(M.reduce_vector(M.embed_block(g, row)), g)
-                if any(red) and not intlinalg.lattice_contains(moduli, row):
+                red = [v % o if o else v for v, o in zip(row, orders)]
+                if any(red):
                     out.append(M.embed_block(g, red))
         return out
 

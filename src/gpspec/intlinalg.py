@@ -107,7 +107,15 @@ def hermite_normal_form(rows, ncols: int) -> Matrix:
     >>> hermite_normal_form([(2, 7), (0, 4)], 2)
     ((2, 3), (0, 4))
     """
-    rows = _checked(rows, ncols)
+    rows = tuple(rows)
+    for r in rows:
+        if len(r) != ncols:
+            raise ValueError(f"row arity {len(r)} != {ncols}")
+    return unchecked_hnf(rows, ncols)
+
+
+def unchecked_hnf(rows, ncols: int) -> Matrix:
+    """hermite_normal_form for rows that the caller knows have ncols entries."""
     if ncols == 1:
         g = gcd(*(r[0] for r in rows))
         return ((g,),) if g else ()
@@ -139,13 +147,6 @@ def _two_column_hnf(rows) -> Matrix:
     if not p:
         return ((0, c),) if c else ()
     return ((p, q % c), (0, c)) if c else ((p, q),)
-
-
-def _checked(rows, ncols: int):
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError(f"row arity {len(r)} != {ncols}")
-        yield r
 
 
 def reduce_mod_lattice(basis: Matrix, vec) -> Row:

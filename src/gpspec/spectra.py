@@ -120,8 +120,7 @@ def _order_condition(N: GradedSubmodule, target_is_prime: bool) -> bool:
     part: target is the prime (0), holding no p.
     """
     return target_is_prime and (
-        N.quotient_is_finite()
-        or all(N.quotient_invariants(g).exponent == 1 for g in N.module.degrees)
+        N.quotient_is_finite() or all(inv.exponent == 1 for inv in N.quotients())
     )
 
 
@@ -134,6 +133,11 @@ def is_graded_prime(P: GradedSubmodule) -> bool:
 def is_graded_primary(Q: GradedSubmodule) -> bool:
     """Whether rm in Q forces m in Q or r in the radical of (Q : M)."""
     _require_proper(Q, "graded primariness")
+    return _is_primary(Q)
+
+
+def _is_primary(Q: GradedSubmodule) -> bool:
+    """is_graded_primary for a Q known to be proper."""
     e = Q.colon().gen  # 0 only for the prime (0) of Z
     return _order_condition(Q, e == 0 or numtheory.prime_power_root(e) is not None)
 
@@ -201,6 +205,7 @@ def graded_radical(
     Unknown when none applies: M/N is infinite or past the bound, M has
     factor orders with a common factor, and N is not prime.
     """
+    _require_proper(N, "the graded radical")
     status, blocks, strategies, reason = _graded_radical(N, bound)
     if blocks is None:
         return RadicalResult(status, None, strategies, reason)
@@ -211,18 +216,17 @@ def graded_radical(
 @per_module
 def _graded_radical(N: GradedSubmodule, bound: int) -> tuple:
     """graded_radical(N, bound) as (status, the blocks of the radical,
-    strategies, reason)."""
-    _require_proper(N, "the graded radical")
+    strategies, reason), for a proper N."""
     M = N.module
     tried = ["prime-itself"]
 
-    if is_graded_prime(N):
+    if _order_condition(N, N.colon().is_prime):
         return "submodule", N.blocks, tuple(tried), ""
 
     reason = "quotient infinite"
     if N.quotient_is_finite():
         tried.append("finite-quotient-transport")
-        size = prod(N.quotient_invariants(g).size() for g in M.degrees)
+        size = prod(inv.size() for inv in N.quotients())
         if size <= bound:
             rad = N.plus(ideal_times_module(N.colon_radical(), M))
             return "submodule", rad.blocks, tuple(tried), ""
@@ -251,9 +255,10 @@ def in_primary_spectrum(Q: GradedSubmodule, bound: int = DEFAULT_ENUM_BOUND) -> 
       colon is gcd(j, L) = j.
     """
     _require_proper(Q, "primary-spectrum membership")
-    if not is_graded_primary(Q):
+    if not _is_primary(Q):
         return False
-    graded_radical(Q, bound).require()
+    status, _, tried, reason = _graded_radical(Q, bound)
+    RadicalResult(status, None, tried, reason).require()  # raises when unknown
     return True
 
 
@@ -261,7 +266,7 @@ def is_graded_maximal(N: GradedSubmodule) -> bool:
     """No graded submodule strictly between N and M.  Graded submodules are
     the degreewise subgroups, so this holds iff M/N is Z/p for a prime p:
     no free part, and one torsion factor over all degrees, a prime."""
-    quotients = [N.quotient_invariants(g) for g in N.module.degrees]
+    quotients = N.quotients()
     factors = [d for q in quotients for d in q.torsion_factors]
     free = any(q.free_rank for q in quotients)
     return not free and len(factors) == 1 and numtheory.is_prime(factors[0])

@@ -11,11 +11,15 @@ primary-spectrum membership test that re-checked the colon identity the
 radical's strategies already imply; `echelon_hnf`,
 `component_blocks` and `identity_blocks_full`, the general elimination and the
 construction routes that one-column gcds, the one-pass submodule and the colon
-test for N = M replaced; `left_kernel`, `kernel_intersection` and
-`pivot_dict_reduce`, the transform-tail elimination, the meet through it and
-the pivot-dictionary membership walk that the one Hermite form of the meet
-and the pivot-order walk replaced; and `coset_key`, a Hermite-form coset
-label that only the order-multiset oracle uses.  `oracle_corpus` lists the
+test for N = M replaced; `module_fields`, the module constructor that reduced
+each degree through `GradingGroup.reduce` and hashed its key at once, and
+`embedded_generator_vectors`, the generator route that reduced each Hermite
+row inside M and tested it against the relation rows; `left_kernel`,
+`kernel_intersection` and `pivot_dict_reduce`, the transform-tail
+elimination, the meet through it and the pivot-dictionary membership walk
+that the one Hermite form of the meet and the pivot-order walk replaced;
+and `coset_key`, a Hermite-form coset label that only the order-multiset
+oracle uses.  `oracle_corpus` lists the
 finite modules the spectra oracles run on.
 """
 
@@ -27,6 +31,7 @@ from math import gcd, prod
 
 from gpspec import intlinalg, numtheory, spectra
 from gpspec.algebra import (
+    AlgebraError,
     BaseRing,
     GradedModule,
     GradedSubmodule,
@@ -128,6 +133,51 @@ def component_blocks(M: GradedModule, gens) -> tuple:
         assert M.moduli_rows(g) == tuple(moduli)
         blocks.append(echelon_hnf(per_degree[g] + moduli, n))
     return tuple(blocks)
+
+
+def module_fields(ring: BaseRing, group: GradingGroup, factors) -> tuple:
+    """The fields GradedModule(ring, group, factors) had when its constructor
+    reduced each degree by GradingGroup.reduce and hashed its key at once:
+    (factors, [(degree, slots)] in order, {degree: relation rows}, hash).
+    Raises what that constructor raised, every arity error before any order
+    error."""
+    n = ring.modulus
+    reduced, slots, bad = [], {}, None
+    for i, (o, d) in enumerate(factors):
+        o, d = int(o), group.reduce(d)
+        if bad is None and (o < 0 or o == 1 or n and (o == 0 or n % o)):
+            bad = o
+        reduced.append((o, d))
+        slots.setdefault(d, []).append(i)
+    if bad is not None:
+        if bad < 0 or bad == 1:
+            raise AlgebraError(f"factor order must be 0 or >= 2: {bad}")
+        raise AlgebraError(f"factor order {bad} does not divide ring modulus {n}")
+    factors = tuple(reduced)
+    slots = {g: tuple(slots[g]) for g in sorted(slots)}
+    moduli = {}
+    for g, here in slots.items():
+        rows = []
+        for pos, i in enumerate(here):
+            if factors[i][0]:
+                rows.append((0,) * pos + (factors[i][0],) + (0,) * (len(here) - pos - 1))
+        moduli[g] = tuple(rows)
+    return factors, list(slots.items()), moduli, hash((ring, group, factors))
+
+
+def embedded_generator_vectors(N: GradedSubmodule) -> list[tuple[int, ...]]:
+    """GradedSubmodule.generator_vectors by embedding each Hermite row in M,
+    reducing it there and projecting it back, and dropping the rows that the
+    relation rows generate."""
+    M = N.module
+    out = []
+    for g, block in zip(M.degrees, N.blocks):
+        moduli = M.moduli_rows(g)
+        for row in block:
+            red = M.block_of(M.reduce_vector(M.embed_block(g, row)), g)
+            if any(red) and not intlinalg.lattice_contains(moduli, row):
+                out.append(M.embed_block(g, red))
+    return out
 
 
 def identity_blocks_full(N: GradedSubmodule) -> bool:

@@ -6,10 +6,10 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from test_properties import finite_modules
+from test_properties import finite_modules, modules_with_free_factors
 from gpspec.algebra import (
     AlgebraError,
     BaseRing,
@@ -154,6 +154,73 @@ def test_module_construction_errors(ring, factors, message):
     assert type(info.value) is AlgebraError and str(info.value) == message
 
 
+PRESENTATION_GROUPS = ((1,), (2,), (3,), (2, 2))
+PRESENTATION_MODULI = (0, 2, 6, 12, 10**12)
+# factor orders: over Z, 0, 2-12 and near 10^12; over Z/n, the divisors of n
+# among 2-12, 10^6, 5*10^11 and 10^12; invalid, 1 and negatives, and orders
+# that do not divide n
+ONE_IN_TEN = st.sampled_from((False,) * 9 + (True,))
+BAD_ORDERS = st.one_of(st.integers(-3, 1), st.sampled_from((5, 7, 8, 10**12 - 1)))
+
+
+def factor_orders(modulus: int):
+    if modulus == 0:
+        return st.one_of(st.sampled_from((0, *range(2, 13))),
+                         st.integers(10**12 - 3, 10**12 + 3))
+    return st.sampled_from([d for d in (*range(2, 13), 10**6, 5 * 10**11, 10**12)
+                            if modulus % d == 0])
+
+
+@st.composite
+def presentations(draw):
+    """(ring, group, factors, generators): 0-4 factors, about one in ten with
+    an invalid order and one in ten with a degree of the wrong arity, the
+    degree entries negative or past the group's orders as often as not; and
+    0-2 generators with entries up to 10^12 in size."""
+    modulus = draw(st.sampled_from(PRESENTATION_MODULI))
+    ring, group = BaseRing(modulus), GradingGroup(draw(st.sampled_from(PRESENTATION_GROUPS)))
+    arity = len(group.cyclic_orders)
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        bad_order, bad_arity = draw(ONE_IN_TEN), draw(ONE_IN_TEN)
+        order = draw(BAD_ORDERS if bad_order else factor_orders(modulus))
+        size = draw(st.sampled_from((0, arity + 1))) if bad_arity else arity
+        degree = draw(st.lists(st.integers(-7, 7), min_size=size, max_size=size))
+        factors.append((order, tuple(degree)))
+    vector = st.tuples(*[st.integers(-(10**12), 10**12)] * len(factors))
+    return ring, group, factors, draw(st.lists(vector, max_size=2))
+
+
+def built(make):
+    try:
+        return make()
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(presentations())
+@example((BaseRing(6), Z2G, [(4, (0,)), (2, (0, 1))], []))  # arity before order
+@example((Z, GradingGroup((2, 2)), [(0, (-1, 5)), (10**12, (3, -4)), (4, (1, 1))], []))
+def test_module_construction_matches_the_reference(case):
+    ring, group, factors, gens = case
+    want = built(lambda: oracles.module_fields(ring, group, factors))
+    M = built(lambda: GradedModule(ring, group, factors))
+    if not isinstance(M, GradedModule):
+        assert M == want
+        return
+    reduced, slots, moduli, key_hash = want
+    assert M.factors == reduced and list(M.slots.items()) == slots
+    assert M.degrees == tuple(g for g, _ in slots)
+    assert {g: M.moduli_rows(g) for g in M.degrees} == moduli
+    again = GradedModule(ring, group, reduced)
+    assert M == again and again == M and M != GradedModule(BaseRing(7), group, [])
+    assert hash(M) == hash((ring, group, reduced)) == key_hash == hash(again)
+    N = M.submodule(gens)
+    assert hash(N) == hash((M, N.blocks)) == hash(again.submodule(gens))
+    assert N == again.submodule(gens)
+
+
 def test_submodule_generator_arity_error():
     M = GradedModule(Z, Z2G, [(2, (0,)), (0, (1,))])
     with pytest.raises(ModuleMismatchError, match=r"^vector arity 3 != 2 factors$"):
@@ -181,14 +248,52 @@ ENTRIES = st.one_of(
 def modules_with_generators(draw):
     M = draw(st.sampled_from(PARITY_MODULES))
     gens = draw(st.lists(st.tuples(*[ENTRIES] * M.rank), max_size=4))
+    for k, v in enumerate(gens):  # some generators project to zero in one degree
+        if draw(st.booleans()):
+            v, scale = list(v), draw(st.sampled_from((0, 1, -(10**12))))
+            for i in M.slots[draw(st.sampled_from(M.degrees))]:
+                v[i] = scale * M.factors[i][0]
+            gens[k] = tuple(v)
     return M, gens
+
+
+# one- and two-column degrees, free and finite, over Z and Z/10^12
+NEAR = 10**12 - 1
+BIG_ENTRY_MODULES = [
+    GradedModule(Z, Z2G, [(0, (0,)), (0, (1,)), (6, (1,))]),
+    GradedModule(BaseRing(10**12), Z2G, [(10**12, (1,)), (10**12, (0,)), (5 * 10**11, (0,))]),
+]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(modules_with_generators())
+@example((BIG_ENTRY_MODULES[0], [(NEAR, 0, 0), (0, -NEAR, NEAR + 2), (0, 10**12, 6)]))
+@example((BIG_ENTRY_MODULES[1], [(NEAR, -NEAR, 0), (0, NEAR + 1, 10**12), (10**12, 0, 7)]))
+@example((BIG_ENTRY_MODULES[1], [(0, 10**12, 5 * 10**11)]))  # zero in both degrees
 def test_submodule_blocks_match_the_component_route(case):
     M, gens = case
     assert M.submodule(gens).blocks == oracles.component_blocks(M, gens)
+
+
+def test_generator_vectors_match_the_embedding_route_on_the_oracle_corpus():
+    subs = [N for M in oracles.oracle_corpus() for N in enumerate_submodules(M)]
+    for N in subs:
+        assert N.generator_vectors() == oracles.embedded_generator_vectors(N), N
+
+
+@st.composite
+def generated_modules_with_generators(draw):
+    M = draw(st.one_of(finite_modules(), modules_with_free_factors()))
+    return M, draw(st.lists(st.tuples(*[ENTRIES] * M.rank), max_size=3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(modules_with_generators(), generated_modules_with_generators()))
+@example((BIG_ENTRY_MODULES[1], [(NEAR, -NEAR, 0), (0, NEAR + 1, 10**12)]))
+def test_generator_vectors_match_the_embedding_route(case):
+    M, gens = case
+    N = M.submodule(gens)
+    assert N.generator_vectors() == oracles.embedded_generator_vectors(N)
 
 
 def test_is_full_reads_the_colon():

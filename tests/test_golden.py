@@ -7,7 +7,10 @@ perfbench/.work/ (written here to a temporary directory).  Every pointwise
 query must give the recorded answer text.  The benchmark's own modules
 supply the inputs and the query answering; they are only read.  The whole
 pointwise pool, answered in one fresh interpreter, must leave nothing for
-the cyclic collector: a count, so the gate is deterministic.
+the cyclic collector: a count, so the gate is deterministic.  The pool's
+work is pinned by counts too: the Smith invariants, eliminations and
+factorizations its answers cost, and the module and submodule hashes they
+never need.
 """
 
 import hashlib
@@ -16,8 +19,11 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+from gpspec import intlinalg, numtheory
+from gpspec.algebra import GradedModule, GradedSubmodule
 from gpspec.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +89,43 @@ def test_pointwise_answers_match_recorded_references():
         if got != ref["answer"]:
             mismatches.append(f"{q['key']}: {got!r}, recorded {ref['answer']!r}")
     assert mismatches == []
+
+
+def test_pointwise_pool_work_is_pinned(monkeypatch):
+    # each query builds its own module, so each pays one quotient-invariant
+    # computation per degree of its submodule and nothing past that
+    pool, worker, built = workloads.query_pool(), perfbench_module("worker"), []
+    degrees = sum(len(worker.build(q).module.degrees) for q in pool)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((intlinalg, "quotient_invariants_of"), (intlinalg, "smith_normal_form"),
+                         (numtheory, "factorize")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(intlinalg._Echelon, "__init__",
+                        counted("_Echelon", intlinalg._Echelon.__init__))
+    for cls in (GradedModule, GradedSubmodule):
+        monkeypatch.setattr(cls, "__hash__", counted(f"{cls.__name__}.__hash__", cls.__hash__))
+    build = worker.build
+
+    def recording_build(q):
+        built.append(build(q))
+        return built[-1]
+
+    monkeypatch.setattr(worker, "build", recording_build)
+    assert len([worker.answer(q) for q in pool]) == 360
+    # hashes wait for first use, and no query asks for one
+    assert len(built) == 360
+    assert all(N._hash is None and N.module._hash is None for N in built)
+    assert counts["quotient_invariants_of"] == degrees == 500
+    assert dict(counts) == {
+        "quotient_invariants_of": 500, "_Echelon": 20, "smith_normal_form": 20, "factorize": 29,
+    }
 
 
 COLLECTOR_COUNT = """

@@ -7,10 +7,12 @@ models, and of the model parser on generated models and mutated corpus text.
 The examples are derandomized, so every run checks the same inputs.
 """
 
+import sys
 from functools import reduce
 from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
@@ -23,6 +25,7 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
+from gpspec import spectra
 from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.harness import Context, run_checks
 from gpspec.spectra import (
@@ -216,6 +219,36 @@ def test_catalog_passes_or_skips_on_generated_models(model):
     bad = [(r.check_id, r.status, r.detail) for r in run_checks(model)
            if r.status not in ("pass", "skip")]
     assert not bad, (model.ring.text(), model.module.text(), bad)
+
+
+def catalog_outcomes(model: Model) -> list[tuple]:
+    """(check_id, status, detail) of every check, from an empty memo."""
+    model.module.memo.clear()
+    return [(r.check_id, r.status, r.detail) for r in run_checks(model)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_catalog_is_unchanged_with_the_colon_identity_membership(model):
+    # the differential half of the catalog property: the library's membership
+    # test swapped for the one that re-checks the colon identity
+    want, asked = catalog_outcomes(model), []
+
+    def membership(Q, bound=DEFAULT_ENUM_BOUND):
+        asked.append(Q)
+        return oracles.colon_identity_membership(Q, bound)
+
+    library = spectra.in_primary_spectrum
+    importers = [module for name, module in list(sys.modules.items())
+                 if name.startswith("gpspec") and vars(module).get("in_primary_spectrum") is library]
+    assert len(importers) == 2  # spectra and harness
+    with pytest.MonkeyPatch.context() as patch:
+        for module in importers:
+            patch.setattr(module, "in_primary_spectrum", membership)
+        got = catalog_outcomes(model)
+    assert got == want, (model.ring.text(), model.module.text())
+    if model.module.is_finite:
+        assert asked, model.module.text()  # the swap reached the primary spectrum
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -62,8 +62,8 @@ def per_module(fn):
     (ideals, block tuples, N.quotients() for all degrees at once) are plain data, so
     nothing in the memo leads back to the module and reference counting frees it, memo
     and all, once its last user lets go.  Results describing the whole module (its
-    enumeration and lattice table, its spaces and their varieties, keyed by the space,
-    and its natural maps) hold the module; they are left to the collector."""
+    enumeration and lattice table, its spaces with their varieties and star tables,
+    keyed by the space, and its natural maps) hold the module; the collector frees them."""
 
     @wraps(fn)
     def memoised(x, *args, **kwargs):
@@ -419,11 +419,14 @@ class GradedModule:
 
     # -- elements ---------------------------------------------------------
 
-    def reduce_vector(self, vec) -> tuple[int, ...]:
+    def _require_arity(self, vec) -> None:
         if len(vec) != len(self.factors):
             raise ModuleMismatchError(
                 f"vector arity {len(vec)} != {len(self.factors)} factors"
             )
+
+    def reduce_vector(self, vec) -> tuple[int, ...]:
+        self._require_arity(vec)
         return tuple([v % o if o else int(v) for v, (o, _) in zip(vec, self.factors)])
 
     def homogeneous_components(self, vec) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -461,11 +464,13 @@ class GradedModule:
     def submodule(self, gens) -> GradedSubmodule:
         """Smallest graded submodule containing the given elements.  Mixed
         generators are split into their homogeneous components first."""
-        vecs = [self.reduce_vector(v) for v in gens]
+        vecs = list(gens)
+        for v in vecs:
+            self._require_arity(v)
         blocks = []
         for g in self.degrees:
             slots = self.slots[g]
-            rows = [[v[i] for i in slots] for v in vecs]
+            rows = [[int(v[i]) for i in slots] for v in vecs]  # the moduli reduce them
             rows += self._moduli[g]
             blocks.append(intlinalg.unchecked_hnf(rows, len(slots)))
         return GradedSubmodule(self, blocks)

@@ -14,7 +14,7 @@ Implications whose hypothesis is Unknown are skipped, never assumed.
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .algebra import (
     DEFAULT_ENUM_BOUND,
@@ -63,9 +63,11 @@ from .topology import (
     is_primary_top_module,
     is_quasi_compact,
     is_union_of_members,
+    radical_core,
     ring_basic_open,
     ring_variety,
     specialization_closures,
+    star_masks,
     star_variety_family,
     union_gap,
     variety,
@@ -176,30 +178,9 @@ class Context:
         return [variety(self.pspec, N).mask for N in self.subs]
 
     @cached_property
-    def star_masks(self) -> list[int]:
-        """Star-variety masks on the primary spectrum, aligned with `subs`:
-        N lies in Gr(Q) iff N's element mask lies in Gr(Q)'s."""
-        points_of = {}  # radical element mask -> mask of the points with it
-        for j, R in enumerate(self.radical_masks):
-            points_of[R] = points_of.get(R, 0) | 1 << j
-        return [sum(points for R, points in points_of.items() if not mask & ~R)
-                for mask in self.lattice.masks]
-
-    @cached_property
-    def radical_masks(self) -> list[int]:
-        """Element masks of the graded radicals of the primary points."""
-        lat = self.lattice
-        return [lat.masks[lat.position[R]] for R in self.pspec.radicals]
-
-    def core_position(self, mask: int) -> int:
-        """Position in `subs` of the radical core of the primary points in
-        mask: the AND-fold of their radicals' element masks."""
-        lat = self.lattice
-        core = lat.masks[-1]  # M, the core of no points
-        for i, R in enumerate(self.radical_masks):
-            if mask >> i & 1:
-                core &= R
-        return lat.index[core]
+    def star_masks(self) -> tuple[int, ...]:
+        """Star-variety masks on the primary spectrum, aligned with `subs`."""
+        return star_masks(self.pspec)
 
     @cached_property
     def ring_ideal_reps(self) -> tuple[Ideal, ...]:
@@ -371,7 +352,7 @@ def check_CE2_1(ctx: Context):
 
 
 def check_T2_2(ctx: Context):
-    fam = star_variety_family(ctx.pspec, ctx.bound)
+    fam = star_variety_family(ctx.pspec)
     count = _union_closed(fam, "star family")
     return count, f"union closure over {len(fam)} distinct star varieties"
 
@@ -491,7 +472,7 @@ def check_L2_6(ctx: Context):
 def check_C2_7(ctx: Context):
     if is_primary_top_module(ctx.module, ctx.bound).is_false:
         return 0, "hypothesis fails (not primary top)"
-    fam = star_variety_family(ctx.spec, ctx.bound)
+    fam = star_variety_family(ctx.spec)
     count = _union_closed(fam, "prime-side star family")
     return count, f"union closure over {len(fam)} distinct sets"
 
@@ -778,9 +759,8 @@ def check_P4_1(ctx: Context):
     sp = ctx.pspec
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
-        via_eta = ctx.nu_masks[ctx.core_position(mask)]
-        via_lattice = closure(sp.point_set(mask)).mask
-        if via_eta != via_lattice:
+        Y = sp.point_set(mask)
+        if ctx.nu_masks[ctx.lattice.position[radical_core(Y)]] != closure(Y).mask:
             _fail("closure routes disagree", mask)
         count += 1
     return count, f"{count} subsets"
@@ -821,17 +801,14 @@ def check_T4_4(ctx: Context):
         if mask == 0:
             continue
         Y = sp.point_set(mask)
-        eta = ctx.subs[ctx.core_position(mask)]
+        eta = radical_core(Y)
         irreducible = is_irreducible_subset(sp, mask)
         if eta.is_proper and is_graded_primary(eta):
             if not irreducible:
                 _fail("primary radical core but reducible subset", mask)
             count += 1
         if irreducible:
-            meet = None
-            for i in Y.indices():
-                c = sp.radicals[i].colon()
-                meet = c if meet is None else meet.intersect(c)
+            meet = reduce(Ideal.intersect, [sp.radicals[i].colon() for i in Y.indices()])
             if meet != eta.colon():
                 _fail("colon of the core differs from the meet of colons", mask)
             if not eta.colon().is_prime:
@@ -922,7 +899,7 @@ def check_P4_8(ctx: Context):
         if mask == 0:
             continue
         Y = sp.point_set(mask)
-        eta = ctx.subs[ctx.core_position(mask)]
+        eta = radical_core(Y)
         if eta.is_zero or not eta.is_proper or not is_graded_primary(eta):
             continue
         fibers = {sp.radicals[i].colon() for i in Y.indices()}

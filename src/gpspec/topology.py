@@ -3,8 +3,8 @@ varieties and base sets, and the topological analyzer (connectedness,
 irreducibility, components, generic points, separation, soberness, the
 spectral-space checklist).
 
-Spaces are materialized only in the finite regime; infinite instances are
-served by the pointwise membership predicates.
+Only finite spaces are materialized; they read star varieties and radical
+cores off the lattice table, and pointwise membership predicates serve the rest.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .algebra import (
     Ideal,
     InvariantError,
     Value,
+    _lattice,
     enumerate_submodules,
     ideal_times_module,
     per_module,
@@ -176,23 +177,36 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
 def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> PointSet:
     """Closed set of points cut out by N.
 
-    On the primary spectrum: points whose graded radical contains N (star)
-    or whose radical-colon contains (N : M) (default, the closed sets of the
-    topology).  On the prime spectrum the same with the point itself in
-    place of its radical.  Both are memoised with the space; the default
-    depends on N only through (N : M).
+    On the primary spectrum: points whose graded radical contains N (star,
+    read off the space's star table) or whose radical-colon contains (N : M)
+    (default, the closed sets of the topology, memoised with the space by
+    (N : M)).  On the prime spectrum the same with each point its own radical.
     """
     if space.kind == RINGSPEC:
         raise AlgebraError("use ring_variety on ring spectra")
     if N.module != space.module:
         raise AlgebraError("submodule lives in a different module")
-    return _star_variety(space, N) if star else _colon_variety(space, N.colon())
+    if star:
+        return PointSet(space, star_masks(space)[_lattice(space.module).position[N]])
+    return _colon_variety(space, N.colon())
 
 
 @per_module
-def _star_variety(space: FiniteSpace, N: GradedSubmodule) -> PointSet:
-    return PointSet(space, sum(1 << i for i, R in enumerate(space.radicals)
-                               if R.contains(N)))
+def _radical_masks(space: FiniteSpace) -> tuple[int, ...]:
+    """Element masks of the points' graded radicals in the lattice table."""
+    lat = _lattice(space.module)
+    return tuple(lat.masks[lat.position[R]] for R in space.radicals)
+
+
+@per_module
+def star_masks(space: FiniteSpace) -> tuple[int, ...]:
+    """Star-variety masks of a module space, aligned with enumerate_submodules:
+    one AND of element masks per submodule and distinct point radical."""
+    points_of: dict[int, int] = {}  # radical element mask -> its points
+    for j, R in enumerate(_radical_masks(space)):
+        points_of[R] = points_of.get(R, 0) | 1 << j
+    return tuple(sum(points for R, points in points_of.items() if not mask & ~R)
+                 for mask in _lattice(space.module).masks)
 
 
 @per_module
@@ -238,15 +252,17 @@ def ring_basic_open(space: FiniteSpace, r: int) -> PointSet:
 
 
 def radical_core(Y: PointSet) -> GradedSubmodule:
-    """Intersection of the graded radicals of the members; the whole module
-    for the empty set."""
+    """Intersection of the graded radicals of the members: the AND of their
+    element masks in the lattice table; the whole module for the empty set."""
     space = Y.space
     if space.kind == RINGSPEC:
         raise AlgebraError("radical_core applies to module spaces")
-    acc = space.module.full_submodule
-    for i in Y.indices():
-        acc = acc.intersect(space.radicals[i])
-    return acc
+    lat = _lattice(space.module)
+    core = lat.masks[-1]  # M, the last and largest submodule
+    for i, R in enumerate(_radical_masks(space)):
+        if Y.mask >> i & 1:
+            core &= R
+    return lat.subs[lat.index[core]]
 
 
 def ideal_core(Z: PointSet) -> Ideal:
@@ -418,11 +434,11 @@ def union_gap(family, order=None) -> tuple[int, int] | None:
     return None
 
 
-def star_variety_family(space: FiniteSpace, bound: int = DEFAULT_ENUM_BOUND):
-    """All star varieties with witnesses, over every graded submodule."""
+def star_variety_family(space: FiniteSpace):
+    """Each star variety with the first submodule giving it as witness."""
     out: dict[int, GradedSubmodule] = {}
-    for N in enumerate_submodules(space.module, bound):
-        out.setdefault(variety(space, N, star=True).mask, N)
+    for N, mask in zip(_lattice(space.module).subs, star_masks(space)):
+        out.setdefault(mask, N)
     return out
 
 
@@ -436,7 +452,7 @@ def is_primary_top_module(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> T
     """
     if M.is_finite and M.size <= bound:
         space = build_space(M, PSPEC, bound)
-        fam = star_variety_family(space, bound)
+        fam = star_variety_family(space)
         gap = union_gap(fam, sorted(fam))
         if gap is not None:
             return Trilean.no((fam[gap[0]], fam[gap[1]]))

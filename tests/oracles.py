@@ -18,6 +18,8 @@ row inside M and tested it against the relation rows; `left_kernel`,
 `kernel_intersection` and `pivot_dict_reduce`, the transform-tail
 elimination, the meet through it and the pivot-dictionary membership walk
 that the one Hermite form of the meet and the pivot-order walk replaced;
+`hnf_star_mask` and `hnf_radical_core`, the per-point HNF containments and
+intersections that the star table and the radical core's mask AND replaced;
 and `coset_key`, a Hermite-form coset label that only the order-multiset
 oracle uses.  `oracle_corpus` lists the
 finite modules the spectra oracles run on.
@@ -421,6 +423,19 @@ def colon_identity_membership(Q: GradedSubmodule, bound: int) -> bool:
         return False
     rad = spectra.graded_radical(Q, bound).require()
     return rad.colon() == Q.colon_radical()
+
+
+def hnf_star_mask(space, N: GradedSubmodule) -> int:
+    """The star variety of N on a module space by the definition: one HNF
+    containment of N per point's graded radical."""
+    return sum(1 << i for i, R in enumerate(space.radicals) if R.contains(N))
+
+
+def hnf_radical_core(Y) -> GradedSubmodule:
+    """The radical core of a point set as a fold of HNF intersections of
+    the members' graded radicals, starting from M."""
+    radicals = [Y.space.radicals[i] for i in Y.indices()]
+    return reduce(GradedSubmodule.intersect, radicals, Y.space.module.full_submodule)
 
 
 def divisor_order_condition(N: GradedSubmodule, target: Ideal) -> bool:

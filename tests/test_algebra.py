@@ -270,6 +270,13 @@ BIG_ENTRY_MODULES = [
 @example((BIG_ENTRY_MODULES[0], [(NEAR, 0, 0), (0, -NEAR, NEAR + 2), (0, 10**12, 6)]))
 @example((BIG_ENTRY_MODULES[1], [(NEAR, -NEAR, 0), (0, NEAR + 1, 10**12), (10**12, 0, 7)]))
 @example((BIG_ENTRY_MODULES[1], [(0, 10**12, 5 * 10**11)]))  # zero in both degrees
+# unreduced generators: negative entries and entries near 10^12 in small
+# torsion slots, in one-, two- and three-column degrees
+@example((GradedModule(Z, Z2G, [(9, (1,)), (4, (0,)), (6, (0,))]),
+          [(-(10**12) - 7, -3, 10**12 + 5), (10**12 + 1, -(10**12) + 1, -1)]))
+@example((GradedModule(Z, Z2G, [(4, (0,)), (6, (0,)), (8, (0,))]),
+          [(-(10**12) + 3, 10**12 + 1, -5), (-1, -(10**12), NEAR)]))
+@example((GradedModule(BaseRing(12), Z2G, [(4, (0,)), (6, (1,))]), [(-5, -(10**12) - 1)]))
 def test_submodule_blocks_match_the_component_route(case):
     M, gens = case
     assert M.submodule(gens).blocks == oracles.component_blocks(M, gens)

@@ -1,0 +1,59 @@
+"""Seeded faults that the catalog must catch (DeMillo, Lipton and Sayward,
+"Hints on test data selection", 1978): each test breaks one library
+quantity in every module that imports it, runs the catalog on the corpus
+and two heavier instances, and pins the set of checks that fail.  A check
+that stops failing under its fault no longer guards that quantity."""
+
+import sys
+from pathlib import Path
+
+from gpspec import topology
+from gpspec.dsl import parse_model
+from gpspec.harness import run_checks
+
+MODELS = Path(__file__).parent.parent / "models"
+INSTANCES = [(p.stem, p.read_text()) for p in sorted(MODELS.glob("*.gps"))] + [
+    (module, f"group = Z2\nring = Z\nmodule = {module}\n")
+    for module in ("Z4@0 x Z2@1 x Z3@0", "Z4@0 x Z8@1 x Z2@0")
+]
+
+
+def failing_checks(monkeypatch, name, fault) -> set[str]:
+    """Ids of the checks that fail on some instance with topology's `name`
+    replaced by fault(real) wherever it is imported."""
+    real = getattr(topology, name)
+    faulty = fault(real)
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get(name) is real]
+    assert len(importers) == 2, name  # topology and harness
+    for module in importers:
+        monkeypatch.setattr(module, name, faulty)
+    failed = set()
+    for stem, text in INSTANCES:
+        model = parse_model(text)
+        model.module.memo.clear()
+        failed |= {r.check_id for r in run_checks(model, "all", stem) if r.status == "fail"}
+    return failed
+
+
+def test_a_star_table_missing_a_point_fails_the_star_checks(monkeypatch):
+    def fault(real):
+        def star_masks(space):  # the middle entry loses its lowest point
+            table = list(real(space))
+            mid = len(table) // 2
+            table[mid] &= table[mid] - 1
+            return tuple(table)
+        return star_masks
+
+    failed = failing_checks(monkeypatch, "star_masks", fault)
+    assert failed == {"T2.1", "T2.2", "P2.3", "L2.6"}
+
+
+def test_a_radical_core_of_m_on_two_points_fails_the_core_checks(monkeypatch):
+    def fault(real):
+        def radical_core(Y):
+            return Y.space.module.full_submodule if Y.size() == 2 else real(Y)
+        return radical_core
+
+    failed = failing_checks(monkeypatch, "radical_core", fault)
+    assert failed == {"P4.1", "T4.4"}

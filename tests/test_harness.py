@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from gpspec import cli, harness, intlinalg, maps, numtheory, topology
 from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule
 from gpspec.dsl import parse_model
@@ -195,15 +196,22 @@ def test_full_corpus_no_failures_and_roster_covered():
 
 
 def test_star_masks_equal_the_hnf_star_varieties_on_models():
-    # the element-mask table against one HNF containment per (submodule, point)
+    # the star table against one HNF containment per (submodule, point) on
+    # both module spectra, and the radical core's mask AND against a fold of
+    # HNF intersections on every subset the catalog quantifies over
     finite = 0
     for path in sorted(MODELS.glob("*.gps")):
         ctx = harness.Context(parse_model(path.read_text()), path.stem, DEFAULT_ENUM_BOUND, 0)
-        if ctx.finite:
-            finite += 1
-            assert ctx.star_masks == [
-                topology.variety(ctx.pspec, N, star=True).mask for N in ctx.subs
-            ], path.stem
+        if not ctx.finite:
+            continue
+        finite += 1
+        for sp in (ctx.pspec, ctx.spec):
+            assert topology.star_masks(sp) == tuple(
+                oracles.hnf_star_mask(sp, N) for N in ctx.subs
+            ), (path.stem, sp.kind)
+        for mask in ctx.subset_masks(ctx.pspec):
+            Y = ctx.pspec.point_set(mask)
+            assert topology.radical_core(Y) == oracles.hnf_radical_core(Y), (path.stem, mask)
     assert finite >= 10
 
 
@@ -307,10 +315,12 @@ def test_repeated_subset_member_is_one_point(tmp_path):
 
 
 def test_catalog_lattice_work_is_pinned(monkeypatch):
-    # the catalog answers pairs of enumerated submodules from the lattice
-    # table: count the HNF plus and intersect calls and the variety calls
-    # of a whole run; the counts are deterministic, so any return of
-    # per-pair HNF or variety work changes them
+    # the catalog answers pairs of enumerated submodules, star varieties
+    # and radical cores from the lattice table: count the HNF plus,
+    # intersect and contains calls and the variety calls of a whole run; the
+    # counts are deterministic, so any return of per-pair HNF or variety
+    # work changes them (the run made 1,280 contains and 1,236 variety
+    # calls when star varieties and radical cores took the HNF route)
     counts = Counter()
 
     def counted(op):
@@ -330,12 +340,14 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
 
     counted("plus")
     counted("intersect")
+    counted("contains")
     for module in (topology, harness, maps):
         monkeypatch.setattr(module, "variety", counted_variety)
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert counts == {"plus": 179, "variety": 1236}
+    assert counts["contains"] == 0
+    assert counts == {"plus": 179, "variety": 1204}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):

@@ -25,7 +25,7 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
-from gpspec import spectra
+from gpspec import spectra, topology
 from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.harness import Context, run_checks
 from gpspec.spectra import (
@@ -37,7 +37,7 @@ from gpspec.spectra import (
     is_graded_prime,
     is_multiplication,
 )
-from gpspec.topology import variety
+from gpspec.topology import radical_core, star_masks
 
 MAX_SIZE = 64
 GROUPS = ((2,), (2, 2), (3,))
@@ -251,6 +251,36 @@ def test_catalog_is_unchanged_with_the_colon_identity_membership(model):
         assert asked, model.module.text()  # the swap reached the primary spectrum
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_catalog_is_unchanged_with_the_hnf_star_table_and_radical_core(model):
+    # the differential half of the star-table property: the lattice's star
+    # table and radical core swapped for one HNF containment per (submodule,
+    # point) and a fold of HNF intersections, in every module importing them
+    want, asked = catalog_outcomes(model), []
+
+    def hnf_star_masks(space):
+        asked.append("star")
+        return tuple(oracles.hnf_star_mask(space, N) for N in enumerate_submodules(space.module))
+
+    def hnf_radical_core(Y):
+        asked.append("core")
+        return oracles.hnf_radical_core(Y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, swap in (("star_masks", hnf_star_masks), ("radical_core", hnf_radical_core)):
+            library = getattr(topology, name)
+            importers = [module for key, module in list(sys.modules.items())
+                         if key.startswith("gpspec") and vars(module).get(name) is library]
+            assert len(importers) == 2, name  # topology and harness
+            for module in importers:
+                patch.setattr(module, name, swap)
+        got = catalog_outcomes(model)
+    assert got == want, (model.ring.text(), model.module.text())
+    if model.module.is_finite and model.module.factors:
+        assert {"star", "core"} <= set(asked), model.module.text()  # the swap was reached
+
+
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(catalog_models())
 @example(zero_module_model(0))
@@ -258,9 +288,12 @@ def test_catalog_is_unchanged_with_the_colon_identity_membership(model):
 def test_star_masks_equal_the_hnf_star_varieties_on_generated_models(model):
     ctx = Context(model, "generated", DEFAULT_ENUM_BOUND, 0)
     assume(ctx.finite)
-    assert ctx.star_masks == [
-        variety(ctx.pspec, N, star=True).mask for N in ctx.subs
-    ], (model.ring.text(), model.module.text())
+    for sp in (ctx.pspec, ctx.spec):
+        assert star_masks(sp) == tuple(oracles.hnf_star_mask(sp, N) for N in ctx.subs), (
+            model.ring.text(), model.module.text(), sp.kind)
+    for mask in ctx.subset_masks(ctx.pspec):
+        Y = ctx.pspec.point_set(mask)
+        assert radical_core(Y) == oracles.hnf_radical_core(Y), (model.module.text(), mask)
 
 
 # -- the model parser -----------------------------------------------------------

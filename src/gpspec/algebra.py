@@ -12,7 +12,7 @@ relation rows), which makes equality of submodules syntactic.
 
 from __future__ import annotations
 
-from functools import reduce, wraps
+from functools import cached_property, reduce, wraps
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 from operator import mod
@@ -63,7 +63,9 @@ def per_module(fn):
     nothing in the memo leads back to the module and reference counting frees it, memo
     and all, once its last user lets go.  Results describing the whole module (its
     enumeration and lattice table, its spaces with their varieties and star tables,
-    keyed by the space, and its natural maps) hold the module; the collector frees them."""
+    keyed by the space, and its natural maps) hold the module; the collector frees them.
+    The quotient and permutation targets of M, one module per factor tuple (see
+    _presentation), hold nothing of M, and M itself is never a value."""
 
     @wraps(fn)
     def memoised(x, *args, **kwargs):
@@ -767,7 +769,8 @@ class SubmoduleLattice:
 
     * masks[i]: the elements of subs[i]; index: mask -> position
     * position: submodule -> position
-    * up[i]: mask of the positions j with subs[j] containing subs[i]
+    * up[i]: mask of the positions j with subs[j] containing subs[i], built
+      on first use by join or contains (star tables read only the masks)
 
     Point queries on other submodules go through GradedSubmodule's own
     plus, intersect and contains."""
@@ -802,21 +805,24 @@ class SubmoduleLattice:
                     coset = translate(coset, g)
             masks.append(mask)
             gen_bits.append([sum(map(int.__mul__, g, strides)) for g in gens])
-        n = len(subs)
-        holders = [0] * size  # element -> mask of the positions holding it
-        for i, mask in enumerate(masks):
+        self.subs = subs
+        self.masks = tuple(masks)
+        self.index = {m: i for i, m in enumerate(masks)}
+        self.position = {N: i for i, N in enumerate(subs)}
+        self._size, self._gen_bits = size, gen_bits
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        holders = [0] * self._size  # element -> mask of the positions holding it
+        for i, mask in enumerate(self.masks):
             bit = 1 << i
             while mask:
                 low = mask & -mask
                 holders[low.bit_length() - 1] |= bit
                 mask ^= low
-        everyone = (1 << n) - 1
-        self.subs = subs
-        self.masks = tuple(masks)
-        self.index = {m: i for i, m in enumerate(masks)}
-        self.position = {N: i for i, N in enumerate(subs)}
-        self.up = tuple(
-            reduce(int.__and__, (holders[b] for b in bits), everyone) for bits in gen_bits
+        everyone = (1 << len(self.subs)) - 1
+        return tuple(
+            reduce(int.__and__, (holders[b] for b in bits), everyone) for bits in self._gen_bits
         )
 
     def meet(self, i: int, j: int) -> int:
@@ -847,13 +853,28 @@ def _lattice(M: GradedModule) -> SubmoduleLattice:
 # -- quotients -------------------------------------------------------------
 
 
+def _presentation(M: GradedModule, factors: tuple) -> GradedModule:
+    """The module presented by factors over M's ring and group: M itself when
+    they are M's, otherwise one module per factor tuple, interned in M's memo,
+    so that every map onto one presentation reads one memo of its spectra."""
+    return M if factors == M.factors else _interned(M, factors)
+
+
+@per_module
+def _interned(M: GradedModule, factors: tuple) -> GradedModule:
+    return GradedModule(M.ring, M.group, factors)
+
+
 class QuotientMap:
     """Canonical degree-preserving projection M -> M/K.
 
     Per degree g the Smith transform V of K's lattice identifies
-    M_g = Z^k / (moduli) with new cyclic coordinates; columns with invariant 1
-    vanish, columns with invariant d > 1 become Z_d factors and columns past
-    the rank become Z factors, all of degree g.
+    M_g = Z^k / (moduli) with new cyclic coordinates y = xV, in which K is
+    diagonal.  Columns with invariant 1 lie in K and vanish; the kept columns,
+    those with invariant d > 1 and those past the rank, become the Z_d and Z
+    factors of degree g.  The preimage of N2 is K + lift(N2): N2's rows placed
+    on the kept columns and moved back by V^-1.  Kernels with one quotient
+    presentation share one target module (see _presentation).
     """
 
     def __init__(self, source: GradedModule, kernel: GradedSubmodule):
@@ -861,23 +882,15 @@ class QuotientMap:
             raise ModuleMismatchError("kernel lives in a different module")
         self.source = source
         self._kernel = kernel
-        factors = []
-        self._plan = {}
-        for g in source.degrees:
-            block = kernel.block(g)
+        factors, self._plan = [], {}
+        for g, block in zip(source.degrees, kernel.blocks):
             n = len(source.slots[g])
             inv, V, Vinv = intlinalg.smith_normal_form(block, n)
-            keep = []  # (column, order) with order 0 for free columns
-            for j, d in enumerate(inv):
-                if d > 1:
-                    keep.append((j, d))
-            for j in range(len(inv), n):
-                keep.append((j, 0))
-            base = len(factors)
-            for _, d in keep:
-                factors.append((d, g))
-            self._plan[g] = (V, Vinv, tuple(keep), base, len(inv))
-        self.target = GradedModule(source.ring, source.group, factors)
+            orders = inv + [0] * (n - len(inv))  # 0: a free column past the rank
+            keep = tuple(j for j, d in enumerate(orders) if d != 1)
+            factors += [(orders[j], g) for j in keep]
+            self._plan[g] = (V, Vinv, keep)
+        self.target = _presentation(source, tuple(factors))
 
     def kernel(self) -> GradedSubmodule:
         return self._kernel
@@ -885,12 +898,11 @@ class QuotientMap:
     def apply(self, vec) -> tuple[int, ...]:
         src = self.source
         vec = src.reduce_vector(vec)
-        out = [0] * len(self.target.factors)
-        for g in src.degrees:
-            V, _, keep, base, _ = self._plan[g]
-            y = intlinalg.matmul_vec(src.block_of(vec, g), V)
-            for pos, (j, d) in enumerate(keep):
-                out[base + pos] = y[j] % d if d else y[j]
+        out = []  # the target's factors follow the source's degrees
+        for g, (V, _, keep) in self._plan.items():
+            if keep:
+                y = intlinalg.matmul_vec(src.block_of(vec, g), V)
+                out += [y[j] for j in keep]
         return self.target.reduce_vector(out)
 
     def image_submodule(self, N: GradedSubmodule) -> GradedSubmodule:
@@ -904,35 +916,17 @@ class QuotientMap:
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
         if N2.module != self.target:
             raise ModuleMismatchError("submodule lives in a different module")
-        src = self.source
         blocks = []
-        for g in src.degrees:
-            V, Vinv, keep, base, rank = self._plan[g]
-            n = len(src.slots[g])
-            rows = []
-            if keep:
-                tgt_block = N2.block(g)
-                # target block coordinates correspond, in order, to `keep`
-                for t_row in tgt_block:
-                    row = [0] * n
-                    for pos, (j, _) in enumerate(keep):
-                        row[j] = t_row[pos]
-                    rows.append(row)
-            # columns with invariant 1 collapse, so every unit direction there
-            # is in the preimage; dropped Smith columns j < rank not in keep
-            kept_cols = {j for j, _ in keep}
-            for j in range(rank):
-                if j not in kept_cols:
-                    row = [0] * n
-                    row[j] = 1
-                    rows.append(row)
-            lifted = [intlinalg.matmul_vec(r, Vinv) for r in rows]
-            blocks.append(
-                intlinalg.hermite_normal_form(
-                    lifted + list(src.moduli_rows(g)), n
-                )
-            )
-        return GradedSubmodule(src, tuple(blocks))
+        for (g, (_, Vinv, keep)), K_block in zip(self._plan.items(), self._kernel.blocks):
+            rows, n = list(K_block), len(Vinv)
+            if keep:  # a degree of the target
+                for t_row in N2.block(g):
+                    y = [0] * n
+                    for j, v in zip(keep, t_row):
+                        y[j] = v
+                    rows.append(intlinalg.matmul_vec(y, Vinv))
+            blocks.append(intlinalg.hermite_normal_form(rows, n))
+        return GradedSubmodule(self.source, blocks)
 
 
 def quotient_module(M: GradedModule, K: GradedSubmodule):

@@ -22,6 +22,7 @@ from .algebra import (
     ModuleMismatchError,
     QuotientMap,
     Value,
+    _presentation,
     annihilator,
     enumerate_submodules,
     ideal_times_module,
@@ -237,17 +238,19 @@ def analyze_natural_map(
 
 
 class PermutationMap:
-    """Graded isomorphism permuting factors with equal (order, degree)."""
+    """Graded isomorphism onto the same factors listed in another order."""
 
     def __init__(self, source: GradedModule, assignment):
-        """assignment[j] = source factor index feeding target slot j; the
-        target presentation keeps each factor's (order, degree)."""
+        """assignment[j] = source factor index feeding target slot j, for any
+        permutation; the target relists the source's factors in that order and
+        is the source itself when the list is unchanged, as for the identity or
+        a swap of two equal factors (see algebra._presentation)."""
         self.source = source
         self.assignment = tuple(assignment)
         if sorted(self.assignment) != list(range(len(source.factors))):
             raise AlgebraError("assignment is not a permutation of the factors")
-        factors = [source.factors[i] for i in self.assignment]
-        self.target = GradedModule(source.ring, source.group, factors)
+        factors = tuple(source.factors[i] for i in self.assignment)
+        self.target = _presentation(source, factors)
 
     def kernel(self) -> GradedSubmodule:
         return self.source.zero_submodule

@@ -20,6 +20,9 @@ elimination, the meet through it and the pivot-dictionary membership walk
 that the one Hermite form of the meet and the pivot-order walk replaced;
 `hnf_star_mask` and `hnf_radical_core`, the per-point HNF containments and
 intersections that the star table and the radical core's mask AND replaced;
+`FreshQuotientMap`, the projection that built a fresh target module per
+kernel and lifted a preimage from unit rows and moduli rows, which the
+shared presentations and the preimage K + lift(N2) replaced;
 and `coset_key`, a Hermite-form coset label that only the order-multiset
 oracle uses.  `oracle_corpus` lists the
 finite modules the spectra oracles run on.
@@ -39,6 +42,7 @@ from gpspec.algebra import (
     GradedSubmodule,
     GradingGroup,
     Ideal,
+    ModuleMismatchError,
     enumerate_submodules,
     ideal_times_module,
     quotient_module,
@@ -423,6 +427,94 @@ def colon_identity_membership(Q: GradedSubmodule, bound: int) -> bool:
         return False
     rad = spectra.graded_radical(Q, bound).require()
     return rad.colon() == Q.colon_radical()
+
+
+class FreshQuotientMap:
+    """Canonical degree-preserving projection M -> M/K.
+
+    Per degree g the Smith transform V of K's lattice identifies
+    M_g = Z^k / (moduli) with new cyclic coordinates; columns with invariant 1
+    vanish, columns with invariant d > 1 become Z_d factors and columns past
+    the rank become Z factors, all of degree g.
+    """
+
+    def __init__(self, source: GradedModule, kernel: GradedSubmodule):
+        if kernel.module != source:
+            raise ModuleMismatchError("kernel lives in a different module")
+        self.source = source
+        self._kernel = kernel
+        factors = []
+        self._plan = {}
+        for g in source.degrees:
+            block = kernel.block(g)
+            n = len(source.slots[g])
+            inv, V, Vinv = intlinalg.smith_normal_form(block, n)
+            keep = []  # (column, order) with order 0 for free columns
+            for j, d in enumerate(inv):
+                if d > 1:
+                    keep.append((j, d))
+            for j in range(len(inv), n):
+                keep.append((j, 0))
+            base = len(factors)
+            for _, d in keep:
+                factors.append((d, g))
+            self._plan[g] = (V, Vinv, tuple(keep), base, len(inv))
+        self.target = GradedModule(source.ring, source.group, factors)
+
+    def kernel(self) -> GradedSubmodule:
+        return self._kernel
+
+    def apply(self, vec) -> tuple[int, ...]:
+        src = self.source
+        vec = src.reduce_vector(vec)
+        out = [0] * len(self.target.factors)
+        for g in src.degrees:
+            V, _, keep, base, _ = self._plan[g]
+            y = intlinalg.matmul_vec(src.block_of(vec, g), V)
+            for pos, (j, d) in enumerate(keep):
+                out[base + pos] = y[j] % d if d else y[j]
+        return self.target.reduce_vector(out)
+
+    def image_submodule(self, N: GradedSubmodule) -> GradedSubmodule:
+        if N.module != self.source:
+            raise ModuleMismatchError("submodule lives in a different module")
+        gens = [self.apply(self.source.embed_block(g, row))
+                for g, block in zip(self.source.degrees, N.blocks)
+                for row in block]
+        return self.target.submodule(gens)
+
+    def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
+        if N2.module != self.target:
+            raise ModuleMismatchError("submodule lives in a different module")
+        src = self.source
+        blocks = []
+        for g in src.degrees:
+            V, Vinv, keep, base, rank = self._plan[g]
+            n = len(src.slots[g])
+            rows = []
+            if keep:
+                tgt_block = N2.block(g)
+                # target block coordinates correspond, in order, to `keep`
+                for t_row in tgt_block:
+                    row = [0] * n
+                    for pos, (j, _) in enumerate(keep):
+                        row[j] = t_row[pos]
+                    rows.append(row)
+            # columns with invariant 1 collapse, so every unit direction there
+            # is in the preimage; dropped Smith columns j < rank not in keep
+            kept_cols = {j for j, _ in keep}
+            for j in range(rank):
+                if j not in kept_cols:
+                    row = [0] * n
+                    row[j] = 1
+                    rows.append(row)
+            lifted = [intlinalg.matmul_vec(r, Vinv) for r in rows]
+            blocks.append(
+                intlinalg.hermite_normal_form(
+                    lifted + list(src.moduli_rows(g)), n
+                )
+            )
+        return GradedSubmodule(src, tuple(blocks))
 
 
 def hnf_star_mask(space, N: GradedSubmodule) -> int:

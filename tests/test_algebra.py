@@ -20,6 +20,7 @@ from gpspec.algebra import (
     Ideal,
     InfiniteEnumerationError,
     ModuleMismatchError,
+    QuotientMap,
     _enumerate_block_subgroups,
     annihilator,
     enumerate_submodules,
@@ -864,6 +865,33 @@ def test_quotient_projection_properties():
             pulled = proj.preimage_submodule(N2)
             assert proj.image_submodule(pulled) == N2
             assert pulled.contains(K)
+
+
+def test_quotient_maps_match_the_fresh_target_oracle():
+    # the shared presentation and the preimage K + lift(N2) against the
+    # projection that built a fresh target per kernel and lifted the
+    # collapsed columns as unit rows: every kernel of three finite modules,
+    # and fixed kernels of Z@0 x Z4@1 with images of fixed submodules
+    cases = []
+    for M in (GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
+              GradedModule(Z, Z2G, [(4, (0,)), (6, (0,))]),
+              GradedModule(Z, Z2G, [(2, (0,))] * 3)):
+        subs = enumerate_submodules(M)
+        cases += [(M, K, subs, M.elements()) for K in subs]
+    M = GradedModule(Z, Z2G, [(0, (0,)), (4, (1,))])
+    subs = [M.submodule(gens) for gens in
+            ([], [(6, 0)], [(0, 2)], [(3, 1)], [(2, 0), (0, 1)], [(1, 0), (0, 1)])]
+    vecs = [(a, b) for a in (-7, 0, 1, 5, 12) for b in range(4)]
+    cases += [(M, K, subs, vecs) for K in subs]
+    for M, K, subs, vecs in cases:
+        proj, fresh = QuotientMap(M, K), oracles.FreshQuotientMap(M, K)
+        assert proj.target == fresh.target, (M, K)
+        assert [proj.apply(v) for v in vecs] == [fresh.apply(v) for v in vecs]
+        images = [proj.image_submodule(N) for N in subs]
+        assert images == [fresh.image_submodule(N) for N in subs], (M, K)
+        T = proj.target
+        for N2 in enumerate_submodules(T) if T.is_finite else images:
+            assert proj.preimage_submodule(N2) == fresh.preimage_submodule(N2), (M, K, N2)
 
 
 def test_quotient_preserves_degrees():

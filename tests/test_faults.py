@@ -1,13 +1,15 @@
 """Seeded faults that the catalog must catch (DeMillo, Lipton and Sayward,
 "Hints on test data selection", 1978): each test breaks one library
-quantity in every module that imports it, runs the catalog on the corpus
-and two heavier instances, and pins the set of checks that fail.  A check
-that stops failing under its fault no longer guards that quantity."""
+quantity in every module that imports it, or one method of its class, runs
+the catalog on the corpus and two heavier instances, and pins the set of
+checks that fail.  A check that stops failing under its fault no longer
+guards that quantity."""
 
 import sys
 from pathlib import Path
 
 from gpspec import topology
+from gpspec.algebra import QuotientMap
 from gpspec.dsl import parse_model
 from gpspec.harness import run_checks
 
@@ -28,6 +30,11 @@ def failing_checks(monkeypatch, name, fault) -> set[str]:
     assert len(importers) == 2, name  # topology and harness
     for module in importers:
         monkeypatch.setattr(module, name, faulty)
+    return catalog_failures()
+
+
+def catalog_failures() -> set[str]:
+    """Ids of the checks that fail on some instance."""
     failed = set()
     for stem, text in INSTANCES:
         model = parse_model(text)
@@ -57,3 +64,30 @@ def test_a_radical_core_of_m_on_two_points_fails_the_core_checks(monkeypatch):
 
     failed = failing_checks(monkeypatch, "radical_core", fault)
     assert failed == {"P4.1", "T4.4"}
+
+
+def test_an_image_scaled_by_two_fails_the_transport_check(monkeypatch):
+    # PermutationMap took QuotientMap's image_submodule when its class was
+    # made, so the fault reaches the quotient projections only
+    real = QuotientMap.image_submodule
+
+    def image_submodule(self, N):
+        image = real(self, N)
+        return image.scaled(2) if N.size() > 1 else image
+
+    monkeypatch.setattr(QuotientMap, "image_submodule", image_submodule)
+    assert catalog_failures() == {"L2.14"}
+
+
+def test_a_preimage_joined_with_2m_fails_the_induced_map_checks(monkeypatch):
+    # joined only while the join stays proper: an improper point would raise
+    # out of the whole catalog instead of failing a check
+    real = QuotientMap.preimage_submodule
+
+    def preimage_submodule(self, N2):
+        pre = real(self, N2)
+        joined = pre.plus(pre.module.full_submodule.scaled(2))
+        return joined if joined.is_proper else pre
+
+    monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
+    assert catalog_failures() == {"T2.15", "C2.16"}

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from gpspec import cli, harness, intlinalg, maps, numtheory, topology
-from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedSubmodule
+from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedModule, GradedSubmodule
 from gpspec.dsl import parse_model
 from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
 from gpspec.spectra import Trilean
@@ -320,7 +320,9 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     # intersect and contains calls and the variety calls of a whole run; the
     # counts are deterministic, so any return of per-pair HNF or variety
     # work changes them (the run made 1,280 contains and 1,236 variety
-    # calls when star varieties and radical cores took the HNF route)
+    # calls when star varieties and radical cores took the HNF route, and
+    # 179 plus and 1,204 variety calls when every quotient map built its own
+    # target module)
     counts = Counter()
 
     def counted(op):
@@ -347,13 +349,15 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
     assert counts["contains"] == 0
-    assert counts == {"plus": 179, "variety": 1204}
+    assert counts == {"plus": 107, "variety": 1013}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):
     # the block enumeration lists the divisors of each order once per row,
     # not once per partial lattice below it (127 calls, 85 of them from the
-    # enumeration, when it did); the count is deterministic
+    # enumeration, when it did), and enumerates each quotient presentation
+    # once (111 calls when every quotient map built its own target); the
+    # count is deterministic
     calls = Counter()
     real = numtheory.divisors
 
@@ -365,7 +369,7 @@ def test_catalog_divisors_are_pinned(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 111
+    assert sum(calls.values()) == 70
     assert set(calls) == {1, 2, 4, 8}
 
 
@@ -399,10 +403,12 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     # the radical of a colon is memoised with the module by the ideal, so a
     # whole run factors each distinct colon generator once per module (the
     # run calls factorize 2,772 times when every colon radical factors
-    # afresh); the count is deterministic, and 111 of the calls come from
+    # afresh); the count is deterministic, and 70 of the calls come from
     # numtheory.divisors (127 of 199 when the enumeration listed an order's
     # divisors once per partial lattice; 183 calls in all when membership in
-    # the primary spectrum also factored the prime colon of each prime point)
+    # the primary spectrum also factored the prime colon of each prime point;
+    # 150, 111 of them from divisors, when every quotient map built its own
+    # target module)
     calls = Counter()
     real = numtheory.factorize
 
@@ -414,8 +420,28 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 150
+    assert sum(calls.values()) == 94
     assert set(calls) == {1, 2, 4, 8}
+
+
+def test_catalog_builds_one_module_per_presentation(monkeypatch):
+    # the quotient maps and permutations of one target presentation share
+    # one module, interned in the source's memo, and a target presented as
+    # the source is the source (the run built 34 modules when every map
+    # built its own target); the memo never holds its own module
+    built = []
+    real = GradedModule.__init__
+
+    def counted(self, *args):
+        built.append(tuple(args[2]))
+        real(self, *args)
+
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    monkeypatch.setattr(GradedModule, "__init__", counted)
+    results = run_checks(model, "all", "heavy")
+    assert not [r for r in results if r.status == "fail"]
+    assert len(built) == len(set(built)) == 20
+    assert all(value is not model.module for value in model.module.memo.values())
 
 
 def test_P3_2_computes_each_basic_open_once(monkeypatch):

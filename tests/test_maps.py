@@ -7,6 +7,7 @@ from gpspec.algebra import (
     GradedModule,
     GradingGroup,
     ModuleMismatchError,
+    QuotientMap,
     enumerate_submodules,
     quotient_module,
 )
@@ -215,6 +216,21 @@ def test_permutation_map_relists_factors():
     assert InducedSpectrumMap(relist).analyze().homeomorphism.is_true
     with pytest.raises(Exception):
         PermutationMap(M, (0, 0))  # not a permutation
+
+
+def test_equal_presentations_share_one_target():
+    # a map onto M's own presentation targets M, and kernels with one
+    # quotient presentation share one target, held by M's memo
+    M = GradedModule(Z, Z2G, [(2, (0,)), (2, (0,)), (4, (1,))])
+    assert PermutationMap(M, (1, 0, 2)).target is M
+    assert identity_map(M).target is M
+    assert quotient_module(M, M.zero_submodule)[0] is M
+    first, second = M.submodule([(1, 0, 0)]), M.submodule([(1, 1, 0)])
+    target = QuotientMap(M, first).target
+    assert target.factors == ((2, (0,)), (4, (1,)))
+    assert QuotientMap(M, second).target is target
+    assert PermutationMap(M, (0, 2, 1)).target is PermutationMap(M, (1, 2, 0)).target
+    assert all(value is not M for value in M.memo.values())
 
 
 def test_isomorphisms_induce_homeomorphisms():

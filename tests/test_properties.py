@@ -25,7 +25,7 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
-from gpspec import spectra, topology
+from gpspec import algebra, spectra, topology
 from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.harness import Context, run_checks
 from gpspec.spectra import (
@@ -279,6 +279,27 @@ def test_catalog_is_unchanged_with_the_hnf_star_table_and_radical_core(model):
     assert got == want, (model.ring.text(), model.module.text())
     if model.module.is_finite and model.module.factors:
         assert {"star", "core"} <= set(asked), model.module.text()  # the swap was reached
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_catalog_is_unchanged_with_fresh_quotient_targets(model):
+    # the differential half of the shared presentations: every quotient map
+    # of the catalog swapped for one that builds a fresh target module per
+    # kernel and lifts a preimage from unit rows and moduli rows
+    want, asked = catalog_outcomes(model), []
+
+    class Fresh(oracles.FreshQuotientMap):
+        def __init__(self, source, kernel):
+            asked.append(kernel)
+            super().__init__(source, kernel)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "QuotientMap", Fresh)
+        got = catalog_outcomes(model)
+    assert got == want, (model.ring.text(), model.module.text())
+    if model.module.is_finite and model.module.factors:
+        assert asked, model.module.text()  # the swap was reached
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

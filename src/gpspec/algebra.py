@@ -693,6 +693,13 @@ def annihilator(M: GradedModule) -> Ideal:
     return M.zero_submodule.colon()
 
 
+@per_module
+def colon_ideals(M: GradedModule) -> tuple[Ideal, ...]:
+    """The colons (N : M) of the submodules of a finite module: the ideals
+    containing Ann(M), since I = (IM : M) for each of them."""
+    return tuple(M.ring.ideal(d) for d in numtheory.divisors(annihilator(M).gen))
+
+
 # -- enumeration -----------------------------------------------------------
 
 

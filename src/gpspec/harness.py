@@ -34,6 +34,7 @@ from .maps import (
     InducedSpectrumMap,
     MapAnalysis,
     PermutationMap,
+    PiAnalysis,
     analyze_natural_map,
     identity_map,
     image_mask,
@@ -236,6 +237,12 @@ class Context:
         """Canonical projections M -> M/K for every graded K, K = M included."""
         self.require_finite()
         return tuple(quotient_module(self.module, K)[1] for K in self.subs)
+
+    @cached_property
+    def induced(self) -> tuple[PiAnalysis, ...]:
+        """The induced spectrum map of each projection in `quotient_maps`,
+        analysed: every target point is pulled back once per run."""
+        return tuple(InducedSpectrumMap(proj).analyze(self.bound) for proj in self.quotient_maps)
 
 
 # -- guards --------------------------------------------------------------------
@@ -546,19 +553,17 @@ def check_L2_14(ctx: Context):
     count = 0
     lat = ctx.lattice
     primary_points = [(Q, lat.position[Q]) for Q in ctx.pspec.points]
-    for k, proj in enumerate(ctx.quotient_maps):  # kernels in `subs` order
+    for k, (proj, res) in enumerate(zip(ctx.quotient_maps, ctx.induced)):  # `subs` order
         K = proj.kernel()
-        target = proj.target
-        if target.factors:
-            for Q2 in spectrum_points(target, "primary", ctx.bound):
-                pre = proj.preimage_submodule(Q2)
-                if not in_primary_spectrum(pre, ctx.bound):
-                    _fail("preimage left the primary spectrum", (K, Q2))
-                count += 1
+        target_space = build_space(proj.target, PSPEC, ctx.bound)
+        if None in res.mapping:
+            Q2 = target_space.points[res.mapping.index(None)]
+            _fail("preimage left the primary spectrum", (K, Q2))
+        count += len(res.mapping)
         for Q, q in primary_points:
             if lat.contains(q, k):
                 img = proj.image_submodule(Q)
-                if not in_primary_spectrum(img, ctx.bound):
+                if img not in target_space.position:
                     _fail("image left the primary spectrum", (K, Q))
                 count += 1
     return count, f"{count} transports"
@@ -566,9 +571,9 @@ def check_L2_14(ctx: Context):
 
 def check_T2_15(ctx: Context):
     count = 0
-    for proj in ctx.quotient_maps:
-        pi = InducedSpectrumMap(proj)
-        res = pi.analyze(ctx.bound)
+    for proj, res in zip(ctx.quotient_maps, ctx.induced):
+        if None in res.mapping:
+            _fail("preimage left the primary spectrum", proj.kernel())
         if not res.injective:
             _fail("induced map is not injective", proj.kernel())
         if not res.continuity_ok:

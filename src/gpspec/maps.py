@@ -24,7 +24,7 @@ from .algebra import (
     Value,
     _presentation,
     annihilator,
-    enumerate_submodules,
+    colon_ideals,
     ideal_times_module,
     per_module,
 )
@@ -128,16 +128,6 @@ def preimage_mask(mapping, mask: int) -> int:
     return out
 
 
-def _one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
-    """The first enumerated submodule of M for each distinct colon (N : M).
-    A non-star variety, and every ideal derived from (N : M), depends on N
-    only through it, so a loop over these covers every closed set."""
-    first: dict[Ideal, GradedSubmodule] = {}
-    for N in enumerate_submodules(M, bound):
-        first.setdefault(N.colon(), N)
-    return first.values()
-
-
 @per_module
 def analyze_natural_map(
     M: GradedModule, source: str = "primary", bound: int = DEFAULT_ENUM_BOUND
@@ -172,31 +162,22 @@ def analyze_natural_map(
         (p, preimage_mask(mapping, 1 << j)) for j, p in enumerate(ring_space.points)
     )
 
-    # continuity: the preimage of every reduced closed set is the variety of
-    # the corresponding ideal times M
+    # one pass over the colon ideals I ⊇ Ann(M), each the colon of I.M:
+    # continuity (the preimage of I's reduced closed set is the variety of
+    # I.M) and, when surjective, the image identities (that variety and its
+    # complement map onto the reduced closed set and its complement)
     continuity_ok = True
-    for J in rr.ideals():
-        I = rr.lift_ideal(J)
-        preim = preimage_mask(mapping, ring_variety(ring_space, J).mask)
-        expected = variety(space, ideal_times_module(I, M)).mask
-        if preim != expected:
+    image_identities_ok: bool | None = True if surj.is_true else None
+    for I in colon_ideals(M):
+        want = ring_variety(ring_space, rr.reduce_ideal(I)).mask
+        closed = variety(space, ideal_times_module(I, M)).mask
+        if preimage_mask(mapping, want) != closed:
             continuity_ok = False
-
-    # image identities when surjective: images of closed sets are the reduced
-    # varieties of the colon, and images of opens are their complements;
-    # note (N : M) always contains Ann(M)
-    image_identities_ok: bool | None = None
-    if surj.is_true:
-        image_identities_ok = True
-        for N in _one_per_colon(M, bound):
-            closed = variety(space, N)
-            img_mask = image_mask(mapping, closed.mask)
-            want = ring_variety(ring_space, rr.reduce_ideal(N.colon())).mask
-            if img_mask != want:
-                image_identities_ok = False
-            open_img = image_mask(mapping, closed.mask ^ space.full_mask)
-            if open_img != want ^ ring_space.full_mask:
-                image_identities_ok = False
+        if image_identities_ok and (
+            image_mask(mapping, closed) != want
+            or image_mask(mapping, closed ^ space.full_mask) != want ^ ring_space.full_mask
+        ):
+            image_identities_ok = False
 
     # open and closed as a map of finite spaces, checked extensionally
     ring_closed = set(ring_space.closed_masks)
@@ -276,7 +257,9 @@ class PermutationMap:
 
 
 class PiAnalysis(Value):
-    """Induced spectrum map: `mapping` is the source index of each target point."""
+    """Induced spectrum map: `mapping` is the source index of each target
+    point's preimage, None where the preimage is not a point of the source
+    spectrum; then every flag is false."""
 
     __slots__ = ("mapping", "injective", "surjective", "continuity_ok", "homeomorphism")
 
@@ -293,13 +276,6 @@ class InducedSpectrumMap:
         spectrum of M (L2.14 checks this)."""
         return self.f.preimage_submodule(Q2)
 
-    def push(self, Q: GradedSubmodule) -> GradedSubmodule:
-        """Image of a primary-spectrum point of M containing the kernel; it
-        lies in the primary spectrum of M' (L2.14 checks this)."""
-        if not Q.contains(self.f.kernel()):
-            raise AlgebraError("point does not contain the kernel")
-        return self.f.image_submodule(Q)
-
     def analyze(self, bound: int = DEFAULT_ENUM_BOUND) -> PiAnalysis:
         """Extensional analysis between materialized primary spectra:
         injectivity, the continuity identity for every closed set of the
@@ -307,16 +283,18 @@ class InducedSpectrumMap:
         M, M2 = self.f.source, self.f.target
         sp = build_space(M, PSPEC, bound)
         sp2 = build_space(M2, PSPEC, bound)
-        mapping = tuple(sp.index_of(self.apply(Q2)) for Q2 in sp2.points)
+        mapping = tuple(sp.position.get(self.apply(Q2)) for Q2 in sp2.points)
+        if None in mapping:
+            return PiAnalysis(mapping, False, False, False,
+                              Trilean(False, reason="a preimage is not a point"))
         injective = len(set(mapping)) == len(mapping)
         surjective = image_mask(mapping, sp2.full_mask) == sp.full_mask
 
         continuity_ok = True
-        for N in _one_per_colon(M, bound):
-            want = variety(
-                sp2, ideal_times_module(N.colon_radical(), M2)
-            ).mask
-            if preimage_mask(mapping, variety(sp, N).mask) != want:
+        for I in colon_ideals(M):
+            IM = ideal_times_module(I, M)
+            want = variety(sp2, ideal_times_module(IM.colon_radical(), M2)).mask
+            if preimage_mask(mapping, variety(sp, IM).mask) != want:
                 continuity_ok = False
 
         if surjective:

@@ -23,6 +23,10 @@ intersections that the star table and the radical core's mask AND replaced;
 `FreshQuotientMap`, the projection that built a fresh target module per
 kernel and lifted a preimage from unit rows and moduli rows, which the
 shared presentations and the preimage K + lift(N2) replaced;
+`one_per_colon`, the submodule walk that the map analyses' loop over the
+colon ideals replaced, and `per_call_L2_14`, the transport check that pulled
+back every point per call and tested membership, which the shared pullback
+table and the lookup in the target's space replaced;
 and `coset_key`, a Hermite-form coset label that only the order-multiset
 oracle uses.  `oracle_corpus` lists the
 finite modules the spectra oracles run on.
@@ -36,6 +40,7 @@ from math import gcd, prod
 
 from gpspec import intlinalg, numtheory, spectra
 from gpspec.algebra import (
+    DEFAULT_ENUM_BOUND,
     AlgebraError,
     BaseRing,
     GradedModule,
@@ -47,6 +52,7 @@ from gpspec.algebra import (
     ideal_times_module,
     quotient_module,
 )
+from gpspec.harness import _fail
 
 
 def oracle_corpus() -> list[GradedModule]:
@@ -515,6 +521,41 @@ class FreshQuotientMap:
                 )
             )
         return GradedSubmodule(src, tuple(blocks))
+
+
+def one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
+    """The first enumerated submodule of M for each distinct colon (N : M).
+    A non-star variety, and every ideal derived from (N : M), depends on N
+    only through it, so a loop over these covers every closed set."""
+    first: dict[Ideal, GradedSubmodule] = {}
+    for N in enumerate_submodules(M, bound):
+        first.setdefault(N.colon(), N)
+    return first.values()
+
+
+def per_call_L2_14(ctx):
+    """Check L2.14 with a preimage taken per call for every primary point of
+    every projection's target, and membership in the primary spectrum
+    decided by `in_primary_spectrum` for the preimages and the images."""
+    count = 0
+    lat = ctx.lattice
+    primary_points = [(Q, lat.position[Q]) for Q in ctx.pspec.points]
+    for k, proj in enumerate(ctx.quotient_maps):  # kernels in `subs` order
+        K = proj.kernel()
+        target = proj.target
+        if target.factors:
+            for Q2 in spectra.spectrum_points(target, "primary", ctx.bound):
+                pre = proj.preimage_submodule(Q2)
+                if not spectra.in_primary_spectrum(pre, ctx.bound):
+                    _fail("preimage left the primary spectrum", (K, Q2))
+                count += 1
+        for Q, q in primary_points:
+            if lat.contains(q, k):
+                img = proj.image_submodule(Q)
+                if not spectra.in_primary_spectrum(img, ctx.bound):
+                    _fail("image left the primary spectrum", (K, Q))
+                count += 1
+    return count, f"{count} transports"
 
 
 def hnf_star_mask(space, N: GradedSubmodule) -> int:

@@ -23,6 +23,7 @@ from gpspec.algebra import (
     QuotientMap,
     _enumerate_block_subgroups,
     annihilator,
+    colon_ideals,
     enumerate_submodules,
     ideal_times_module,
     lattice,
@@ -661,6 +662,26 @@ def test_annihilator():
     assert annihilator(zmod_module(8)) == BaseRing(8).zero_ideal
     assert annihilator(GradedModule(Z, Z2G, [(4, (0,)), (6, (1,))])) == Z.ideal(12)
     assert annihilator(zxz()) == Z.ideal(0)
+
+
+def test_colon_ideals_against_one_submodule_per_colon():
+    # every colon contains Ann(M), and each ideal I containing it is the
+    # colon of I.M: the divisor list equals the colons of a submodule walk
+    models = sorted((Path(__file__).parent.parent / "models").glob("*.gps"))
+    corpus = [parse_model(p.read_text()).module for p in models]
+    modules = [M for M in corpus if M.is_finite] + [
+        *(zmod_module(n) for n in (2, 6, 8, 12, 30)),
+        zmod_module(4, BaseRing(12)),
+        zmod_module(6, Z),
+        GradedModule(BaseRing(12), Z2G, [(4, (0,)), (6, (1,))]),
+        GradedModule(Z, Z2G, []),
+        GradedModule(BaseRing(6), Z2G, []),
+    ]
+    assert len(modules) == 22
+    for M in modules:
+        assert set(colon_ideals(M)) == {N.colon() for N in oracles.one_per_colon(M)}, M.text()
+        assert colon_ideals(M) is colon_ideals(M)
+    assert colon_ideals(GradedModule(Z, Z2G, [])) == (Z.unit_ideal,)
 
 
 # -- quotient invariants ----------------------------------------------------

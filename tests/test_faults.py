@@ -35,12 +35,18 @@ def failing_checks(monkeypatch, name, fault) -> set[str]:
 
 def catalog_failures() -> set[str]:
     """Ids of the checks that fail on some instance."""
-    failed = set()
+    return {check_id for check_id, status in catalog_outcomes() if status == "fail"}
+
+
+def catalog_outcomes() -> set[tuple[str, str]]:
+    """(id, status) of the checks that fail or raise on some instance."""
+    bad = set()
     for stem, text in INSTANCES:
         model = parse_model(text)
         model.module.memo.clear()
-        failed |= {r.check_id for r in run_checks(model, "all", stem) if r.status == "fail"}
-    return failed
+        bad |= {(r.check_id, r.status) for r in run_checks(model, "all", stem)
+                if r.status in ("fail", "error")}
+    return bad
 
 
 def test_a_star_table_missing_a_point_fails_the_star_checks(monkeypatch):
@@ -91,3 +97,16 @@ def test_a_preimage_joined_with_2m_fails_the_induced_map_checks(monkeypatch):
 
     monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
     assert catalog_failures() == {"T2.15", "C2.16"}
+
+
+def test_a_preimage_collapsed_to_the_kernel_fails_every_transport_check(monkeypatch):
+    # every nonzero target point pulls back to the kernel, which is often
+    # not a point: L2.14 and T2.15 read one pullback table, and each must
+    # fail on it rather than raise
+    real = QuotientMap.preimage_submodule
+
+    def preimage_submodule(self, N2):
+        return real(self, N2) if N2.is_zero else self.kernel()
+
+    monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
+    assert catalog_outcomes() == {("L2.14", "fail"), ("T2.15", "fail"), ("C2.16", "fail")}

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from gpspec import cli, harness, intlinalg, maps, numtheory, topology
-from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedModule, GradedSubmodule
+from gpspec import algebra, cli, harness, intlinalg, maps, numtheory, spectra, topology
+from gpspec.algebra import DEFAULT_ENUM_BOUND, GradedModule, GradedSubmodule, QuotientMap
 from gpspec.dsl import parse_model
 from gpspec.harness import CATALOG, ROSTER, Check, UnknownCheckError, run_checks
 from gpspec.spectra import Trilean
@@ -322,7 +322,8 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     # work changes them (the run made 1,280 contains and 1,236 variety
     # calls when star varieties and radical cores took the HNF route, and
     # 179 plus and 1,204 variety calls when every quotient map built its own
-    # target module)
+    # target module, and 1,013 variety calls when the natural maps took their
+    # image identities over one submodule per colon)
     counts = Counter()
 
     def counted(op):
@@ -349,15 +350,16 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
     assert counts["contains"] == 0
-    assert counts == {"plus": 107, "variety": 1013}
+    assert counts == {"plus": 107, "variety": 1005}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):
     # the block enumeration lists the divisors of each order once per row,
     # not once per partial lattice below it (127 calls, 85 of them from the
     # enumeration, when it did), and enumerates each quotient presentation
-    # once (111 calls when every quotient map built its own target); the
-    # count is deterministic
+    # once (111 calls when every quotient map built its own target), and
+    # lists the colon ideals of a module once (70 calls when each natural map
+    # listed the reduced ring's ideals); the count is deterministic
     calls = Counter()
     real = numtheory.divisors
 
@@ -369,7 +371,7 @@ def test_catalog_divisors_are_pinned(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 70
+    assert sum(calls.values()) == 69
     assert set(calls) == {1, 2, 4, 8}
 
 
@@ -403,12 +405,13 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     # the radical of a colon is memoised with the module by the ideal, so a
     # whole run factors each distinct colon generator once per module (the
     # run calls factorize 2,772 times when every colon radical factors
-    # afresh); the count is deterministic, and 70 of the calls come from
+    # afresh); the count is deterministic, and 69 of the calls come from
     # numtheory.divisors (127 of 199 when the enumeration listed an order's
     # divisors once per partial lattice; 183 calls in all when membership in
     # the primary spectrum also factored the prime colon of each prime point;
     # 150, 111 of them from divisors, when every quotient map built its own
-    # target module)
+    # target module; 94, 70 of them from divisors, when each natural map
+    # listed the reduced ring's ideals)
     calls = Counter()
     real = numtheory.factorize
 
@@ -420,7 +423,7 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 94
+    assert sum(calls.values()) == 93
     assert set(calls) == {1, 2, 4, 8}
 
 
@@ -442,6 +445,52 @@ def test_catalog_builds_one_module_per_presentation(monkeypatch):
     assert not [r for r in results if r.status == "fail"]
     assert len(built) == len(set(built)) == 20
     assert all(value is not model.module for value in model.module.memo.values())
+
+
+def test_catalog_transports_each_point_once(monkeypatch):
+    # L2.14 and T2.15 read one analysed induced map per projection, and the
+    # map analyses loop over the colon ideals instead of the submodules: the
+    # run pulls back each (projection, target point) pair once, plus the
+    # zero-kernel projection that C2.16 analyses as an isomorphism (487
+    # preimages, 112 enumerations and 885 membership tests when both checks
+    # pulled back every point, L2.14 tested each transported point's
+    # membership and every induced map walked the submodules); the counts
+    # are deterministic
+    calls, pairs = Counter(), set()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def counted_fn(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        importers = [module for key, module in list(sys.modules.items())
+                     if key.startswith("gpspec") and vars(module).get(name) is real]
+        for module in importers:
+            monkeypatch.setattr(module, name, counted_fn)
+
+    counted(algebra, "enumerate_submodules")
+    counted(spectra, "in_primary_spectrum")
+    real_image, real_preimage = QuotientMap.image_submodule, QuotientMap.preimage_submodule
+
+    def image_submodule(self, N):
+        calls["image_submodule"] += 1
+        return real_image(self, N)
+
+    def preimage_submodule(self, N2):
+        calls["preimage_submodule"] += 1
+        pairs.add((self.kernel(), N2))
+        return real_preimage(self, N2)
+
+    monkeypatch.setattr(QuotientMap, "image_submodule", image_submodule)
+    monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    results = run_checks(model, "all", "heavy")
+    assert not [r for r in results if r.status == "fail"]
+    assert calls == {"preimage_submodule": 259, "enumerate_submodules": 45,
+                     "in_primary_spectrum": 201, "image_submodule": 228}
+    assert len(pairs) == 228  # the 31 points of M/0 are pulled back twice
 
 
 def test_P3_2_computes_each_basic_open_once(monkeypatch):

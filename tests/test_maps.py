@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+from gpspec import maps
 from gpspec.algebra import (
     BaseRing,
     GradedModule,
@@ -173,17 +175,6 @@ def test_induced_map_identity_homeo():
     assert res.homeomorphism.is_true
 
 
-def test_induced_map_push():
-    M8 = zmod(8)
-    K = M8.submodule([(4,)])
-    _, proj = quotient_module(M8, K)
-    pi = InducedSpectrumMap(proj)
-    pushed = pi.push(M8.submodule([(2,)]))
-    assert in_primary_spectrum(pushed)
-    with pytest.raises(Exception):
-        pi.push(M8.zero_submodule)  # does not contain the kernel
-
-
 def test_permutation_map_swap():
     M = GradedModule(Z, Z2G, [(2, (0,)), (2, (0,))])
     swap = PermutationMap(M, (1, 0))
@@ -286,3 +277,29 @@ def test_induced_map_mapping_on_every_quotient():
         sp2 = build_space(proj.target)
         images = [pi.apply(Q2) for Q2 in sp2.points]
         assert_point_mapping(sp2, sp, pi.analyze().mapping, images)
+
+
+def test_map_analyses_are_unchanged_with_one_submodule_per_colon(monkeypatch):
+    # the colon ideals swapped for the colons of a submodule walk, in its
+    # order: no fault row can guard this family, since every identity holds
+    # for each ideal containing Ann(M) and a dropped one fails nothing
+    models = sorted((Path(__file__).parent.parent / "models").glob("*.gps"))
+    corpus = [parse_model(p.read_text()).module for p in models]
+    finite = [M for M in corpus if M.is_finite]
+    heavy = GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))])
+    natural = [(M, source) for M in finite + [heavy] for source in ("primary", "prime")]
+    projections = [quotient_module(M, K)[1]
+                   for M in finite + [heavy] for K in enumerate_submodules(M)]
+    want = ([analyze_natural_map(M, source) for M, source in natural],
+            [InducedSpectrumMap(proj).analyze() for proj in projections])
+    asked = []
+
+    def walked_colons(M):
+        asked.append(M)
+        return tuple(N.colon() for N in oracles.one_per_colon(M))
+
+    monkeypatch.setattr(maps, "colon_ideals", walked_colons)
+    got = ([analyze_natural_map.__wrapped__(M, source) for M, source in natural],
+           [InducedSpectrumMap(proj).analyze() for proj in projections])
+    assert got == want
+    assert len(asked) == len(natural) + len(projections)  # the swap was reached

@@ -25,9 +25,9 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
-from gpspec import algebra, spectra, topology
+from gpspec import algebra, harness, spectra, topology
 from gpspec.dsl import Model, ParseError, model_text, parse_model
-from gpspec.harness import Context, run_checks
+from gpspec.harness import Check, Context, run_checks
 from gpspec.spectra import (
     UnknownResultError,
     graded_radical,
@@ -299,6 +299,28 @@ def test_catalog_is_unchanged_with_fresh_quotient_targets(model):
         got = catalog_outcomes(model)
     assert got == want, (model.ring.text(), model.module.text())
     if model.module.is_finite and model.module.factors:
+        assert asked, model.module.text()  # the swap was reached
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_catalog_is_unchanged_with_per_call_transport(model):
+    # the differential half of the shared pullback table: L2.14 swapped for
+    # the check that pulls back every target point per call and tests the
+    # preimages and images with the membership test
+    want, asked = catalog_outcomes(model), []
+
+    def per_call(ctx):
+        asked.append(ctx)
+        return oracles.per_call_L2_14(ctx)
+
+    catalog = tuple(Check(c.check_id, c.title, per_call, c.requires) if c.check_id == "L2.14"
+                    else c for c in harness.CATALOG)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "CATALOG", catalog)
+        got = catalog_outcomes(model)
+    assert got == want, (model.ring.text(), model.module.text())
+    if model.module.is_finite:
         assert asked, model.module.text()  # the swap was reached
 
 

@@ -29,7 +29,7 @@ _EXPORTS = {
         "ideal_times_module",
         "quotient_module",
     ),
-    "dsl": ("Model", "ParseError", "model_text", "parse_model", "render"),
+    "dsl": ("Model", "ParseError", "model_text", "parse_model"),
     "harness": ("CATALOG", "ROSTER", "CheckResult", "run_checks"),
     "maps": (
         "InducedSpectrumMap",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import harness, maps, topology
@@ -23,18 +22,25 @@ from .algebra import (
     InfiniteEnumerationError,
     InvariantError,
     LazyRingError,
-    UnknownCheckError,
 )
 from .dsl import (
     Model,
     ParseError,
     check_report_json,
+    check_text,
     map_json,
+    map_text,
+    model_json,
     model_text,
     parse_model,
-    render,
+    radical_json,
     report_json,
+    space_dot,
+    spectrum_json,
+    submodules_text,
     to_json_text,
+    topology_text,
+    variety_json,
 )
 from .spectra import UnknownResultError, graded_radical, spectrum_points
 
@@ -106,193 +112,66 @@ def _load_model(path: str) -> tuple[Model, str]:
     return parse_model(text), Path(path).stem
 
 
-def _emit(out, text: str) -> None:
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
-
-
-def _point_lines(points) -> str:
-    return "\n".join(p.text() for p in points)
-
-
-def _topology_text(space, rep) -> str:
-    lines = [f"points ({len(space.points)}):"]
-    for i, p in enumerate(space.points):
-        lines.append(f"  [{i}] {p.text()}")
-    lines.append(f"closed sets ({len(space.closed_masks)}):")
-    for m in space.closed_masks:
-        idx = space.point_set(m).indices()
-        lines.append("  {" + ", ".join(map(str, idx)) + "}")
-    lines.append("base:")
-    for r, m in space.base:
-        idx = space.point_set(m).indices()
-        lines.append(f"  S_{r} = {{" + ", ".join(map(str, idx)) + "}")
-    lines.append("components:")
-    for m in rep.components:
-        idx = space.point_set(m).indices()
-        lines.append("  {" + ", ".join(map(str, idx)) + "}")
-    if rep.generic_points:
-        lines.append("generic points:")
-        for m, pts in rep.generic_points:
-            idx = space.point_set(m).indices()
-            lines.append(
-                "  {" + ", ".join(map(str, idx)) + "} <- "
-                + (", ".join(map(str, pts)) if pts else "(none)")
-            )
-    lines.append(
-        "flags: "
-        + ", ".join(
-            f"{k}={v}"
-            for k, v in (
-                ("connected", rep.connected),
-                ("irreducible", rep.irreducible),
-                ("t0", rep.t0),
-                ("t1", rep.t1),
-                ("sober", rep.sober),
-                ("quasi_compact", rep.quasi_compact),
-                ("spectral", rep.spectral),
-                ("trivial_topology", rep.trivial_topology),
-            )
-        )
-    )
-    return "\n".join(lines)
-
-
-def _map_text(res) -> str:
-    lines = [
-        f"map: {res.kind}",
-        f"reduced ring: {res.reduced.ring.text()}",
-        f"injective: {res.injective.label}",
-        f"surjective: {res.surjective.label}",
-        f"continuous: {str(res.continuity_ok).lower()}",
-        f"open_closed: {res.open_closed.label}",
-        f"homeomorphism: {res.homeomorphism.label}",
-        "fibers:",
-    ]
-    for p, mask in res.fibers:
-        members = ", ".join(q.text() for q in res.space.point_set(mask).members())
-        lines.append(f"  {p.text()}: {{{members}}}")
-    return "\n".join(lines)
+SPECTRA = {"spec": "prime", "pspec": "primary", "max": "maximal"}
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    json_out = args.format == "json"
 
     try:
         bound = _enum_bound(args)
         model, stem = _load_model(args.input)
+        code = EXIT_OK
 
         if args.command == "parse":
-            if args.format == "json":
-                _emit(stdout, render(model, "json"))
-            else:
-                _emit(stdout, model_text(model))
-            return EXIT_OK
+            out = model_json(model) if json_out else model_text(model)
 
-        if args.command in ("spec", "pspec", "max"):
-            kind = {"spec": "prime", "pspec": "primary", "max": "maximal"}[args.command]
+        elif args.command in SPECTRA:
+            kind = SPECTRA[args.command]
             points = spectrum_points(model.module, kind, bound)
-            if args.format == "json":
-                payload = {
-                    "schema": 1,
-                    "kind": f"{kind}_spectrum",
-                    "points": [
-                        {"generators": [list(v) for v in p.generator_vectors()],
-                         "text": p.text()}
-                        for p in points
-                    ],
-                }
-                _emit(stdout, to_json_text(payload))
-            else:
-                _emit(stdout, _point_lines(points) if points else "(empty)")
-            return EXIT_OK
+            out = spectrum_json(kind, points) if json_out else submodules_text(points)
 
-        if args.command == "radical":
-            N = _named(model, args.submodule)
-            res = graded_radical(N, bound)
+        elif args.command == "radical":
+            res = graded_radical(_named(model, args.submodule), bound)
             if res.status == "unknown":
                 raise UnknownResultError(res.reason)
-            text = res.submodule.text()
-            if args.format == "json":
-                payload = {
-                    "schema": 1,
-                    "kind": "radical",
-                    "top": False,
-                    "generators": [list(v) for v in res.submodule.generator_vectors()],
-                    "text": text,
-                }
-                _emit(stdout, to_json_text(payload))
-            else:
-                _emit(stdout, text)
-            return EXIT_OK
+            out = radical_json(res.submodule) if json_out else submodules_text([res.submodule])
 
-        if args.command == "variety":
+        elif args.command == "variety":
             N = _named(model, args.submodule)
             space = topology.build_space(model.module, args.space, bound)
             pts = topology.variety(space, N, star=args.star)
-            if args.format == "json":
-                payload = {
-                    "schema": 1,
-                    "kind": "variety",
-                    "star": args.star,
-                    "members": pts.indices(),
-                    "points": [p.text() for p in space.points],
-                }
-                _emit(stdout, to_json_text(payload))
-            else:
-                _emit(stdout, _point_lines(pts.members()) if pts.size() else "(empty)")
-            return EXIT_OK
+            out = variety_json(pts, args.star) if json_out else submodules_text(pts.members())
 
-        if args.command == "topology":
+        elif args.command == "topology":
             space = topology.build_space(model.module, args.space, bound)
             rep = topology.analyze_space(space)
-            if args.format == "json":
-                _emit(stdout, to_json_text(report_json(space, rep)))
-            elif args.format == "dot":
-                _emit(stdout, render(space, "dot"))
+            if json_out:
+                out = report_json(space, rep)
             else:
-                _emit(stdout, _topology_text(space, rep))
-            return EXIT_OK
+                out = space_dot(space) if args.format == "dot" else topology_text(space, rep)
 
-        if args.command == "rho":
+        elif args.command == "rho":
             res = maps.analyze_natural_map(
                 model.module, "primary" if args.space == "pspec" else "prime", bound
             )
-            if args.format == "json":
-                _emit(stdout, to_json_text(map_json(res)))
-            else:
-                _emit(stdout, _map_text(res))
-            return EXIT_OK
+            out = map_json(res) if json_out else map_text(res)
 
-        if args.command == "check":
-            selection = args.theorem if args.theorem else "all"
-            results = harness.run_checks(model, selection, stem, bound, args.seed)
-            n = Counter(r.status for r in results)
-            if args.format == "json":
-                _emit(stdout, to_json_text(check_report_json(results)))
-            else:
-                for r in results:
-                    extra = " (vacuous)" if r.status == "pass" and r.vacuous else ""
-                    _emit(stdout, f"{r.status.upper()}{extra} {r.check_id}: {r.detail}")
-                errored = f", {n['error']} errored" if n["error"] else ""
-                _emit(stdout, f"{n['pass']} passed, {n['fail']} failed, "
-                      f"{n['skip']} skipped{errored} on {stem}")
-            if n["error"]:
-                return EXIT_INTERNAL_ERROR
-            return EXIT_CHECK_FAILED if n["fail"] else EXIT_OK
+        else:  # check
+            results = harness.run_checks(model, args.theorem or "all", stem, bound, args.seed)
+            out = check_report_json(results) if json_out else check_text(results, stem)
+            statuses = {r.status for r in results}
+            if "error" in statuses:
+                code = EXIT_INTERNAL_ERROR
+            elif "fail" in statuses:
+                code = EXIT_CHECK_FAILED
 
-        raise AlgebraError(f"unhandled command {args.command!r}")
+        stdout.write(to_json_text(out) if json_out else out)
+        return code
 
-    except ParseError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT_ERROR
-    except UnknownCheckError as exc:
-        print(f"error: {exc}", file=stderr)
-        return EXIT_INPUT_ERROR
     except (UnknownResultError, InfiniteEnumerationError, EnumerationBoundError,
             LazyRingError) as exc:
         print(f"error: {exc}", file=stderr)
@@ -300,7 +179,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=stderr)
         return EXIT_INTERNAL_ERROR
-    except AlgebraError as exc:
+    except (ParseError, AlgebraError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_INPUT_ERROR
 

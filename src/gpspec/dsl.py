@@ -1,4 +1,4 @@
-"""Instance-description DSL and renderers.
+"""Instance-description DSL and the renderers of every `gps` result.
 
 The text format is line oriented with `#` comments and a mandatory statement
 order (group, ring, module, then submodules and subsets), since degrees and
@@ -11,15 +11,19 @@ vector arities need the earlier declarations:
     submodule P = 0
     subset Y = {N, P}
 
-Renderers produce canonical text (parse . render . parse is the identity),
-deterministic JSON (schema 1), and DOT for the specialization preorder of a
-finite space.
+Every byte `gps` prints is built here: the canonical text of a model
+(parsing it gives the model back), the text and deterministic JSON (schema
+1) of each result, and DOT for the specialization preorder of a finite
+space.  Only the DOT renderer runs code of `topology`; the others read the
+results they are given, so a light command loads neither `topology` nor
+`maps`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 
 from . import maps, topology
 from .algebra import (
@@ -306,21 +310,12 @@ def parse_model(text: str) -> Model:
 # -- canonical text -----------------------------------------------------------
 
 
-def _degree_text(group: GradingGroup, d) -> str:
-    if len(group.cyclic_orders) == 1:
-        return str(d[0])
-    return "(" + ",".join(map(str, d)) + ")"
-
-
 def model_text(model: Model) -> str:
-    lines = []
-    lines.append("group = " + " x ".join(f"Z{n}" for n in model.group.cyclic_orders))
-    lines.append("ring = " + model.ring.text())
-    parts = [
-        ("Z" if o == 0 else f"Z{o}") + "@" + _degree_text(model.group, d)
-        for o, d in model.module.factors
+    lines = [
+        "group = " + " x ".join(f"Z{n}" for n in model.group.cyclic_orders),
+        "ring = " + model.ring.text(),
+        "module = " + model.module.text(),
     ]
-    lines.append("module = " + " x ".join(parts))
     for name, N in model.named_submodules.items():
         gens = N.generator_vectors()
         if not gens:
@@ -361,8 +356,9 @@ def _witness_json(w):
     return str(w)
 
 
-def _point_json(space: topology.FiniteSpace, p):
-    if space.kind == topology.RINGSPEC:
+def _point_json(p):
+    """A point of a ring spectrum (an ideal) or of a module spectrum."""
+    if isinstance(p, Ideal):
         return {"ideal": p.gen}
     return {"generators": _submodule_json(p), "text": p.text()}
 
@@ -381,18 +377,25 @@ def model_json(model: Model) -> dict:
     }
 
 
-def space_json(space: topology.FiniteSpace) -> dict:
+def spectrum_json(kind: str, points) -> dict:
     return {
         "schema": 1,
-        "kind": "space",
-        "space": space.kind,
-        "points": [_point_json(space, p) for p in space.points],
-        "closed_sets": [
-            space.point_set(m).indices() for m in space.closed_masks
-        ],
-        "base": [
-            {"r": r, "open": space.point_set(m).indices()} for r, m in space.base
-        ],
+        "kind": f"{kind}_spectrum",
+        "points": [_point_json(p) for p in points],
+    }
+
+
+def radical_json(rad: GradedSubmodule) -> dict:
+    return {"schema": 1, "kind": "radical", "top": False, **_point_json(rad)}
+
+
+def variety_json(pts: topology.PointSet, star: bool) -> dict:
+    return {
+        "schema": 1,
+        "kind": "variety",
+        "star": star,
+        "members": pts.indices(),
+        "points": [p.text() for p in pts.space.points],
     }
 
 
@@ -400,7 +403,7 @@ def report_json(space: topology.FiniteSpace, rep: topology.TopologyReport) -> di
     return {
         "schema": 1,
         "kind": "topology_report",
-        "points": [_point_json(space, p) for p in space.points],
+        "points": [_point_json(p) for p in space.points],
         "flags": {
             "connected": rep.connected,
             "irreducible": rep.irreducible,
@@ -426,7 +429,7 @@ def map_json(res: maps.MapAnalysis) -> dict:
         "kind": "map_analysis",
         "map": res.kind,
         "reduced_ring": res.reduced.ring.modulus,
-        "points": [_point_json(res.space, p) for p in res.space.points],
+        "points": [_point_json(p) for p in res.space.points],
         "images": [p.gen for p in res.images],
         "injective": _trilean_json(res.injective),
         "surjective": _trilean_json(res.surjective),
@@ -459,6 +462,66 @@ def check_report_json(results) -> dict:
 
 def to_json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+
+
+# -- result text ------------------------------------------------------------------
+
+
+def submodules_text(subs) -> str:
+    """One submodule per line, `(empty)` for none."""
+    return "".join(N.text() + "\n" for N in subs) if subs else "(empty)\n"
+
+
+def topology_text(space: topology.FiniteSpace, rep: topology.TopologyReport) -> str:
+    def members(mask: int) -> str:
+        return "{" + ", ".join(map(str, space.point_set(mask).indices())) + "}"
+
+    lines = [f"points ({len(space.points)}):"]
+    lines += [f"  [{i}] {p.text()}" for i, p in enumerate(space.points)]
+    lines.append(f"closed sets ({len(space.closed_masks)}):")
+    lines += ["  " + members(m) for m in space.closed_masks]
+    lines.append("base:")
+    lines += [f"  S_{r} = {members(m)}" for r, m in space.base]
+    lines.append("components:")
+    lines += ["  " + members(m) for m in rep.components]
+    if rep.generic_points:
+        lines.append("generic points:")
+        lines += [f"  {members(m)} <- " + (", ".join(map(str, pts)) or "(none)")
+                  for m, pts in rep.generic_points]
+    flags = ("connected", "irreducible", "t0", "t1", "sober", "quasi_compact", "spectral",
+             "trivial_topology")
+    lines.append("flags: " + ", ".join(f"{k}={getattr(rep, k)}" for k in flags))
+    return "\n".join(lines) + "\n"
+
+
+def map_text(res: maps.MapAnalysis) -> str:
+    lines = [
+        f"map: {res.kind}",
+        f"reduced ring: {res.reduced.ring.text()}",
+        f"injective: {res.injective.label}",
+        f"surjective: {res.surjective.label}",
+        f"continuous: {str(res.continuity_ok).lower()}",
+        f"open_closed: {res.open_closed.label}",
+        f"homeomorphism: {res.homeomorphism.label}",
+        "fibers:",
+    ]
+    for p, mask in res.fibers:
+        members = ", ".join(q.text() for q in res.space.point_set(mask).members())
+        lines.append(f"  {p.text()}: {{{members}}}")
+    return "\n".join(lines) + "\n"
+
+
+def check_text(results, stem: str) -> str:
+    """One line per result, then the tally on `stem`."""
+    lines = [
+        f"{r.status.upper()}{' (vacuous)' if r.status == 'pass' and r.vacuous else ''} "
+        f"{r.check_id}: {r.detail}"
+        for r in results
+    ]
+    n = Counter(r.status for r in results)
+    errored = f", {n['error']} errored" if n["error"] else ""
+    lines.append(f"{n['pass']} passed, {n['fail']} failed, {n['skip']} skipped{errored} on {stem}")
+    return "\n".join(lines) + "\n"
 
 
 # -- DOT ------------------------------------------------------------------------
@@ -518,35 +581,3 @@ def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
         out.append(f"  p{reps[a]} -> p{reps[b]};")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-# -- dispatcher -------------------------------------------------------------------
-
-
-def render(obj, fmt: str, space: topology.FiniteSpace | None = None) -> str:
-    """Render a model, space, report or analysis to canonical text, JSON or
-    DOT.  TopologyReport needs its space passed alongside."""
-    if fmt == "canonical_text":
-        if isinstance(obj, Model):
-            return model_text(obj)
-        raise AlgebraError("canonical text is defined for models only")
-    if fmt == "json":
-        # models and check reports first: they need neither maps nor topology
-        if isinstance(obj, Model):
-            return to_json_text(model_json(obj))
-        if isinstance(obj, list):
-            return to_json_text(check_report_json(obj))
-        if isinstance(obj, topology.FiniteSpace):
-            return to_json_text(space_json(obj))
-        if isinstance(obj, topology.TopologyReport):
-            if space is None:
-                raise AlgebraError("rendering a report needs its space")
-            return to_json_text(report_json(space, obj))
-        if isinstance(obj, maps.MapAnalysis):
-            return to_json_text(map_json(obj))
-        raise AlgebraError(f"no JSON rendering for {type(obj).__name__}")
-    if fmt == "dot":
-        if isinstance(obj, topology.FiniteSpace):
-            return space_dot(obj)
-        raise AlgebraError("DOT output is defined for spaces only")
-    raise AlgebraError(f"unknown format {fmt!r}")

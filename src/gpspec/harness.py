@@ -2,12 +2,15 @@
 applicability guards its catalog entry declares and a counterexample
 reporter; `gps check` is its CLI front end.
 
-Identities are verified extensionally over all graded submodules, pairs,
-ideals (and triples where families are quantified) of a finite instance;
-subset-quantified statements run over all subsets up to 2^12 points and over
-256 seeded samples beyond that.  The two sides of an identity are always
-computed by independent routines (for example closure as the variety of the
-radical core versus the intersection of the closed sets containing it).
+Identities are verified extensionally over all graded submodules, pairs
+and ideals of a finite instance.  Three quantifiers sample past a size, with
+SUBSET_SAMPLES draws from random.Random(seed), seed being `gps check
+--seed`: triples of submodules past n^3 > TRIPLE_LIMIT (more than 50
+submodules), subsets of points past SUBSET_EXHAUSTIVE_LIMIT points, and
+T3.4's families of base sets past that many base sets.  The two sides of an
+identity are always computed by independent routines (for example closure
+as the variety of the radical core versus the intersection of the closed
+sets containing it).
 Implications whose hypothesis is Unknown are skipped, never assumed.
 """
 
@@ -444,7 +447,9 @@ def check_P2_5(ctx: Context):
 
 def check_L2_6(ctx: Context):
     ps, ss = ctx.pspec, ctx.spec
-    inclusion = [ps.index_of(p) for p in ss.points]
+    inclusion = [ps.position.get(p) for p in ss.points]
+    if None in inclusion:
+        _fail("a prime point is not primary", ss.points[inclusion.index(None)])
     M = ctx.module
     nu, star = ctx.nu_masks, ctx.star_masks
     pos = ctx.lattice.position

@@ -1,8 +1,16 @@
 import pytest
 
 from gpspec.algebra import BaseRing, GradingGroup
-from gpspec.dsl import ParseError, model_text, parse_model, render, space_dot
-from gpspec.topology import build_ring_space, build_space
+from gpspec.dsl import (
+    ParseError,
+    model_json,
+    model_text,
+    parse_model,
+    report_json,
+    space_dot,
+    to_json_text,
+)
+from gpspec.topology import analyze_space, build_ring_space, build_space
 
 Z6_TEXT = """\
 # the one-factor instance over Z6
@@ -136,11 +144,11 @@ def test_mixed_generator_canonicalizes():
 
 def test_json_stability():
     m = parse_model(Z6_TEXT)
-    j1 = render(m, "json")
-    j2 = render(parse_model(Z6_TEXT), "json")
+    j1 = to_json_text(model_json(m))
+    j2 = to_json_text(model_json(parse_model(Z6_TEXT)))
     assert j1 == j2
-    sp = build_space(m.module)
-    assert render(sp, "json") == render(build_space(m.module), "json")
+    sp, sp2 = build_space(m.module), build_space(parse_model(Z6_TEXT).module)
+    assert report_json(sp, analyze_space(sp)) == report_json(sp2, analyze_space(sp2))
     assert '"schema": 1' in j1
 
 
@@ -170,11 +178,8 @@ def test_dot_chain():
     assert "digraph" in dot
 
 
-def test_render_dispatch_errors():
-    m = parse_model(Z6_TEXT)
-    with pytest.raises(Exception):
-        render(m, "dot")
-    with pytest.raises(Exception):
-        render(m, "yaml")
+def test_ring_space_renders_to_dot_and_json():
+    # the points of a ring spectrum are ideals, shown by their generators
     rs = build_ring_space(BaseRing(6))
-    assert "digraph" in render(rs, "dot")
+    assert "digraph" in space_dot(rs)
+    assert report_json(rs, analyze_space(rs))["points"] == [{"ideal": 2}, {"ideal": 3}]

@@ -8,8 +8,8 @@ guards that quantity."""
 import sys
 from pathlib import Path
 
-from gpspec import topology
-from gpspec.algebra import QuotientMap
+from gpspec import spectra, topology
+from gpspec.algebra import QuotientMap, SubmoduleLattice
 from gpspec.dsl import parse_model
 from gpspec.harness import run_checks
 
@@ -110,3 +110,51 @@ def test_a_preimage_collapsed_to_the_kernel_fails_every_transport_check(monkeypa
 
     monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
     assert catalog_outcomes() == {("L2.14", "fail"), ("T2.15", "fail"), ("C2.16", "fail")}
+
+
+# The lattice rows: subs ascends in size, so position 0 is the zero
+# submodule and the last position is M, in every lattice.
+
+
+def test_zero_reported_to_contain_m_fails_the_law_checks(monkeypatch):
+    real = SubmoduleLattice.contains
+
+    def contains(self, i, j):
+        return (i, j) == (0, len(self.subs) - 1) or real(self, i, j)
+
+    monkeypatch.setattr(SubmoduleLattice, "contains", contains)
+    assert catalog_outcomes() == {("T2.1", "fail"), ("T2.4", "fail"), ("L2.14", "fail")}
+
+
+def test_a_join_of_zero_with_itself_at_m_fails_the_intersection_laws(monkeypatch):
+    real = SubmoduleLattice.join
+
+    def join(self, i, j):
+        return len(self.subs) - 1 if (i, j) == (0, 0) else real(self, i, j)
+
+    monkeypatch.setattr(SubmoduleLattice, "join", join)
+    assert catalog_outcomes() == {("T2.1", "fail"), ("T2.4", "fail")}
+
+
+def test_a_meet_of_zero_with_itself_at_m_fails_the_union_laws(monkeypatch):
+    real = SubmoduleLattice.meet
+
+    def meet(self, i, j):
+        return len(self.subs) - 1 if (i, j) == (0, 0) else real(self, i, j)
+
+    monkeypatch.setattr(SubmoduleLattice, "meet", meet)
+    assert catalog_outcomes() == {("T2.1", "fail"), ("T2.4", "fail")}
+
+
+def test_a_zero_submodule_reported_not_primary_fails_the_spectrum_checks(monkeypatch):
+    # the other way round, a zero submodule reported primary, raises the
+    # library's own InvariantError (its image under rho is not prime) out of
+    # the whole catalog; this way every check that meets it fails
+    real = spectra._is_primary
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("_is_primary") is real]
+    assert importers == [spectra]
+    monkeypatch.setattr(spectra, "_is_primary", lambda Q: not Q.is_zero and real(Q))
+    assert catalog_outcomes() == {
+        ("L2.6", "fail"), ("C2.7", "fail"), ("L2.14", "fail"), ("T2.17", "fail"), ("E3.3", "fail"),
+    }

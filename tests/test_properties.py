@@ -29,6 +29,7 @@ from gpspec import algebra, harness, spectra, topology
 from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.harness import Check, Context, run_checks
 from gpspec.spectra import (
+    Trilean,
     UnknownResultError,
     graded_radical,
     in_primary_spectrum,
@@ -322,6 +323,41 @@ def test_catalog_is_unchanged_with_per_call_transport(model):
     assert got == want, (model.ring.text(), model.module.text())
     if model.module.is_finite:
         assert asked, model.module.text()  # the swap was reached
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+@example(Model(GradingGroup((2,)), BaseRing(0), z2_graded(0, [4])))  # multiplication over Z
+def test_catalog_is_unchanged_with_the_multiplication_and_cancellation_oracles(model):
+    # the differential half of the closed forms: is_multiplication and
+    # is_cancellation swapped, on finite modules within the bound, for the
+    # enumerating oracles, in every module importing them
+    want, asked = catalog_outcomes(model), []
+
+    def swap(name, library, oracle):
+        def decide(M):
+            if not (M.is_finite and M.size <= DEFAULT_ENUM_BOUND):
+                return library(M)
+            asked.append(name)
+            return Trilean(oracle(M))
+        return decide
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, oracle, count in (("multiplication", oracles.multiplication_oracle, 3),
+                                    ("cancellation", oracles.cancellation_oracle, 2)):
+            library = getattr(spectra, f"is_{name}")
+            importers = [module for key, module in list(sys.modules.items())
+                         if key.startswith("gpspec") and vars(module).get(f"is_{name}") is library]
+            assert len(importers) == count, name  # spectra, harness (and topology)
+            for module in importers:
+                patch.setattr(module, f"is_{name}", swap(name, library, oracle))
+        got = catalog_outcomes(model)
+    assert got == want, (model.ring.text(), model.module.text())
+    M = model.module
+    if M.is_finite and M.factors:  # the swap was reached
+        assert "multiplication" in asked, M.text()
+        if M.ring.modulus == 0 and oracles.multiplication_oracle(M):
+            assert "cancellation" in asked, M.text()  # by T2.17
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)

@@ -35,7 +35,7 @@ print(json.dumps(sorted(
 EXPORTED = """
     BaseRing GradedModule GradedSubmodule GradingGroup Ideal QuotientInvariants
     annihilator enumerate_submodules ideal_times_module quotient_module
-    Model ParseError model_text parse_model render
+    Model ParseError model_text parse_model
     CATALOG ROSTER CheckResult run_checks
     InducedSpectrumMap MapAnalysis PermutationMap analyze_natural_map reduced_ring
     RadicalResult Trilean graded_radical in_primary_spectrum is_cancellation
@@ -60,12 +60,12 @@ def loaded_after(*argv) -> set[str]:
 
 
 def test_light_commands_load_no_heavy_module():
-    for argv in (
-        ["radical", "models/z.gps", "--submodule", "N"],
-        ["pspec", "models/z6.gps"],
-        ["parse", "models/z6.gps", "--format", "json"],
-    ):
-        assert not loaded_after(*argv) & HEAVY, argv
+    # their renderers live in dsl next to those of the heavy commands
+    for command in (["parse"], ["spec"], ["pspec"], ["max"], ["radical", "--submodule", "N3"]):
+        for fmt in ("text", "json"):
+            argv = [command[0], "models/z6.gps", *command[1:], "--format", fmt]
+            assert not loaded_after(*argv) & HEAVY, argv
+    assert not loaded_after("radical", "models/z.gps", "--submodule", "N") & HEAVY
 
 
 def test_variety_loads_topology_but_not_harness():
@@ -107,7 +107,7 @@ def test_every_exported_name_resolves_through_the_package():
         assert getattr(gpspec, name) is getattr(home, name), name
     proc = python("-c", "import gpspec; from gpspec import run_checks, FiniteSpace; "
                   "print(run_checks.__module__, FiniteSpace.__module__, "
-                  "gpspec.render.__module__)")
+                  "gpspec.model_text.__module__)")
     assert proc.stdout.split() == ["gpspec.harness", "gpspec.topology", "gpspec.dsl"]
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gpspec import spectra, topology
+from gpspec import maps, spectra, topology
 from gpspec.algebra import QuotientMap, SubmoduleLattice
 from gpspec.dsl import parse_model
 from gpspec.harness import run_checks
@@ -22,14 +22,14 @@ INSTANCES = [(p.stem, p.read_text()) for p in sorted(MODELS.glob("*.gps"))] + [
 ]
 
 
-def failing_checks(monkeypatch, name, fault) -> set[str]:
-    """Ids of the checks that fail on some instance with topology's `name`
+def failing_checks(monkeypatch, name, fault, owner=topology) -> set[str]:
+    """Ids of the checks that fail on some instance with owner's `name`
     replaced by fault(real) wherever it is imported."""
-    real = getattr(topology, name)
+    real = getattr(owner, name)
     faulty = fault(real)
     importers = [module for key, module in list(sys.modules.items())
                  if key.startswith("gpspec") and vars(module).get(name) is real]
-    assert len(importers) == 2, name  # topology and harness
+    assert len(importers) == 2, name  # the owner and harness
     for module in importers:
         monkeypatch.setattr(module, name, faulty)
     return catalog_failures()
@@ -72,6 +72,42 @@ def test_a_radical_core_of_m_on_two_points_fails_the_core_checks(monkeypatch):
 
     failed = failing_checks(monkeypatch, "radical_core", fault)
     assert failed == {"P4.1", "T4.4"}
+
+
+def drop_lowest_of_two_or_more(real):
+    def fault(mapping, mask):  # a result of two or more points loses its lowest
+        out = real(mapping, mask)
+        return out & out - 1 if out.bit_count() >= 2 else out
+    return fault
+
+
+def test_a_preimage_mask_missing_a_point_fails_the_map_checks(monkeypatch):
+    failed = failing_checks(monkeypatch, "preimage_mask", drop_lowest_of_two_or_more, maps)
+    assert failed == {"C2.9", "C2.12", "C2.16", "L2.6", "P2.8", "P2.10", "P3.2", "T2.15",
+                      "T4.11"}
+
+
+def test_an_image_mask_missing_a_point_fails_the_bijection_checks(monkeypatch):
+    failed = failing_checks(monkeypatch, "image_mask", drop_lowest_of_two_or_more, maps)
+    assert failed == {"C2.9", "C2.16"}
+
+
+def test_a_closed_family_missing_its_second_largest_set_fails_the_space_checks(monkeypatch):
+    # every module space with more than three closed sets, after its
+    # families are filled: ring spaces keep theirs
+    real = topology._fill_families
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("_fill_families") is real]
+    assert importers == [topology]
+
+    def fill_families(space, *args):
+        real(space, *args)
+        if space.module is not None and len(space.closed_masks) > 3:
+            space.closed_masks = space.closed_masks[:-2] + space.closed_masks[-1:]
+
+    monkeypatch.setattr(topology, "_fill_families", fill_families)
+    assert catalog_failures() == {"C4.7", "EX4.2Z6", "P4.1", "T2.13", "T3.5", "T4.4", "T4.5",
+                                  "T4.6", "T4.10", "T4.11"}
 
 
 def test_an_image_scaled_by_two_fails_the_transport_check(monkeypatch):

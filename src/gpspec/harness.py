@@ -12,6 +12,8 @@ identity are always computed by independent routines (for example closure
 as the variety of the radical core versus the intersection of the closed
 sets containing it).
 Implications whose hypothesis is Unknown are skipped, never assumed.
+T3.4 and T3.5 are the only code that runs quasi-compactness: analyze_space
+takes it, and the spectral conditions it implies, as given in a finite space.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .topology import (
     PSPEC,
     SPEC,
     PointSet,
-    _finite_subcover_exists,
     analyze_space,
     base_scalars,
     basic_open,
@@ -65,8 +66,6 @@ from .topology import (
     ideal_core,
     is_irreducible_subset,
     is_primary_top_module,
-    is_quasi_compact,
-    is_union_of_members,
     radical_core,
     ring_basic_open,
     ring_variety,
@@ -632,6 +631,45 @@ def check_T2_17(ctx: Context):
             _fail("membership equivalence fails", N)
         count += 1
     return count, f"{count} submodules tested"
+
+
+def _finite_subcover_exists(target: int, cover: list[int]) -> bool:
+    """Greedy extraction of a finite subcover from a cover by base opens;
+    in a finite space this always succeeds, but it is executed, not assumed."""
+    acc = 0
+    for m in cover:
+        if m & target & ~acc:
+            acc |= m
+        if target & ~acc == 0:
+            return True
+    return target & ~acc == 0
+
+
+def is_quasi_compact(space, target_mask: int) -> bool:
+    """Every cover of the target by basic opens admits a finite subcover.
+
+    Any cover refines the maximal one (all base opens), so extracting an
+    explicit finite subcover from that settles it; when no basic-open cover
+    exists the condition holds vacuously.
+    """
+    if target_mask == 0:
+        return True
+    base_masks = [m for _, m in space.base]
+    union_all = 0
+    for m in base_masks:
+        union_all |= m
+    if target_mask & ~union_all:
+        return True
+    return _finite_subcover_exists(target_mask, base_masks)
+
+
+def is_union_of_members(target: int, family: list[int]) -> bool:
+    """Whether the members of the family inside the target cover it."""
+    acc = 0
+    for m in family:
+        if m & target == m:
+            acc |= m
+    return acc == target
 
 
 def check_P3_1(ctx: Context):

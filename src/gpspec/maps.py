@@ -59,14 +59,6 @@ class ReducedRing(Value):
             return I
         return self.ring.ideal(I.gen)
 
-    def lift_ideal(self, J: Ideal) -> Ideal:
-        """Preimage in R of an ideal of the reduced ring."""
-        if J.ring != self.ring:
-            raise AlgebraError("ideal belongs to a different ring")
-        if self.is_lazy:
-            return J
-        return self.source.ideal(J.gen)
-
     def ideals(self) -> list[Ideal]:
         return self.ring.ideals()
 
@@ -128,6 +120,29 @@ def preimage_mask(mapping, mask: int) -> int:
     return out
 
 
+def _map_flags(X: FiniteSpace, Y: FiniteSpace, mapping, closed_pairs):
+    """Injectivity and surjectivity of the map X -> Y sending point i to
+    Y.points[mapping[i]], witnessed by the first two points with one image and
+    the first target point nothing maps to, and continuity: preimage(B) = A
+    for each pair (A, B) of corresponding closed masks."""
+    inj: Trilean = Trilean.yes()
+    first: dict[int, int] = {}  # target index -> first point mapped to it
+    for i, j in enumerate(mapping):
+        if first.setdefault(j, i) != i:
+            inj = Trilean.no((X.points[first[j]], X.points[i]))
+            break
+    missed = Y.full_mask & ~image_mask(mapping, X.full_mask)
+    surj = Trilean.no(Y.points[(missed & -missed).bit_length() - 1]) if missed else Trilean.yes()
+    continuous = all(preimage_mask(mapping, B) == A for A, B in closed_pairs)
+    return inj, surj, continuous
+
+
+def _closed_map(X: FiniteSpace, Y: FiniteSpace, mapping) -> bool:
+    """Whether the map of _map_flags sends every closed set to a closed set."""
+    closed = set(Y.closed_masks)
+    return all(image_mask(mapping, c) in closed for c in X.closed_masks)
+
+
 @per_module
 def analyze_natural_map(
     M: GradedModule, source: str = "primary", bound: int = DEFAULT_ENUM_BOUND
@@ -146,45 +161,25 @@ def analyze_natural_map(
 
     images = tuple(primary_point_image(Q, bound) for Q in space.points)
     mapping = tuple(ring_space.index_of(img) for img in images)
-
-    inj: Trilean = Trilean.yes()
-    first: dict[int, int] = {}  # ring index -> first point mapped to it
-    for i, j in enumerate(mapping):
-        if first.setdefault(j, i) != i:
-            inj = Trilean.no((space.points[first[j]], space.points[i]))
-            break
-
-    covered = image_mask(mapping, space.full_mask)
-    missing = [p for j, p in enumerate(ring_space.points) if not covered >> j & 1]
-    surj = Trilean.yes() if not missing else Trilean.no(missing[0])
-
     fibers = tuple(
         (p, preimage_mask(mapping, 1 << j)) for j, p in enumerate(ring_space.points)
     )
 
-    # one pass over the colon ideals I ⊇ Ann(M), each the colon of I.M:
-    # continuity (the preimage of I's reduced closed set is the variety of
-    # I.M) and, when surjective, the image identities (that variety and its
-    # complement map onto the reduced closed set and its complement)
-    continuity_ok = True
-    image_identities_ok: bool | None = True if surj.is_true else None
-    for I in colon_ideals(M):
-        want = ring_variety(ring_space, rr.reduce_ideal(I)).mask
-        closed = variety(space, ideal_times_module(I, M)).mask
-        if preimage_mask(mapping, want) != closed:
-            continuity_ok = False
-        if image_identities_ok and (
-            image_mask(mapping, closed) != want
-            or image_mask(mapping, closed ^ space.full_mask) != want ^ ring_space.full_mask
-        ):
-            image_identities_ok = False
+    # per colon ideal I ⊇ Ann(M), the variety of I.M and the reduced closed
+    # set of I; when surjective, the image identities say that the variety
+    # and its complement map onto the closed set and its complement
+    pairs = [(variety(space, ideal_times_module(I, M)).mask,
+              ring_variety(ring_space, rr.reduce_ideal(I)).mask) for I in colon_ideals(M)]
+    inj, surj, continuity_ok = _map_flags(space, ring_space, mapping, pairs)
+    image_identities_ok = all(
+        image_mask(mapping, closed) == want
+        and image_mask(mapping, closed ^ space.full_mask) == want ^ ring_space.full_mask
+        for closed, want in pairs
+    ) if surj.is_true else None
 
     # open and closed as a map of finite spaces, checked extensionally
-    ring_closed = set(ring_space.closed_masks)
+    closed_map = _closed_map(space, ring_space, mapping)
     ring_opens = {m ^ ring_space.full_mask for m in ring_space.closed_masks}
-    closed_map = all(
-        image_mask(mapping, c) in ring_closed for c in space.closed_masks
-    )
     open_map = all(
         image_mask(mapping, c ^ space.full_mask) in ring_opens
         for c in space.closed_masks
@@ -192,11 +187,7 @@ def analyze_natural_map(
     open_closed = Trilean.yes() if (closed_map and open_map) else Trilean.no(None)
 
     bijective = inj.is_true and surj.is_true
-    homeo = (
-        Trilean.yes()
-        if bijective and continuity_ok and closed_map
-        else Trilean.no(None)
-    )
+    homeo = Trilean.yes() if bijective and continuity_ok and closed_map else Trilean.no(None)
 
     return MapAnalysis(
         kind=kind,
@@ -278,8 +269,8 @@ class InducedSpectrumMap:
 
     def analyze(self, bound: int = DEFAULT_ENUM_BOUND) -> PiAnalysis:
         """Extensional analysis between materialized primary spectra:
-        injectivity, the continuity identity for every closed set of the
-        source side, and the homeomorphism property when surjective."""
+        injectivity, surjectivity, the continuity identity for every closed
+        set of the source side, and the homeomorphism property."""
         M, M2 = self.f.source, self.f.target
         sp = build_space(M, PSPEC, bound)
         sp2 = build_space(M2, PSPEC, bound)
@@ -287,29 +278,16 @@ class InducedSpectrumMap:
         if None in mapping:
             return PiAnalysis(mapping, False, False, False,
                               Trilean(False, reason="a preimage is not a point"))
-        injective = len(set(mapping)) == len(mapping)
-        surjective = image_mask(mapping, sp2.full_mask) == sp.full_mask
-
-        continuity_ok = True
+        pairs = []
         for I in colon_ideals(M):
             IM = ideal_times_module(I, M)
-            want = variety(sp2, ideal_times_module(IM.colon_radical(), M2)).mask
-            if preimage_mask(mapping, variety(sp, IM).mask) != want:
-                continuity_ok = False
-
-        if surjective:
-            source_closed = set(sp.closed_masks)
-            closed_map = all(
-                image_mask(mapping, c2) in source_closed for c2 in sp2.closed_masks
-            )
-            homeo = (
-                Trilean.yes()
-                if (injective and continuity_ok and closed_map)
-                else Trilean.no(None)
-            )
-        else:
-            homeo = Trilean(False, reason="not surjective")
-        return PiAnalysis(mapping, injective, surjective, continuity_ok, homeo)
+            pairs.append((variety(sp2, ideal_times_module(IM.colon_radical(), M2)).mask,
+                          variety(sp, IM).mask))
+        inj, surj, continuity_ok = _map_flags(sp2, sp, mapping, pairs)
+        bijective = inj.is_true and surj.is_true
+        homeo = (Trilean.yes() if bijective and continuity_ok and _closed_map(sp2, sp, mapping)
+                 else Trilean.no(None))
+        return PiAnalysis(mapping, inj.is_true, surj.is_true, continuity_ok, homeo)
 
 
 def identity_map(M: GradedModule) -> PermutationMap:

@@ -20,6 +20,7 @@ from .algebra import (
     GradedSubmodule,
     Ideal,
     InvariantError,
+    SubmoduleLattice,
     Value,
     _lattice,
     enumerate_submodules,
@@ -192,21 +193,22 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> Point
 
 
 @per_module
-def _radical_masks(space: FiniteSpace) -> tuple[int, ...]:
-    """Element masks of the points' graded radicals in the lattice table."""
+def _radical_masks(space: FiniteSpace) -> tuple[SubmoduleLattice, tuple[int, ...]]:
+    """The lattice table and the element masks of the points' graded radicals in it."""
     lat = _lattice(space.module)
-    return tuple(lat.masks[lat.position[R]] for R in space.radicals)
+    return lat, tuple(lat.masks[lat.position[R]] for R in space.radicals)
 
 
 @per_module
 def star_masks(space: FiniteSpace) -> tuple[int, ...]:
     """Star-variety masks of a module space, aligned with enumerate_submodules:
     one AND of element masks per submodule and distinct point radical."""
+    lat, radicals = _radical_masks(space)
     points_of: dict[int, int] = {}  # radical element mask -> its points
-    for j, R in enumerate(_radical_masks(space)):
+    for j, R in enumerate(radicals):
         points_of[R] = points_of.get(R, 0) | 1 << j
     return tuple(sum(points for R, points in points_of.items() if not mask & ~R)
-                 for mask in _lattice(space.module).masks)
+                 for mask in lat.masks)
 
 
 @per_module
@@ -257,9 +259,9 @@ def radical_core(Y: PointSet) -> GradedSubmodule:
     space = Y.space
     if space.kind == RINGSPEC:
         raise AlgebraError("radical_core applies to module spaces")
-    lat = _lattice(space.module)
+    lat, radicals = _radical_masks(space)
     core = lat.masks[-1]  # M, the last and largest submodule
-    for i, R in enumerate(_radical_masks(space)):
+    for i, R in enumerate(radicals):
         if Y.mask >> i & 1:
             core &= R
     return lat.subs[lat.index[core]]
@@ -323,36 +325,6 @@ def specialization_closures(space: FiniteSpace) -> list[int]:
     return [closure(space.singleton(i)).mask for i in range(len(space.points))]
 
 
-def _finite_subcover_exists(target: int, cover: list[int]) -> bool:
-    """Greedy extraction of a finite subcover from a cover by base opens;
-    in a finite space this always succeeds, but it is executed, not assumed."""
-    acc = 0
-    for m in cover:
-        if m & target & ~acc:
-            acc |= m
-        if target & ~acc == 0:
-            return True
-    return target & ~acc == 0
-
-
-def is_quasi_compact(space: FiniteSpace, target_mask: int) -> bool:
-    """Every cover of the target by basic opens admits a finite subcover.
-
-    Any cover refines the maximal one (all base opens), so extracting an
-    explicit finite subcover from that settles it; when no basic-open cover
-    exists the condition holds vacuously.
-    """
-    if target_mask == 0:
-        return True
-    base_masks = [m for _, m in space.base]
-    union_all = 0
-    for m in base_masks:
-        union_all |= m
-    if target_mask & ~union_all:
-        return True
-    return _finite_subcover_exists(target_mask, base_masks)
-
-
 def analyze_space(space: FiniteSpace) -> TopologyReport:
     full = space.full_mask
     closed = list(space.closed_masks)
@@ -374,24 +346,14 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
         pts = tuple(i for i in range(len(space.points)) if m >> i & 1 and sing[i] == m)
         generic.append((m, pts))
     sober = all(len(pts) == 1 for _, pts in generic)
-    has_generic = all(pts for _, pts in generic)
 
     components = [
         m for m in irr_closed if not any(other != m and other & m == m for other in irr_closed)
     ]
 
-    quasi_compact = is_quasi_compact(space, full)
-    # the spectral checklist: T0, quasi-compact, quasi-compact opens closed
-    # under finite intersection and forming a base, soberness; all but the
-    # first and last are automatic in a finite space but are computed anyway
-    opens_set = set(opens)
-    qc_opens = [u for u in opens if is_quasi_compact(space, u)]
-    qc_base_ok = all(
-        (a & b) in opens_set and is_quasi_compact(space, a & b)
-        for a in qc_opens
-        for b in qc_opens
-    ) and all(is_union_of_members(u, qc_opens) for u in opens)
-    spectral = t0 and quasi_compact and qc_base_ok and sober and has_generic
+    # a finite space is quasi-compact, and its opens, all quasi-compact, form
+    # a base closed under finite intersection (T3.4 and T3.5 check both)
+    spectral = t0 and sober
 
     trivial = set(closed) <= {0, full}
 
@@ -402,21 +364,12 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
         t1=t1,
         sober=sober,
         spectral=spectral,
-        quasi_compact=quasi_compact,
+        quasi_compact=True,
         trivial_topology=trivial,
         is_empty=space.is_empty,
         components=tuple(sorted(components)),
         generic_points=tuple(sorted(generic)),
     )
-
-
-def is_union_of_members(target: int, family: list[int]) -> bool:
-    """Whether the members of the family inside the target cover it."""
-    acc = 0
-    for m in family:
-        if m & target == m:
-            acc |= m
-    return acc == target
 
 
 # -- the quasi topology --------------------------------------------------------

@@ -26,7 +26,9 @@ shared presentations and the preimage K + lift(N2) replaced;
 `one_per_colon`, the submodule walk that the map analyses' loop over the
 colon ideals replaced, and `per_call_L2_14`, the transport check that pulled
 back every point per call and tested membership, which the shared pullback
-table and the lookup in the target's space replaced;
+table and the lookup in the target's space replaced; `map_flags_oracle`,
+the injectivity, surjectivity and continuity of a finite map by their
+definitions, in place of the mask routine both map analyses share;
 and `coset_key`, a Hermite-form coset label that only the order-multiset
 oracle uses.  `oracle_corpus` lists the
 finite modules the spectra oracles run on.
@@ -556,6 +558,33 @@ def per_call_L2_14(ctx):
                     _fail("image left the primary spectrum", (K, Q))
                 count += 1
     return count, f"{count} transports"
+
+
+def map_flags_oracle(X, Y, mapping, closed_pairs):
+    """Injectivity, surjectivity and continuity of the map X -> Y sending
+    point i to Y.points[mapping[i]], by the definitions: the first pair of
+    points with one image by a double loop, the target points nothing maps
+    to by a loop, and each preimage compared with its closed set point by
+    point."""
+    Trilean, n = spectra.Trilean, len(mapping)
+    injective = Trilean.yes()
+    for i in range(n):
+        clash = [k for k in range(i) if mapping[k] == mapping[i]]
+        if clash:
+            injective = Trilean.no((X.points[clash[0]], X.points[i]))
+            break
+    missing = []
+    for j, point in enumerate(Y.points):
+        if all(mapping[i] != j for i in range(n)):
+            missing.append(point)
+    surjective = Trilean.no(missing[0]) if missing else Trilean.yes()
+    continuous = True
+    for A, B in closed_pairs:
+        closed = {Y.points[j] for j in range(len(Y.points)) if B >> j & 1}
+        preimage = {X.points[i] for i in range(n) if Y.points[mapping[i]] in closed}
+        if preimage != {X.points[i] for i in range(n) if A >> i & 1}:
+            continuous = False
+    return injective, surjective, continuous
 
 
 def hnf_star_mask(space, N: GradedSubmodule) -> int:

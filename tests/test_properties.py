@@ -25,7 +25,7 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
-from gpspec import algebra, harness, spectra, topology
+from gpspec import algebra, harness, maps, spectra, topology
 from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.harness import Check, Context, run_checks
 from gpspec.spectra import (
@@ -323,6 +323,32 @@ def test_catalog_is_unchanged_with_per_call_transport(model):
     assert got == want, (model.ring.text(), model.module.text())
     if model.module.is_finite:
         assert asked, model.module.text()  # the swap was reached
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_catalog_is_unchanged_with_the_map_flags_by_definition(model):
+    # the differential half of the shared map flags: injectivity,
+    # surjectivity and continuity of both map analyses swapped for their
+    # definitions, which must also give the library's witnesses
+    want, agreed = catalog_outcomes(model), []
+    library = maps._map_flags
+    importers = [module for name, module in list(sys.modules.items())
+                 if name.startswith("gpspec") and vars(module).get("_map_flags") is library]
+    assert importers == [maps]
+
+    def by_definition(X, Y, mapping, closed_pairs):
+        flags = oracles.map_flags_oracle(X, Y, mapping, closed_pairs)
+        agreed.append(flags == library(X, Y, mapping, closed_pairs))
+        return flags
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_map_flags", by_definition)
+        got = catalog_outcomes(model)
+    assert got == want, (model.ring.text(), model.module.text())
+    assert all(agreed), model.module.text()
+    if model.module.is_finite:
+        assert agreed, model.module.text()  # the swap was reached
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -7,6 +7,7 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
+from gpspec.harness import is_quasi_compact
 from gpspec.spectra import graded_radical
 from gpspec.topology import (
     PSPEC,
@@ -19,7 +20,6 @@ from gpspec.topology import (
     ideal_core,
     is_irreducible_subset,
     is_primary_top_module,
-    is_quasi_compact,
     radical_core,
     ring_basic_open,
     ring_variety,

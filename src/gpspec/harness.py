@@ -12,8 +12,8 @@ identity are always computed by independent routines (for example closure
 as the variety of the radical core versus the intersection of the closed
 sets containing it).
 Implications whose hypothesis is Unknown are skipped, never assumed.
-T3.4 and T3.5 are the only code that runs quasi-compactness: analyze_space
-takes it, and the spectral conditions it implies, as given in a finite space.
+T3.4 and T3.5 are the only code that runs quasi-compactness and the
+quasi-compact base of a spectral space; analyze_space takes both as given.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gpspec import maps, spectra, topology
+from gpspec import intlinalg, maps, spectra, topology
 from gpspec.algebra import QuotientMap, SubmoduleLattice
 from gpspec.dsl import parse_model
 from gpspec.harness import run_checks
@@ -149,6 +149,28 @@ def test_a_preimage_collapsed_to_the_kernel_fails_every_transport_check(monkeypa
         return real(self, N2) if N2.is_zero else self.kernel()
 
     monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
+    assert catalog_outcomes() == {("L2.14", "fail"), ("T2.15", "fail"), ("C2.16", "fail")}
+
+
+def test_a_smith_transform_with_its_last_two_columns_swapped_fails_the_projection_checks(
+        monkeypatch):
+    # V's last two columns and V^-1's last two rows swap together, so V^-1
+    # stays the inverse of V and nothing raises: each projection reads the
+    # kept columns against the wrong invariants.  The transform-free
+    # invariants behind every colon are untouched
+    real = intlinalg.smith_normal_form
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("smith_normal_form") is real]
+    assert importers == [intlinalg]
+
+    def smith_normal_form(rows, ncols, transforms=True):
+        inv, V, Vinv = real(rows, ncols, transforms)
+        if not transforms or ncols < 2:
+            return inv, V, Vinv
+        V = tuple(r[:-2] + (r[-1], r[-2]) for r in V)
+        return inv, V, Vinv[:-2] + (Vinv[-1], Vinv[-2])
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", smith_normal_form)
     assert catalog_outcomes() == {("L2.14", "fail"), ("T2.15", "fail"), ("C2.16", "fail")}
 
 

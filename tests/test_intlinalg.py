@@ -16,6 +16,7 @@ from gpspec.intlinalg import (
     hermite_normal_form,
     lattice_contains,
     lattice_intersection,
+    matmul_vec,
     quotient_invariants_of,
     reduce_mod_lattice,
     smith_normal_form,
@@ -239,6 +240,18 @@ def test_quotient_invariants_without_transforms(case):
     else:
         sym = []
     assert got == (n - len(sym), [d for d in sorted(sym) if d > 1])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(integer_matrices())
+def test_smith_transform_carries_the_rows_onto_the_diagonal(case):
+    # what V is for: x -> xV maps the row lattice onto the lattice of
+    # diag(d_1, ..., d_r) in n columns, so equal lattices give equal HNFs
+    rows, n = case
+    inv, V, _ = smith_normal_form(rows, n)
+    diagonal = [tuple(d if k == j else 0 for k in range(n)) for j, d in enumerate(inv)]
+    assert hermite_normal_form([matmul_vec(r, V) for r in rows], n) == hermite_normal_form(
+        diagonal, n)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -2,10 +2,15 @@
 
 Matrices are tuples of row tuples over plain Python ints, so everything is
 exact at any magnitude.  Row convention throughout: the rows of a matrix
-generate a sublattice of Z^n.  The Smith elimination tracks its unimodular
-transforms only for callers that map coordinates (quotient maps, element
-orders); the quotient invariants behind every colon run it on the matrix
-alone.  A one-column lattice is its gcd: the subgroup of Z generated by
+generate a sublattice of Z^n.  One unimodular row step, _cancel, serves the
+Hermite echelon and the Smith elimination alike: it turns two rows into
+combinations with the gcd of their column-j entries in the first and 0 in
+the second.  The Smith elimination makes its divisibility chain in one pass
+over the diagonal pairs i < j, (d_i, d_j) -> (gcd, lcm), with two column
+operations per repaired pair (Cohen, GTM 138, section 2.4).  It tracks its
+unimodular transforms only for callers that map coordinates (quotient maps,
+element orders); the quotient invariants behind every colon run it on the
+matrix alone.  A one-column lattice is its gcd: the subgroup of Z generated by
 a_1, ..., a_m is gZ with g = gcd(a_1, ..., a_m), so its HNF is (g) (empty
 for g = 0) and its quotient is Z/g (Z for g = 0).  A two-column lattice L
 is read in one pass of extended gcds (Cohen, GTM 138, section 2.4): its HNF
@@ -42,6 +47,23 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _cancel(top: list[int], low: list[int], j: int) -> None:
+    """Unimodular step on two rows whose entries before column j are zero:
+    top[j] becomes a gcd of top[j] and low[j] (top[j] itself when it divides
+    low[j]) and low[j] becomes 0."""
+    a, b = top[j], low[j]
+    if b % a == 0:
+        q = b // a
+        for k in range(j, len(low)):
+            low[k] -= q * top[k]
+    else:
+        g, x, y = xgcd(a, b)
+        ag, bg = a // g, b // g
+        for k in range(j, len(low)):
+            u, w = top[k], low[k]
+            top[k], low[k] = x * u + y * w, -bg * u + ag * w
+
+
 class _Echelon:
     """Incremental row echelon over Z with gcd pivoting."""
 
@@ -66,20 +88,7 @@ class _Echelon:
                 self.rows.insert(pos, v)
                 self.pivots.insert(pos, j)
                 return
-            row = self.rows[pos]
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                for k in range(j, len(v)):
-                    v[k] -= q * row[k]
-            else:
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                for k in range(j, len(v)):
-                    rk, vk = row[k], v[k]
-                    row[k] = x * rk + y * vk
-                    v[k] = -bg * rk + ag * vk
-                # row now has pivot g at column j; v has 0 there
+            _cancel(self.rows[pos], v, j)
 
     def normalize(self) -> None:
         """Make the echelon the canonical HNF: entries above each pivot
@@ -203,8 +212,11 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
     mutually inverse ncols x ncols unimodular matrices such that the row
     lattice of A maps onto the diagonal lattice under x -> x . V.  The
     quotient Z^ncols / rowspace is then (+) Z/d_j (+) Z^(ncols - len(invariants)).
-    With transforms=False the same elimination runs on A alone and V, Vinv
-    are None.
+    Each pivot clears its column with the row step _cancel, which the rows
+    of A need not record, and its row with column operations, which V and
+    Vinv record; one pass of (d_i, d_j) -> (gcd, lcm) over the diagonal
+    pairs i < j then makes the chain.  With transforms=False the same
+    elimination runs on A alone and V, Vinv are None.
     """
     A = [list(r) for r in rows if any(r)]
     m, n = len(A), ncols
@@ -243,15 +255,8 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
 
     t = 0
     while t < min(m, n):
-        # find a nonzero entry in the trailing block
-        found = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
+        # the first nonzero entry of the trailing block, row by row
+        found = next(((i, j) for i in range(t, m) for j in range(t, n) if A[i][j]), None)
         if not found:
             break
         i, j = found
@@ -260,61 +265,38 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
         if j != t:
             col_swap(t, j)
         while True:
-            # clear column t below the pivot with row operations
+            # clear column t below the pivot with row steps, then row t to
+            # the right with column operations, which leave row t clear
             for i in range(t + 1, m):
                 if A[i][t]:
-                    a, b = A[t][t], A[i][t]
-                    if b % a == 0:
-                        q = b // a
-                        for k in range(t, n):
-                            A[i][k] -= q * A[t][k]
-                    else:
-                        g, x, y = xgcd(a, b)
-                        ag, bg = a // g, b // g
-                        for k in range(t, n):
-                            u, w = A[t][k], A[i][k]
-                            A[t][k], A[i][k] = x * u + y * w, -bg * u + ag * w
-            # clear row t to the right with column operations
+                    _cancel(A[t], A[i], t)
             for j in range(t + 1, n):
                 if A[t][j]:
                     if A[t][j] % A[t][t] == 0:
                         col_addmul(j, t, -(A[t][j] // A[t][t]))
                     else:
                         col_combine(t, j, t)
-            if all(A[i][t] == 0 for i in range(t + 1, m)) and all(
-                A[t][j] == 0 for j in range(t + 1, n)
-            ):
+            if all(A[i][t] == 0 for i in range(t + 1, m)):
                 break
         if A[t][t] < 0:
             for k in range(t, n):
                 A[t][k] = -A[t][k]
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a != 0:
-                changed = True
-                # fold column i+1 into column i, then re-diagonalize the 2x2 block
-                col_addmul(i, i + 1, 1)
-                a, b = A[i][i], A[i + 1][i]
-                g, x, y = xgcd(a, b)
-                ag, bg = a // g, b // g
-                # row combine (i, i+1)
-                for k in range(n):
-                    u, w = A[i][k], A[i + 1][k]
-                    A[i][k], A[i + 1][k] = x * u + y * w, -bg * u + ag * w
-                # clear the off-diagonal entries reintroduced in row i / col i+1
-                if A[i][i + 1]:
-                    col_addmul(i + 1, i, -(A[i][i + 1] // A[i][i]))
-                if A[i + 1][i + 1] < 0:
-                    for k in range(n):
-                        A[i + 1][k] = -A[i + 1][k]
-
+    # the chain in one pass, (d_i, d_j) -> (gcd, lcm) for i < j: with
+    # g = x d_i + y d_j, column i += column j and then column j -= (y d_j / g)
+    # column i turn diag(d_i, d_j) into a matrix row-equivalent to
+    # diag(g, d_i d_j / g), so only V and Vinv need them; A is not read again
     invariants = [A[i][i] for i in range(t)]
+    for i in range(t):
+        for j in range(i + 1, t):
+            a, b = invariants[i], invariants[j]
+            if b % a:
+                g, x, y = xgcd(a, b)
+                invariants[i], invariants[j] = g, a // g * b
+                if transforms:
+                    col_addmul(i, j, 1)
+                    col_addmul(j, i, -(y * b // g))
     if not all(d > 0 for d in invariants):
         from .algebra import InvariantError  # algebra imports this module
 

@@ -52,9 +52,11 @@ class LazyRingError(AlgebraError):
 
 
 def per_module(fn):
-    """Memoise fn(x, *args, **kwargs) in the memo of x's module, x being a
+    """Memoise fn(x, *args) in the memo of x's module, x being a
     GradedModule, a GradedSubmodule or a module space; equal calls share one
-    result, which nobody may mutate.
+    result, which nobody may mutate.  fn takes its arguments by position and
+    has no defaults, so that one call has one key; a public function with
+    defaults passes them all on to a memoised body.
 
     Keys never hold the module: a module's entry is keyed (fn, *args) and a submodule
     N's (fn, N.blocks, *args), so equal submodules built apart share one entry and no
@@ -68,18 +70,16 @@ def per_module(fn):
     _presentation), hold nothing of M, and M itself is never a value."""
 
     @wraps(fn)
-    def memoised(x, *args, **kwargs):
+    def memoised(x, *args):
         if x.__class__ is GradedSubmodule:
             memo, key = x.module.memo, (fn, x.blocks, *args)
         elif x.__class__ is GradedModule:
             memo, key = x.memo, (fn, *args)
         else:
             memo, key = x.module.memo, (fn, x, *args)
-        if kwargs:
-            key += tuple(sorted(kwargs.items()))
         value = memo.get(key, memo)  # the memo itself marks a miss
         if value is memo:
-            value = memo[key] = fn(x, *args, **kwargs)
+            value = memo[key] = fn(x, *args)
         return value
 
     return memoised
@@ -137,21 +137,10 @@ class GradingGroup(Value):
             raise AlgebraError(f"cyclic orders must be >= 1: {cyclic_orders}")
         object.__setattr__(self, "cyclic_orders", cyclic_orders)
 
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * len(self.cyclic_orders)
-
-    @property
-    def size(self) -> int:
-        return prod(self.cyclic_orders)
-
     def reduce(self, g) -> tuple[int, ...]:
         if len(g) != len(self.cyclic_orders):
             raise AlgebraError(f"degree arity {len(g)} != {len(self.cyclic_orders)}")
         return tuple(a % n for a, n in zip(g, self.cyclic_orders))
-
-    def add(self, g, h) -> tuple[int, ...]:
-        return tuple((a + b) % n for a, b, n in zip(g, h, self.cyclic_orders))
 
     def elements(self):
         return [tuple(t) for t in iproduct(*(range(n) for n in self.cyclic_orders))]
@@ -197,11 +186,6 @@ class BaseRing(Value):
     @property
     def unit_ideal(self) -> Ideal:
         return Ideal(self, 1)
-
-    def elements(self) -> range:
-        if self.modulus == 0:
-            raise InfiniteEnumerationError("Z has infinitely many elements")
-        return range(self.modulus)
 
     def is_unit(self, r: int) -> bool:
         if self.modulus == 0:

@@ -143,7 +143,6 @@ def _closed_map(X: FiniteSpace, Y: FiniteSpace, mapping) -> bool:
     return all(image_mask(mapping, c) in closed for c in X.closed_masks)
 
 
-@per_module
 def analyze_natural_map(
     M: GradedModule, source: str = "primary", bound: int = DEFAULT_ENUM_BOUND
 ) -> MapAnalysis:
@@ -151,7 +150,13 @@ def analyze_natural_map(
     prime spectrum ("phi" side) of a finite module to the reduced ring
     spectrum: injectivity, surjectivity, fibers, the preimage identity for
     every reduced ideal, and the open/closed image identities when the map
-    is surjective."""
+    is surjective.  One analysis per (M, source, bound), however the call is
+    spelled."""
+    return _natural_map(M, source, bound)
+
+
+@per_module
+def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     rr = reduced_ring(M)
     if rr.is_lazy:
         raise LazyRingError("the reduced ring spectrum of Z is not materialized")

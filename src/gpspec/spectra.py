@@ -276,11 +276,8 @@ def spectrum_points(
     M: GradedModule, kind: str, bound: int = DEFAULT_ENUM_BOUND
 ) -> list[GradedSubmodule]:
     """Points of the requested spectrum of a finite module, in canonical
-    order.  Kinds: "prime", "primary", "maximal", "all"."""
-    subs = enumerate_submodules(M, bound)
-    if kind == "all":
-        return subs
-    proper = [N for N in subs if N.is_proper]
+    order.  Kinds: "prime", "primary", "maximal"."""
+    proper = [N for N in enumerate_submodules(M, bound) if N.is_proper]
     if kind == "prime":
         return [N for N in proper if is_graded_prime(N)]
     if kind == "primary":

@@ -119,12 +119,17 @@ class FiniteSpace:
         return self.position[point]
 
 
-@per_module
 def build_space(
     M: GradedModule, kind: str = PSPEC, bound: int = DEFAULT_ENUM_BOUND
 ) -> FiniteSpace:
     """Materialize the primary or prime spectrum of a finite module with every
-    variety (deduplicated, witnessed) and the basic opens, shared read-only."""
+    variety (deduplicated, witnessed) and the basic opens, shared read-only:
+    one space per (M, kind, bound), however the call is spelled."""
+    return _build_space(M, kind, bound)
+
+
+@per_module
+def _build_space(M: GradedModule, kind: str, bound: int) -> FiniteSpace:
     if kind not in (PSPEC, SPEC):
         raise AlgebraError(f"unknown module space kind {kind!r}")
     points = spectrum_points(M, "primary" if kind == PSPEC else "prime", bound)

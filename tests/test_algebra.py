@@ -39,7 +39,7 @@ from gpspec.spectra import (
     is_graded_prime,
     is_multiplication,
 )
-from gpspec.topology import PSPEC, build_space
+from gpspec.topology import PSPEC, build_space, variety
 
 Z = BaseRing(0)
 Z2G = GradingGroup((2,))
@@ -491,6 +491,19 @@ def test_module_memo_matches_fresh_module():
         fields = ("reduced", "images", "injective", "surjective", "continuity_ok",
                   "image_identities_ok", "open_closed", "homeomorphism", "fibers")
         assert [getattr(rho2, f) for f in fields] == [getattr(rho, f) for f in fields]
+
+
+def test_one_memo_entry_per_call_however_spelled():
+    # defaults and keywords reach one memoised body, so every spelling of a
+    # call shares one space and one analysis, and their varieties agree
+    M = GradedModule(Z, Z2G, [(4, (0,)), (8, (1,))])
+    sp = build_space(M)
+    assert build_space(M, "pspec", 20000) is sp
+    assert build_space(M, "pspec", bound=20000) is sp
+    assert analyze_natural_map(M) is analyze_natural_map(M, "primary", 20000)
+    assert analyze_natural_map(M).space is sp
+    for N in enumerate_submodules(M):
+        assert variety(build_space(M), N) == variety(analyze_natural_map(M).space, N)
 
 
 def _use_every_memo(M):

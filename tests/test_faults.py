@@ -14,6 +14,7 @@ from gpspec import intlinalg, maps, spectra, topology
 from gpspec.algebra import QuotientMap, SubmoduleLattice
 from gpspec.dsl import parse_model
 from gpspec.harness import run_checks
+from gpspec.topology import PointSet
 
 MODELS = Path(__file__).parent.parent / "models"
 INSTANCES = [(p.stem, p.read_text()) for p in sorted(MODELS.glob("*.gps"))] + [
@@ -90,6 +91,26 @@ def test_a_preimage_mask_missing_a_point_fails_the_map_checks(monkeypatch):
 def test_an_image_mask_missing_a_point_fails_the_bijection_checks(monkeypatch):
     failed = failing_checks(monkeypatch, "image_mask", drop_lowest_of_two_or_more, maps)
     assert failed == {"C2.9", "C2.16"}
+
+
+def test_a_colon_variety_missing_a_point_fails_the_variety_checks(monkeypatch):
+    # every closed set of a module space, as built and as queried, comes
+    # from _colon_variety, so the fault reaches spaces, maps and catalog alike
+    real = topology._colon_variety
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("_colon_variety") is real]
+    assert importers == [topology]
+
+    def colon_variety(space, c):
+        mask = real(space, c).mask
+        return PointSet(space, mask & mask - 1 if mask.bit_count() >= 2 else mask)
+
+    monkeypatch.setattr(topology, "_colon_variety", colon_variety)
+    assert catalog_outcomes() == {
+        (check_id, "fail") for check_id in (
+            "C2.12", "C4.7", "E3.3", "EX4.2Z6", "L2.6", "P2.10", "P2.11", "P3.2", "P4.1",
+            "T2.4", "T2.13", "T2.15", "T3.5", "T4.4", "T4.5", "T4.6", "T4.11")
+    }
 
 
 def test_a_closed_family_missing_its_second_largest_set_fails_the_space_checks(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from gpspec import maps
 from gpspec.algebra import (
+    DEFAULT_ENUM_BOUND,
     BaseRing,
     GradedModule,
     GradingGroup,
@@ -297,7 +298,8 @@ def test_map_analyses_are_unchanged_with_one_submodule_per_colon(monkeypatch):
         return tuple(N.colon() for N in oracles.one_per_colon(M))
 
     monkeypatch.setattr(maps, "colon_ideals", walked_colons)
-    got = ([analyze_natural_map.__wrapped__(M, source) for M, source in natural],
+    got = ([maps._natural_map.__wrapped__(M, source, DEFAULT_ENUM_BOUND)
+            for M, source in natural],
            [InducedSpectrumMap(proj).analyze() for proj in projections])
     assert got == want
     assert len(asked) == len(natural) + len(projections)  # the swap was reached

@@ -2,22 +2,20 @@
 
 Matrices are tuples of row tuples over plain Python ints, so everything is
 exact at any magnitude.  Row convention throughout: the rows of a matrix
-generate a sublattice of Z^n.  One unimodular row step, _cancel, serves the
-Hermite echelon and the Smith elimination alike: it turns two rows into
-combinations with the gcd of their column-j entries in the first and 0 in
-the second.  The Smith elimination makes its divisibility chain in one pass
-over the diagonal pairs i < j, (d_i, d_j) -> (gcd, lcm), with two column
-operations per repaired pair (Cohen, GTM 138, section 2.4).  It tracks its
-unimodular transforms only for callers that map coordinates (quotient maps,
-element orders); the quotient invariants behind every colon run it on the
-matrix alone.  A one-column lattice is its gcd: the subgroup of Z generated by
-a_1, ..., a_m is gZ with g = gcd(a_1, ..., a_m), so its HNF is (g) (empty
-for g = 0) and its quotient is Z/g (Z for g = 0).  A two-column lattice L
-is read in one pass of extended gcds (Cohen, GTM 138, section 2.4): its HNF
-is ((p, q mod c), (0, c)), p generating the first coordinates of L and c
-generating L meet (0 x Z), and the Smith invariants of Z^2/L are
-d_1 = gcd(p, q, c) and d_2 = pc/d_1, since d_1 is the gcd of the entries and
-d_1 d_2 = |det| (Smith, 1861).  hermite_normal_form and
+generate a sublattice of Z^n.  The Hermite echelon and the Smith elimination
+share one unimodular row step, _cancel, and the Smith elimination makes its
+divisibility chain in one pass of (d_i, d_j) -> (gcd, lcm) over the diagonal
+pairs i < j, two column operations per repaired pair (Cohen, GTM 138,
+section 2.4).  It tracks its transforms only for callers that map
+coordinates (quotient maps, element orders); the quotient invariants behind
+every colon run it on the matrix alone.  A one-column lattice is its gcd:
+the subgroup of Z generated by a_1, ..., a_m is gZ, g = gcd(a_1, ..., a_m),
+so its HNF is (g) (empty for g = 0) and its quotient is Z/g (Z for g = 0).
+A two-column lattice L is read in one pass of extended gcds (Cohen, GTM 138,
+section 2.4): its HNF is ((p, q mod c), (0, c)), p generating the first
+coordinates of L and c generating L meet (0 x Z), and the Smith invariants
+of Z^2/L are d_1 = gcd(p, q, c) and d_2 = pc/d_1, since d_1 is the gcd of
+the entries and d_1 d_2 = |det| (Smith, 1861).  hermite_normal_form and
 quotient_invariants_of answer one and two columns without the elimination.
 The meet of two lattices is read off one Hermite form (Zassenhaus; Cohen,
 GTM 138, section 2.4), and membership walks the Hermite rows in pivot order.
@@ -212,11 +210,11 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
     mutually inverse ncols x ncols unimodular matrices such that the row
     lattice of A maps onto the diagonal lattice under x -> x . V.  The
     quotient Z^ncols / rowspace is then (+) Z/d_j (+) Z^(ncols - len(invariants)).
-    Each pivot clears its column with the row step _cancel, which the rows
-    of A need not record, and its row with column operations, which V and
-    Vinv record; one pass of (d_i, d_j) -> (gcd, lcm) over the diagonal
-    pairs i < j then makes the chain.  With transforms=False the same
-    elimination runs on A alone and V, Vinv are None.
+    Each pivot clears its column with the row step _cancel and its row with
+    column operations, which V and Vinv record; one pass of (d_i, d_j) ->
+    (gcd, lcm) over the diagonal pairs i < j then makes the chain.  With
+    transforms=False the same elimination runs on A alone and V, Vinv
+    are None.
     """
     A = [list(r) for r in rows if any(r)]
     m, n = len(A), ncols
@@ -255,8 +253,15 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
 
     t = 0
     while t < min(m, n):
-        # the first nonzero entry of the trailing block, row by row
-        found = next(((i, j) for i in range(t, m) for j in range(t, n) if A[i][j]), None)
+        # find a nonzero entry in the trailing block
+        found = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if A[i][j]:
+                    found = (i, j)
+                    break
+            if found:
+                break
         if not found:
             break
         i, j = found
@@ -278,16 +283,12 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
                         col_combine(t, j, t)
             if all(A[i][t] == 0 for i in range(t + 1, m)):
                 break
-        if A[t][t] < 0:
-            for k in range(t, n):
-                A[t][k] = -A[t][k]
         t += 1
 
-    # the chain in one pass, (d_i, d_j) -> (gcd, lcm) for i < j: with
-    # g = x d_i + y d_j, column i += column j and then column j -= (y d_j / g)
-    # column i turn diag(d_i, d_j) into a matrix row-equivalent to
-    # diag(g, d_i d_j / g), so only V and Vinv need them; A is not read again
-    invariants = [A[i][i] for i in range(t)]
+    # row i of A is now +-d_i e_i.  With g = x d_i + y d_j, column i += column j
+    # and then column j -= (y d_j / g) column i turn diag(d_i, d_j) into rows
+    # equivalent to diag(g, d_i d_j / g): only V and Vinv need them
+    invariants = [abs(A[i][i]) for i in range(t)]
     for i in range(t):
         for j in range(i + 1, t):
             a, b = invariants[i], invariants[j]

@@ -394,15 +394,6 @@ class GradedModule:
         orders = [o for o, _ in self.factors if o]
         return lcm(*orders) if orders else 1
 
-    def base_scale(self) -> int:
-        """lcm of all factor orders and the ring modulus; the canonical
-        generator of (rM : M) always divides it, so its divisors index the
-        distinct basic open sets."""
-        vals = [o for o, _ in self.factors if o]
-        if self.ring.modulus:
-            vals.append(self.ring.modulus)
-        return lcm(*vals) if vals else 1
-
     # -- elements ---------------------------------------------------------
 
     def _require_arity(self, vec) -> None:

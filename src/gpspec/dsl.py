@@ -51,7 +51,7 @@ class ParseError(Exception):
 
 class Model(Value):
     __slots__ = ("group", "ring", "module", "named_submodules", "named_subsets")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, group: GradingGroup, ring: BaseRing, module: GradedModule,
                  named_submodules: dict[str, GradedSubmodule] | None = None,
@@ -59,16 +59,6 @@ class Model(Value):
         super().__init__(group, ring, module,
                          {} if named_submodules is None else named_submodules,
                          {} if named_subsets is None else named_subsets)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Model)
-            and self.group == other.group
-            and self.ring == other.ring
-            and self.module == other.module
-            and self.named_submodules == other.named_submodules
-            and self.named_subsets == other.named_subsets
-        )
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>-?\d+)|(?P<sym>[=@(){},]))")
@@ -125,11 +115,8 @@ class _Line:
         v, col = self.expect("int")
         return self.integer(v, col)
 
-    def at_end(self) -> bool:
-        return self.cursor >= len(self.tokens)
-
     def require_end(self):
-        if not self.at_end():
+        if self.cursor < len(self.tokens):
             k, v, col = self.peek()
             raise ParseError(self.lineno, col, "unexpected trailing input", v)
 
@@ -138,17 +125,63 @@ class _Line:
         return ParseError(self.lineno, col, message, v)
 
 
-def _parse_cyclic(line: _Line) -> int:
+ORDER = ("group", "ring", "module")
+"""The declarations, each once and in this order; any number of `submodule`
+and `subset` statements follow the module."""
+
+
+def _check_order(lineno: int, head: str, col: int, seen) -> None:
+    """Raise unless statement `head` may follow the declarations in `seen`:
+    its predecessor first, then a repeat, then a later declaration."""
+    rank = ORDER.index(head) if head in ORDER else len(ORDER)
+    if rank and ORDER[rank - 1] not in seen:
+        message = f"{ORDER[rank - 1]} must precede {head}"
+    elif head in seen:
+        message = f"duplicate {head} statement"
+    elif not seen.isdisjoint(ORDER[rank + 1:]):
+        message = f"{head} must precede {' and '.join(ORDER[rank + 1:])}"
+    else:
+        return
+    raise ParseError(lineno, col, message, head)
+
+
+def _separated(line: _Line, item, sep: str) -> list:
+    """Read `item (sep item)*`, item being a reader of one item."""
+    items = [item()]
+    while line.peek()[1] == sep:
+        line.next()
+        items.append(item())
+    return items
+
+
+def _int_tuple(line: _Line, arity: int, mismatch: str) -> tuple[int, ...]:
+    """Read `( int, ... )` of `arity` entries; `mismatch` formats the error
+    for another count and the arity."""
+    _, col = line.expect("sym", "(")
+    vals = _separated(line, line.expect_int, ",")
+    line.expect("sym", ")")
+    if len(vals) != arity:
+        raise ParseError(line.lineno, col, mismatch.format(len(vals), arity), "(")
+    return tuple(vals)
+
+
+def _z_order(line: _Line, what: str, bare: bool = True) -> tuple[int, str, int]:
+    """Read a `Z<n>` token as (n, token, column); a bare `Z`, where allowed,
+    reads as 0."""
     k, v, col = line.next()
-    if k != "name" or not re.fullmatch(r"Z\d+", v):
-        raise ParseError(line.lineno, col, "expected a cyclic group Z<k>", v)
-    order = line.integer(v[1:], col)
+    if k != "name" or not re.fullmatch(r"Z\d*" if bare else r"Z\d+", v):
+        raise ParseError(line.lineno, col, f"expected {what}", v)
+    return 0 if v == "Z" else line.integer(v[1:], col), v, col
+
+
+def _cyclic(line: _Line) -> int:
+    order, v, col = _z_order(line, "a cyclic group Z<k>", bare=False)
     if order < 1:
         raise ParseError(line.lineno, col, "cyclic order must be >= 1", v)
     return order
 
 
-def _parse_degree(line: _Line, group: GradingGroup):
+def _degree(line: _Line, group: GradingGroup):
     k, v, col = line.peek()
     arity = len(group.cyclic_orders)
     if k == "int":
@@ -158,37 +191,27 @@ def _parse_degree(line: _Line, group: GradingGroup):
                 line.lineno, col, f"degree must be a {arity}-tuple for this group", v
             )
         return group.reduce((line.integer(v, col),))
-    if (k, v) == ("sym", "("):
-        line.next()
-        vals = [line.expect_int()]
-        while line.peek()[:2] == ("sym", ","):
-            line.next()
-            vals.append(line.expect_int())
-        line.expect("sym", ")")
-        if len(vals) != arity:
-            raise ParseError(
-                line.lineno, col, f"degree arity {len(vals)} != group arity {arity}", v
-            )
-        return group.reduce(tuple(vals))
+    if v == "(":
+        return group.reduce(_int_tuple(line, arity, "degree arity {} != group arity {}"))
     raise line.error("expected a degree")
 
 
-def _parse_vector(line: _Line, arity: int):
-    _, col = line.expect("sym", "(")
-    vals = [line.expect_int()]
-    while line.peek()[:2] == ("sym", ","):
+def _factor(line: _Line, group: GradingGroup):
+    order = _z_order(line, "a factor Z@deg or Z<n>@deg")[0]
+    line.expect("sym", "@")
+    return order, _degree(line, group)
+
+
+def _zero(line: _Line) -> bool:
+    """Whether the rest of the statement is the literal 0, read if so."""
+    if line.peek()[:2] == ("int", "0"):
         line.next()
-        vals.append(line.expect_int())
-    line.expect("sym", ")")
-    if len(vals) != arity:
-        raise ParseError(
-            line.lineno, col, f"vector arity {len(vals)} != {arity} factors", "("
-        )
-    return tuple(vals)
+        return True
+    return False
 
 
 def parse_model(text: str) -> Model:
-    group = ring = module = None
+    seen: dict[str, object] = {}  # the declarations read, by keyword
     submodules: dict[str, GradedSubmodule] = {}
     subsets: dict[str, list[str]] = {}
 
@@ -200,94 +223,49 @@ def parse_model(text: str) -> Model:
         kind, head, col = line.next()
         if kind != "name":
             raise ParseError(lineno, col, "expected a statement keyword", head)
+        if head not in (*ORDER, "submodule", "subset"):
+            raise ParseError(lineno, col, f"unknown statement {head!r}", head)
+        _check_order(lineno, head, col, seen.keys())
+        if head not in ORDER:
+            name, ncol = line.expect("name")
+            if name in submodules or name in subsets:
+                raise ParseError(lineno, ncol, f"duplicate name {name!r}", name)
+        line.expect("sym", "=")
 
         if head == "group":
-            if group is not None:
-                raise ParseError(lineno, col, "duplicate group statement", head)
-            if ring is not None or module is not None:
-                raise ParseError(lineno, col, "group must precede ring and module", head)
-            line.expect("sym", "=")
-            orders = [_parse_cyclic(line)]
-            while line.peek()[1] == "x":
-                line.next()
-                orders.append(_parse_cyclic(line))
+            orders = _separated(line, lambda: _cyclic(line), "x")
             line.require_end()
-            group = GradingGroup(tuple(orders))
+            seen[head] = GradingGroup(tuple(orders))
 
         elif head == "ring":
-            if group is None:
-                raise ParseError(lineno, col, "group must precede ring", head)
-            if ring is not None:
-                raise ParseError(lineno, col, "duplicate ring statement", head)
-            if module is not None:
-                raise ParseError(lineno, col, "ring must precede module", head)
-            line.expect("sym", "=")
-            k, v, c = line.next()
-            if k != "name" or not re.fullmatch(r"Z\d*", v):
-                raise ParseError(lineno, c, "expected Z or Z<n>", v)
+            order, v, c = _z_order(line, "Z or Z<n>")
             try:
-                ring = BaseRing(0 if v == "Z" else line.integer(v[1:], c))
+                seen[head] = BaseRing(order)
             except AlgebraError as exc:
                 raise ParseError(lineno, c, str(exc), v)
             line.require_end()
 
         elif head == "module":
-            if ring is None:
-                raise ParseError(lineno, col, "ring must precede module", head)
-            if module is not None:
-                raise ParseError(lineno, col, "duplicate module statement", head)
-            line.expect("sym", "=")
-            factors = []
-            while True:
-                k, v, c = line.next()
-                if k != "name" or not re.fullmatch(r"Z\d*", v):
-                    raise ParseError(lineno, c, "expected a factor Z@deg or Z<n>@deg", v)
-                order = 0 if v == "Z" else line.integer(v[1:], c)
-                line.expect("sym", "@")
-                degree = _parse_degree(line, group)
-                factors.append((order, degree))
-                if line.peek()[1] == "x":
-                    line.next()
-                    continue
-                break
+            group = seen["group"]
+            factors = [] if _zero(line) else _separated(line, lambda: _factor(line, group), "x")
             line.require_end()
             try:
-                module = GradedModule(ring, group, factors)
+                seen[head] = GradedModule(seen["ring"], group, factors)
             except AlgebraError as exc:
                 raise ParseError(lineno, 1, str(exc))
 
         elif head == "submodule":
-            if module is None:
-                raise ParseError(lineno, col, "module must precede submodule", head)
-            name, ncol = line.expect("name")
-            if name in submodules or name in subsets:
-                raise ParseError(lineno, ncol, f"duplicate name {name!r}", name)
-            line.expect("sym", "=")
-            k, v, c = line.peek()
-            if (k, v) == ("int", "0"):
-                line.next()
-                line.require_end()
-                submodules[name] = module.zero_submodule
-                continue
-            gens = [_parse_vector(line, len(module.factors))]
-            while line.peek()[:2] == ("sym", ","):
-                line.next()
-                gens.append(_parse_vector(line, len(module.factors)))
+            module = seen["module"]
+            arity = len(module.factors)
+            gens = None if _zero(line) else _separated(
+                line, lambda: _int_tuple(line, arity, "vector arity {} != {} factors"), ","
+            )
             line.require_end()
-            submodules[name] = module.submodule(gens)
+            submodules[name] = module.zero_submodule if gens is None else module.submodule(gens)
 
-        elif head == "subset":
-            if module is None:
-                raise ParseError(lineno, col, "module must precede subset", head)
-            name, ncol = line.expect("name")
-            if name in submodules or name in subsets:
-                raise ParseError(lineno, ncol, f"duplicate name {name!r}", name)
-            line.expect("sym", "=")
+        else:
             line.expect("sym", "{")
-            members = [line.expect("name")[0]]
-            while line.peek()[:2] == ("sym", ","):
-                line.next()
-                members.append(line.expect("name")[0])
+            members = _separated(line, lambda: line.expect("name")[0], ",")
             line.expect("sym", "}")
             line.require_end()
             for m in members:
@@ -295,16 +273,10 @@ def parse_model(text: str) -> Model:
                     raise ParseError(lineno, ncol, f"unknown submodule name {m!r}", m)
             subsets[name] = members
 
-        else:
-            raise ParseError(lineno, col, f"unknown statement {head!r}", head)
-
-    if group is None:
-        raise ParseError(1, 1, "missing group statement")
-    if ring is None:
-        raise ParseError(1, 1, "missing ring statement")
-    if module is None:
-        raise ParseError(1, 1, "missing module statement")
-    return Model(group, ring, module, submodules, subsets)
+    for head in ORDER:
+        if head not in seen:
+            raise ParseError(1, 1, f"missing {head} statement")
+    return Model(seen["group"], seen["ring"], seen["module"], submodules, subsets)
 
 
 # -- canonical text -----------------------------------------------------------
@@ -532,21 +504,11 @@ def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
     {i}; mutually specializing points collapse into a cluster; transitive
     edges between classes are pruned."""
     closures = topology.specialization_closures(space)
-    n = len(space.points)
-    # classes of equal closure
-    class_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(n):
-        for r in reps:
-            if closures[r] == closures[i]:
-                class_of[i] = class_of[r]
-                break
-        else:
-            class_of[i] = len(reps)
-            reps.append(i)
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(class_of[i], []).append(i)
+    # classes of equal closure, numbered in order of first appearance
+    classes: dict[int, list[int]] = {}
+    for i, closure in enumerate(closures):
+        classes.setdefault(closure, []).append(i)
+    reps = [mem[0] for mem in classes.values()]
 
     # class DAG: a -> b when b's points lie in the closure of a's points
     edges = set()
@@ -567,7 +529,7 @@ def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
     out = [f"digraph {name} {{"]
     out.append('  rankdir=BT;')
     out.append('  node [shape=box];')
-    for cls, mem in sorted(members.items()):
+    for cls, mem in enumerate(classes.values()):
         if len(mem) > 1:
             out.append(f"  subgraph cluster_{cls} {{")
             out.append('    label="mutual specialization";')

@@ -136,7 +136,7 @@ def _build_space(M: GradedModule, kind: str, bound: int) -> FiniteSpace:
     space = FiniteSpace(kind, points, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
     _fill_families(
-        space, enumerate_submodules(M, bound), variety, base_scalars(M.base_scale()),
+        space, enumerate_submodules(M, bound), variety, base_scalars(M.exponent),
         basic_open,
     )
     return space
@@ -158,9 +158,10 @@ def _fill_families(space: FiniteSpace, generators, closed_of, scalars, open_of) 
 
 
 def base_scalars(n: int) -> list[int]:
-    """0, 1 and the divisors of n: representative scalars for every distinct
-    basic open when n is the module's base scale (r.M depends on r only
-    through gcd(r, n)) or the ring modulus."""
+    """0, 1 and the divisors of n, ascending: representative scalars for
+    every distinct basic open when n is the ring modulus or the module's
+    exponent L.  S_r depends on r only through gcd(r, L), a divisor of L no
+    larger than r, so the first scalar giving each open is in this list."""
     return sorted({0, 1, *numtheory.divisors(n)})
 
 
@@ -380,11 +381,10 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
 # -- the quasi topology --------------------------------------------------------
 
 
-def union_gap(family, order=None) -> tuple[int, int] | None:
-    """First pair of masks (a, b), iterated in `order` (default: the
-    family's own order), whose union a | b is not in the family; None when
-    the family is closed under union."""
-    order = family if order is None else order
+def union_gap(family) -> tuple[int, int] | None:
+    """First pair of masks (a, b), in ascending order, whose union a | b is
+    not in the family; None when the family is closed under union."""
+    order = sorted(family)
     for a in order:
         for b in order:
             if a | b not in family:
@@ -411,7 +411,7 @@ def is_primary_top_module(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> T
     if M.is_finite and M.size <= bound:
         space = build_space(M, PSPEC, bound)
         fam = star_variety_family(space)
-        gap = union_gap(fam, sorted(fam))
+        gap = union_gap(fam)
         if gap is not None:
             return Trilean.no((fam[gap[0]], fam[gap[1]]))
         return Trilean.yes()

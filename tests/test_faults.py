@@ -133,6 +133,17 @@ def test_a_closed_family_missing_its_second_largest_set_fails_the_space_checks(m
                                   "T4.6"}
 
 
+def test_a_union_gap_that_finds_none_fails_the_union_closure_check(monkeypatch):
+    # is_primary_top_module then says yes on every finite module, and C2.7
+    # walks the star family's unions by itself, so it finds the gap
+    real = topology.union_gap
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("union_gap") is real]
+    assert importers == [topology]
+    monkeypatch.setattr(topology, "union_gap", lambda family: None)
+    assert catalog_outcomes() == {("C2.7", "fail")}
+
+
 def test_an_image_scaled_by_two_fails_the_transport_check(monkeypatch):
     # PermutationMap took QuotientMap's image_submodule when its class was
     # made, so the fault reaches the quotient projections only

@@ -447,6 +447,8 @@ def with_names(draw, M: GradedModule) -> Model:
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(models())
+@example(zero_module_model(0))  # `module = 0`, as model_text writes it
+@example(zero_module_model(6))
 def test_parse_of_render_is_the_identity(model):
     text = model_text(model)
     parsed = parse_model(text)

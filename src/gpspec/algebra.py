@@ -887,14 +887,6 @@ class QuotientMap:
                 out += [y[j] for j in keep]
         return self.target.reduce_vector(out)
 
-    def image_submodule(self, N: GradedSubmodule) -> GradedSubmodule:
-        if N.module != self.source:
-            raise ModuleMismatchError("submodule lives in a different module")
-        gens = [self.apply(self.source.embed_block(g, row))
-                for g, block in zip(self.source.degrees, N.blocks)
-                for row in block]
-        return self.target.submodule(gens)
-
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
         if N2.module != self.target:
             raise ModuleMismatchError("submodule lives in a different module")

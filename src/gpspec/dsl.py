@@ -500,27 +500,14 @@ def check_text(results, stem: str) -> str:
 
 
 def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
-    """Specialization preorder: an edge i -> j when j lies in the closure of
-    {i}; mutually specializing points collapse into a cluster; transitive
-    edges between classes are pruned."""
-    closures = topology.specialization_closures(space)
+    """Specialization classes: points of equal closure share a cluster.  The
+    graph has no edges, since specialization is an equivalence on every space
+    the library builds: a finite module's closed sets are unions of its
+    per-prime pieces, and ring spaces are discrete."""
     # classes of equal closure, numbered in order of first appearance
     classes: dict[int, list[int]] = {}
-    for i, closure in enumerate(closures):
+    for i, closure in enumerate(topology.specialization_closures(space)):
         classes.setdefault(closure, []).append(i)
-    reps = [mem[0] for mem in classes.values()]
-
-    # class DAG: a -> b when b's points lie in the closure of a's points
-    edges = set()
-    for a, rep_a in enumerate(reps):
-        for b, rep_b in enumerate(reps):
-            if a != b and closures[rep_a] >> rep_b & 1:
-                edges.add((a, b))
-    reduced = {
-        (a, b)
-        for a, b in edges
-        if not any((a, c) in edges and (c, b) in edges for c in range(len(reps)))
-    }
 
     def label(i: int) -> str:
         p = space.points[i]
@@ -539,7 +526,5 @@ def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
         else:
             i = mem[0]
             out.append(f'  p{i} [label="{label(i)}"];')
-    for a, b in sorted(reduced):
-        out.append(f"  p{reps[a]} -> p{reps[b]};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property, reduce
+from itertools import chain
 
 from .algebra import (
     DEFAULT_ENUM_BOUND,
@@ -114,6 +115,7 @@ class Context:
         self.instance = instance
         self.bound = bound
         self.seed = seed
+        self._induced: dict[int, PiAnalysis] = {}
 
     @property
     def module(self) -> GradedModule:
@@ -239,11 +241,12 @@ class Context:
         self.require_finite()
         return tuple(quotient_module(self.module, K)[1] for K in self.subs)
 
-    @cached_property
-    def induced(self) -> tuple[PiAnalysis, ...]:
-        """The induced spectrum map of each projection in `quotient_maps`,
-        analysed: every target point is pulled back once per run."""
-        return tuple(InducedSpectrumMap(proj).analyze(self.bound) for proj in self.quotient_maps)
+    def induced(self, k: int) -> PiAnalysis:
+        """The induced spectrum map of `quotient_maps[k]`, analysed on first
+        use: every target point is pulled back at most once per run."""
+        if k not in self._induced:
+            self._induced[k] = InducedSpectrumMap(self.quotient_maps[k]).analyze(self.bound)
+        return self._induced[k]
 
 
 # -- guards --------------------------------------------------------------------
@@ -556,38 +559,40 @@ def check_T2_13(ctx: Context):
 
 
 def check_L2_14(ctx: Context):
+    # pi is onto with kernel K, so a primary Q containing K maps to a point
+    # exactly when Q = pi^-1(pi(Q)) is among the pullbacks of the points
+    lat, points = ctx.lattice, ctx.pspec.points
+    primary = [lat.position[Q] for Q in points]
     count = 0
-    lat = ctx.lattice
-    primary_points = [(Q, lat.position[Q]) for Q in ctx.pspec.points]
-    for k, (proj, res) in enumerate(zip(ctx.quotient_maps, ctx.induced)):  # `subs` order
-        K = proj.kernel()
-        target_space = build_space(proj.target, PSPEC, ctx.bound)
+    for k, K in enumerate(ctx.subs):
+        res = ctx.induced(k)
         if None in res.mapping:
-            Q2 = target_space.points[res.mapping.index(None)]
-            _fail("preimage left the primary spectrum", (K, Q2))
-        count += len(res.mapping)
-        for Q, q in primary_points:
-            if lat.contains(q, k):
-                img = proj.image_submodule(Q)
-                if img not in target_space.position:
-                    _fail("image left the primary spectrum", (K, Q))
-                count += 1
+            target_space = build_space(ctx.quotient_maps[k].target, PSPEC, ctx.bound)
+            _fail("preimage left the primary spectrum",
+                  (K, target_space.points[res.mapping.index(None)]))
+        pulled = set(res.mapping)
+        above = [i for i, q in enumerate(primary) if lat.up[k] >> q & 1]
+        for i in above:
+            if i not in pulled:
+                _fail("image left the primary spectrum", (K, points[i]))
+        count += len(res.mapping) + len(above)
     return count, f"{count} transports"
 
 
 def check_T2_15(ctx: Context):
     count = 0
-    for proj, res in zip(ctx.quotient_maps, ctx.induced):
+    for k, K in enumerate(ctx.subs):
+        res = ctx.induced(k)
         if None in res.mapping:
-            _fail("preimage left the primary spectrum", proj.kernel())
+            _fail("preimage left the primary spectrum", K)
         if not res.injective:
-            _fail("induced map is not injective", proj.kernel())
+            _fail("induced map is not injective", K)
         if not res.continuity_ok:
-            _fail("continuity identity fails", proj.kernel())
+            _fail("continuity identity fails", K)
         if res.surjective and not res.homeomorphism.is_true:
-            _fail("surjective induced map is not a homeomorphism", proj.kernel())
+            _fail("surjective induced map is not a homeomorphism", K)
         count += 2 + (1 if res.surjective else 0)
-    return count, f"{len(ctx.quotient_maps)} projections analyzed"
+    return count, f"{len(ctx.subs)} projections analyzed"
 
 
 def check_C2_16(ctx: Context):
@@ -600,11 +605,10 @@ def check_C2_16(ctx: Context):
                 assignment = list(range(len(factors)))
                 assignment[i], assignment[j] = j, i
                 isos.append(PermutationMap(M, assignment))
-    _, proj0 = quotient_module(M, M.zero_submodule)
-    isos.append(proj0)
+    # subs[0] is the zero submodule, so the projection M -> M/0 is one more
+    analyses = chain([ctx.induced(0)], (InducedSpectrumMap(f).analyze(ctx.bound) for f in isos))
     count = 0
-    for f in isos:
-        res = InducedSpectrumMap(f).analyze(ctx.bound)
+    for res in analyses:
         if not res.homeomorphism.is_true:
             _fail("isomorphism did not induce a homeomorphism")
         count += 1

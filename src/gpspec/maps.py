@@ -20,7 +20,6 @@ from .algebra import (
     InvariantError,
     LazyRingError,
     ModuleMismatchError,
-    QuotientMap,
     Value,
     _presentation,
     annihilator,
@@ -235,8 +234,6 @@ class PermutationMap:
     def apply(self, vec):
         vec = self.source.reduce_vector(vec)
         return tuple(vec[i] for i in self.assignment)
-
-    image_submodule = QuotientMap.image_submodule  # push generators forward
 
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
         if N2.module != self.target:

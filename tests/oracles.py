@@ -23,10 +23,13 @@ intersections that the star table and the radical core's mask AND replaced;
 `FreshQuotientMap`, the projection that built a fresh target module per
 kernel and lifted a preimage from unit rows and moduli rows, which the
 shared presentations and the preimage K + lift(N2) replaced;
-`one_per_colon`, the submodule walk that the map analyses' loop over the
-colon ideals replaced, and `per_call_L2_14`, the transport check that pulled
-back every point per call and tested membership, which the shared pullback
-table and the lookup in the target's space replaced; `map_flags_oracle`,
+`image_submodule`, the image of a submodule under a projection or a
+permutation, which L2.14 took per primary point until it read the images
+off the pullback table; `one_per_colon`, the submodule walk that the map
+analyses' loop over the colon ideals replaced, and `per_call_L2_14`, the
+transport check that pulled back every point per call and pushed every
+primary point forward, testing membership of both, which the shared
+pullback table replaced; `map_flags_oracle`,
 the injectivity, surjectivity and continuity of a finite map by their
 definitions, in place of the mask routine both map analyses share;
 and `coset_key`, a Hermite-form coset label that only the order-multiset
@@ -484,12 +487,7 @@ class FreshQuotientMap:
         return self.target.reduce_vector(out)
 
     def image_submodule(self, N: GradedSubmodule) -> GradedSubmodule:
-        if N.module != self.source:
-            raise ModuleMismatchError("submodule lives in a different module")
-        gens = [self.apply(self.source.embed_block(g, row))
-                for g, block in zip(self.source.degrees, N.blocks)
-                for row in block]
-        return self.target.submodule(gens)
+        return image_submodule(self, N)
 
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
         if N2.module != self.target:
@@ -525,6 +523,18 @@ class FreshQuotientMap:
         return GradedSubmodule(src, tuple(blocks))
 
 
+def image_submodule(f, N: GradedSubmodule) -> GradedSubmodule:
+    """The image of N under a graded homomorphism f (a quotient projection or
+    a permutation of factors): the submodule of f's target generated by f
+    applied to N's generators."""
+    if N.module != f.source:
+        raise ModuleMismatchError("submodule lives in a different module")
+    gens = [f.apply(f.source.embed_block(g, row))
+            for g, block in zip(f.source.degrees, N.blocks)
+            for row in block]
+    return f.target.submodule(gens)
+
+
 def one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
     """The first enumerated submodule of M for each distinct colon (N : M).
     A non-star variety, and every ideal derived from (N : M), depends on N
@@ -537,7 +547,8 @@ def one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
 
 def per_call_L2_14(ctx):
     """Check L2.14 with a preimage taken per call for every primary point of
-    every projection's target, and membership in the primary spectrum
+    every projection's target, every primary point above the kernel pushed
+    forward by `image_submodule`, and membership in the primary spectrum
     decided by `in_primary_spectrum` for the preimages and the images."""
     count = 0
     lat = ctx.lattice
@@ -553,7 +564,7 @@ def per_call_L2_14(ctx):
                 count += 1
         for Q, q in primary_points:
             if lat.contains(q, k):
-                img = proj.image_submodule(Q)
+                img = image_submodule(proj, Q)
                 if not spectra.in_primary_spectrum(img, ctx.bound):
                     _fail("image left the primary spectrum", (K, Q))
                 count += 1

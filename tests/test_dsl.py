@@ -267,12 +267,15 @@ def test_dot_z8_cluster():
 
 
 def test_dot_chain():
-    # Spec of Z_8 on the ring side is a point; use a module with a real chain:
-    # PS(Z_12) has nested varieties, so some specializations are one-way
+    # PS(Z_12) has nested points, 4Z12 in 2Z12, yet no specialization is
+    # one-way: the closure of a point is every point over its ring prime, so
+    # the DOT clusters 4Z12 with 2Z12 over (2), leaves 3Z12 alone over (3)
+    # and draws no edge
     m = parse_model("group = Z2\nring = Z12\nmodule = Z12@0\n")
     sp = build_space(m.module)
     dot = space_dot(sp)
     assert "digraph" in dot
+    assert dot.count("->") == 0
 
 
 def test_ring_space_renders_to_dot_and_json():

@@ -323,7 +323,8 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     # calls when star varieties and radical cores took the HNF route, and
     # 179 plus and 1,204 variety calls when every quotient map built its own
     # target module, and 1,013 variety calls when the natural maps took their
-    # image identities over one submodule per colon)
+    # image identities over one submodule per colon, and 1,005 variety calls
+    # when C2.16 analysed its own zero-kernel projection)
     counts = Counter()
 
     def counted(op):
@@ -350,7 +351,7 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
     assert counts["contains"] == 0
-    assert counts == {"plus": 107, "variety": 1005}
+    assert counts == {"plus": 107, "variety": 997}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):
@@ -380,7 +381,8 @@ def test_catalog_elimination_work_is_pinned(monkeypatch):
     # quotient invariants are gcds and extended gcds (226 transform-free
     # Smith eliminations and 766 echelons when only one column had a closed
     # form); the
-    # quotient maps alone run the Smith elimination, for their transforms
+    # quotient maps alone run the Smith elimination, for their transforms,
+    # one per degree of each kernel (66 when C2.16 built its own M -> M/0)
     calls = Counter()
     real_snf, real_echelon = intlinalg.smith_normal_form, intlinalg._Echelon
 
@@ -398,7 +400,7 @@ def test_catalog_elimination_work_is_pinned(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert (calls["snf", False], calls["echelon"], calls["snf", True]) == (0, 0, 66)
+    assert (calls["snf", False], calls["echelon"], calls["snf", True]) == (0, 0, 64)
 
 
 def test_catalog_factors_each_colon_once(monkeypatch):
@@ -448,13 +450,14 @@ def test_catalog_builds_one_module_per_presentation(monkeypatch):
 
 
 def test_catalog_transports_each_point_once(monkeypatch):
-    # L2.14 and T2.15 read one analysed induced map per projection, and the
-    # map analyses loop over the colon ideals instead of the submodules: the
-    # run pulls back each (projection, target point) pair once, plus the
-    # zero-kernel projection that C2.16 analyses as an isomorphism (487
-    # preimages, 112 enumerations and 885 membership tests when both checks
-    # pulled back every point, L2.14 tested each transported point's
-    # membership and every induced map walked the submodules); the counts
+    # L2.14, T2.15 and C2.16 read one analysed induced map per projection,
+    # and the map analyses loop over the colon ideals instead of the
+    # submodules: the run pulls back each (projection, target point) pair
+    # once (487 preimages, 112 enumerations and 885 membership tests when
+    # both checks pulled back every point, L2.14 tested each transported
+    # point's membership and every induced map walked the submodules; 259
+    # preimages and 228 images when L2.14 pushed every primary point above
+    # each kernel forward and C2.16 analysed its own M -> M/0); the counts
     # are deterministic
     calls, pairs = Counter(), set()
 
@@ -472,25 +475,38 @@ def test_catalog_transports_each_point_once(monkeypatch):
 
     counted(algebra, "enumerate_submodules")
     counted(spectra, "in_primary_spectrum")
-    real_image, real_preimage = QuotientMap.image_submodule, QuotientMap.preimage_submodule
-
-    def image_submodule(self, N):
-        calls["image_submodule"] += 1
-        return real_image(self, N)
+    real_preimage = QuotientMap.preimage_submodule
 
     def preimage_submodule(self, N2):
         calls["preimage_submodule"] += 1
         pairs.add((self.kernel(), N2))
         return real_preimage(self, N2)
 
-    monkeypatch.setattr(QuotientMap, "image_submodule", image_submodule)
     monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert calls == {"preimage_submodule": 259, "enumerate_submodules": 45,
-                     "in_primary_spectrum": 201, "image_submodule": 228}
-    assert len(pairs) == 228  # the 31 points of M/0 are pulled back twice
+    assert calls == {"preimage_submodule": 228, "enumerate_submodules": 45,
+                     "in_primary_spectrum": 201}
+    assert len(pairs) == 228
+
+
+def test_a_lone_C2_16_pulls_back_one_projection(monkeypatch):
+    # C2.16 reads the zero-kernel projection's analysis from the Context,
+    # which builds it on first use: a run of C2.16 alone pulls back the 31
+    # primary points of M/0 = M once, not every kernel's target points
+    calls = Counter()
+    real = QuotientMap.preimage_submodule
+
+    def preimage_submodule(self, N2):
+        calls[self.kernel()] += 1
+        return real(self, N2)
+
+    monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    (result,) = run_checks(model, ["C2.16"], "heavy")
+    assert result.status == "pass"
+    assert calls == {model.module.zero_submodule: 31}
 
 
 def test_P3_2_computes_each_basic_open_once(monkeypatch):

@@ -180,7 +180,7 @@ def test_permutation_map_swap():
     assert swap.target == M
     assert swap.apply((1, 0)) == (0, 1)
     N = M.submodule([(1, 0)])
-    assert swap.image_submodule(N) == M.submodule([(0, 1)])
+    assert oracles.image_submodule(swap, N) == M.submodule([(0, 1)])
     assert swap.preimage_submodule(N) == M.submodule([(0, 1)])
     pi = InducedSpectrumMap(swap)
     res = pi.analyze()
@@ -188,12 +188,13 @@ def test_permutation_map_swap():
 
 
 def test_permutation_map_rejects_foreign_submodules():
-    # as QuotientMap does, both directions refuse a submodule of another module
+    # as for QuotientMap, the preimage and the image oracle refuse a
+    # submodule of another module
     M = GradedModule(Z, Z2G, [(4, (0,)), (4, (0,))])
     swap = PermutationMap(M, (1, 0))
     N = GradedModule(Z, Z2G, [(2, (0,)), (8, (1,))]).submodule([(1, 0)])
     with pytest.raises(ModuleMismatchError):
-        swap.image_submodule(N)
+        oracles.image_submodule(swap, N)
     with pytest.raises(ModuleMismatchError):
         swap.preimage_submodule(N)
 

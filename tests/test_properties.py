@@ -306,8 +306,10 @@ def test_catalog_is_unchanged_with_fresh_quotient_targets(model):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(catalog_models())
 def test_catalog_is_unchanged_with_per_call_transport(model):
-    # the differential half of the shared pullback table: L2.14 swapped for
-    # the check that pulls back every target point per call and tests the
+    # the differential half of the shared pullback table: L2.14, which reads
+    # the images of the primary points above each kernel off the table,
+    # swapped for the check that pulls back every target point per call,
+    # pushes every such point forward by the image route and tests the
     # preimages and images with the membership test
     want, asked = catalog_outcomes(model), []
 
@@ -323,6 +325,24 @@ def test_catalog_is_unchanged_with_per_call_transport(model):
     assert got == want, (model.ring.text(), model.module.text())
     if model.module.is_finite:
         assert asked, model.module.text()  # the swap was reached
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+def test_specialization_is_an_equivalence_on_every_built_space(model):
+    # why `gps topology --format dot` draws clusters and no edges: on both
+    # spectra of a finite module and on its reduced ring's spectrum, every
+    # point in the closure of a point has that same closure
+    M = model.module
+    assume(M.is_finite)
+    spaces = [topology.build_space(M, kind) for kind in (topology.PSPEC, topology.SPEC)]
+    spaces.append(maps.reduced_ring_space(M))
+    for space in spaces:
+        closures = topology.specialization_closures(space)
+        for i, closure in enumerate(closures):
+            for j in range(len(closures)):
+                if closure >> j & 1:
+                    assert closures[j] == closure, (M.ring.text(), M.text(), i, j)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

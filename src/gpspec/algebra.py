@@ -385,7 +385,7 @@ class GradedModule:
     def size(self) -> int:
         if not self.is_finite:
             raise InfiniteEnumerationError(f"module {self.text()} is infinite")
-        return prod(o for o, _ in self.factors) if self.factors else 1
+        return prod(o for o, _ in self.factors)
 
     @property
     def exponent(self) -> int:
@@ -418,11 +418,8 @@ class GradedModule:
         return out
 
     def elements(self) -> list[tuple[int, ...]]:
-        if not self.is_finite:
-            raise InfiniteEnumerationError(f"module {self.text()} is infinite")
-        return [
-            tuple(t) for t in iproduct(*(range(o) for o, _ in self.factors))
-        ] if self.factors else [()]
+        self.size  # refuses an infinite module
+        return list(iproduct(*(range(o) for o, _ in self.factors)))
 
     def block_of(self, vec, g) -> tuple[int, ...]:
         return tuple(vec[i] for i in self.slots[g])
@@ -713,15 +710,16 @@ def _block_index(lat) -> int:
     return idx
 
 
+def is_enumerable(M: GradedModule, bound: int) -> bool:
+    """Whether M is finite with |M| <= bound, so that it is enumerated."""
+    return M.is_finite and M.size <= bound
+
+
 def _require_enumerable(M: GradedModule, bound: int) -> None:
     """The guard of the enumerations, kept out of their memoised bodies so
-    that every bound shares the one memo entry of M."""
-    if not M.is_finite:
-        raise InfiniteEnumerationError(f"module {M.text()} is infinite")
-    if M.size > bound:
-        raise EnumerationBoundError(
-            f"|M| = {M.size} exceeds enumeration bound {bound}"
-        )
+    that every bound shares M's one memo entry; M.size refuses an infinite M."""
+    if not is_enumerable(M, bound):
+        raise EnumerationBoundError(f"|M| = {M.size} exceeds enumeration bound {bound}")
 
 
 def enumerate_submodules(

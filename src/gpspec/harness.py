@@ -12,8 +12,8 @@ identity are always computed by independent routines (for example closure
 as the variety of the radical core versus the intersection of the closed
 sets containing it).
 Implications whose hypothesis is Unknown are skipped, never assumed.
-T3.4 and T3.5 are the only code that runs quasi-compactness and the
-quasi-compact base of a spectral space; analyze_space takes both as given.
+T3.4 alone runs quasi-compactness, and T3.5 alone checks the quasi-compact
+base, which on a finite space is every open; analyze_space takes both as given.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .algebra import (
     Value,
     enumerate_submodules,
     ideal_times_module,
+    is_enumerable,
     lattice,
     quotient_module,
 )
@@ -108,7 +109,8 @@ class CheckResult(Value):
 
 
 class Context:
-    """Per-instance caches shared by the checks."""
+    """Per-instance caches shared by the checks.  Each table enumerates M,
+    so the checks read them only behind the `finite` guard."""
 
     def __init__(self, model: Model, instance: str, bound: int, seed: int):
         self.model = model
@@ -123,19 +125,10 @@ class Context:
 
     @cached_property
     def finite(self) -> bool:
-        return self.module.is_finite and self.module.size <= self.bound
-
-    def require_finite(self):
-        if not self.finite:
-            M = self.module
-            if M.is_finite:
-                raise Skip(f"|M| = {M.size} exceeds enumeration bound {self.bound}: "
-                           "only pointwise checks apply")
-            raise Skip("infinite instance: only pointwise checks apply")
+        return is_enumerable(self.module, self.bound)
 
     @cached_property
     def subs(self):
-        self.require_finite()
         return enumerate_submodules(self.module, self.bound)
 
     @cached_property
@@ -145,22 +138,18 @@ class Context:
     @cached_property
     def lattice(self) -> SubmoduleLattice:
         """Meets, joins and containments of `subs`, by position."""
-        self.require_finite()
         return lattice(self.module, self.bound)
 
     @cached_property
     def pspec(self):
-        self.require_finite()
         return build_space(self.module, PSPEC, self.bound)
 
     @cached_property
     def spec(self):
-        self.require_finite()
         return build_space(self.module, SPEC, self.bound)
 
     @cached_property
     def rho(self) -> MapAnalysis:
-        self.require_finite()
         return analyze_natural_map(self.module, "primary", self.bound)
 
     @cached_property
@@ -173,7 +162,6 @@ class Context:
 
     @cached_property
     def phi(self) -> MapAnalysis:
-        self.require_finite()
         return analyze_natural_map(self.module, "prime", self.bound)
 
     @cached_property
@@ -238,7 +226,6 @@ class Context:
     @cached_property
     def quotient_maps(self):
         """Canonical projections M -> M/K for every graded K, K = M included."""
-        self.require_finite()
         return tuple(quotient_module(self.module, K)[1] for K in self.subs)
 
     def induced(self, k: int) -> PiAnalysis:
@@ -256,7 +243,12 @@ class Context:
 
 
 def finite(ctx: Context):
-    ctx.require_finite()
+    if not ctx.finite:
+        M = ctx.module
+        if M.is_finite:
+            raise Skip(f"|M| = {M.size} exceeds enumeration bound {ctx.bound}: "
+                       "only pointwise checks apply")
+        raise Skip("infinite instance: only pointwise checks apply")
 
 
 def nonzero(ctx: Context):
@@ -317,11 +309,14 @@ def check_T2_1(ctx: Context):
     if star[pos[ctx.module.full_submodule]] != 0:
         _fail("star variety of M is not empty")
     count += 2
-    subs = ctx.subs
+    subs, masks = ctx.subs, lat.masks
     n = len(subs)
     for i in range(n):
         for j in range(n):
-            if lat.contains(j, i) and star[j] & ~star[i]:
+            inside = not masks[i] & ~masks[j]
+            if inside != lat.contains(j, i):
+                _fail("containment table disagrees with the element masks", (subs[i], subs[j]))
+            if inside and star[j] & ~star[i]:
                 _fail("antitonicity fails", (subs[i], subs[j]))
             if star[i] & star[j] != star[lat.join(i, j)]:
                 _fail("pairwise intersection law fails", (subs[i], subs[j]))
@@ -517,6 +512,10 @@ def check_C2_9(ctx: Context):
 
 def check_P2_10(ctx: Context):
     res = ctx.rho
+    ann = ctx.reduced.ann.gen
+    for p in ctx.ring_space.points:
+        if ann % p.gen:
+            _fail("a prime of the reduced ring does not lie over Ann(M)", p)
     if not res.continuity_ok:
         _fail("preimage identity fails for some reduced ideal")
     return len(ctx.reduced.ideals()), "preimage identity for every reduced ideal"
@@ -791,19 +790,18 @@ def check_T3_4(ctx: Context):
 
 
 def check_T3_5(ctx: Context):
+    # the space is finite, so every open is quasi-compact (T3.4)
     sp = ctx.pspec
     opens = [m ^ sp.full_mask for m in sp.closed_masks]
-    qc = [u for u in opens if is_quasi_compact(sp, u)]
     opens_set = set(opens)
     count = 0
-    for a in qc:
-        for b in qc:
-            inter = a & b
-            if inter not in opens_set or not is_quasi_compact(sp, inter):
+    for a in opens:
+        for b in opens:
+            if a & b not in opens_set:
                 _fail("quasi-compact opens are not closed under intersection")
             count += 1
     for u in opens:
-        if not is_union_of_members(u, qc):
+        if not is_union_of_members(u, opens):
             _fail("quasi-compact opens do not form a base")
         count += 1
     return count, f"{count} instantiations"
@@ -1017,6 +1015,7 @@ def check_EX4_2Z6(ctx: Context):
     M = ctx.module
     if not (M.ring.modulus == 6 and M.factors == ((6, (0,) * len(M.group.cyclic_orders)),)):
         raise Skip("binds to the Z6 instance")
+    finite(ctx)
     sp = ctx.pspec
     sets = [frozenset(q.element_set()) for q in sp.points]
     want = [frozenset({(0,), (3,)}), frozenset({(0,), (2,), (4,)})]

@@ -25,6 +25,7 @@ from .algebra import (
     _lattice,
     enumerate_submodules,
     ideal_times_module,
+    is_enumerable,
     per_module,
 )
 from .spectra import Trilean, graded_radical, is_multiplication, spectrum_points
@@ -357,8 +358,8 @@ def analyze_space(space: FiniteSpace) -> TopologyReport:
         m for m in irr_closed if not any(other != m and other & m == m for other in irr_closed)
     ]
 
-    # a finite space is quasi-compact, and its opens, all quasi-compact, form
-    # a base closed under finite intersection (T3.4 and T3.5 check both)
+    # a finite space is quasi-compact and its opens form a base closed under
+    # finite intersection (T3.4 runs quasi-compactness, T3.5 checks the base)
     spectral = t0 and sober
 
     trivial = set(closed) <= {0, full}
@@ -408,7 +409,7 @@ def is_primary_top_module(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> T
     pairs; past it, multiplication (that is cyclic) modules qualify, and
     any other is Unknown.
     """
-    if M.is_finite and M.size <= bound:
+    if is_enumerable(M, bound):
         space = build_space(M, PSPEC, bound)
         fam = star_variety_family(space)
         gap = union_gap(fam)

@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from gpspec import intlinalg, maps, spectra, topology
-from gpspec.algebra import QuotientMap, SubmoduleLattice
+from gpspec.algebra import (
+    BaseRing,
+    GradedSubmodule,
+    InvariantError,
+    QuotientMap,
+    SubmoduleLattice,
+)
 from gpspec.dsl import parse_model
 from gpspec.harness import run_checks
 from gpspec.topology import PointSet
@@ -41,10 +47,10 @@ def catalog_failures() -> set[str]:
     return {check_id for check_id, status in catalog_outcomes() if status == "fail"}
 
 
-def catalog_outcomes() -> set[tuple[str, str]]:
+def catalog_outcomes(instances=INSTANCES) -> set[tuple[str, str]]:
     """(id, status) of the checks that fail or raise on some instance."""
     bad = set()
-    for stem, text in INSTANCES:
+    for stem, text in instances:
         model = parse_model(text)
         model.module.memo.clear()
         bad |= {(r.check_id, r.status) for r in run_checks(model, "all", stem)
@@ -224,6 +230,18 @@ def test_zero_reported_to_contain_m_fails_the_law_checks(monkeypatch):
     assert catalog_outcomes() == {("T2.1", "fail"), ("T2.4", "fail")}
 
 
+def test_m_reported_not_to_contain_zero_fails_the_containment_check(monkeypatch):
+    # T2.1 reads containment off the element masks and holds the table to
+    # them; T2.4 reads the table only where it says yes, so it misses this
+    real = SubmoduleLattice.contains
+
+    def contains(self, i, j):
+        return (i, j) != (len(self.subs) - 1, 0) and real(self, i, j)
+
+    monkeypatch.setattr(SubmoduleLattice, "contains", contains)
+    assert catalog_outcomes() == {("T2.1", "fail")}
+
+
 @pytest.mark.parametrize("name", ["join", "meet"])
 def test_a_join_or_meet_of_zero_with_itself_at_m_fails_the_lattice_laws(monkeypatch, name):
     real = getattr(SubmoduleLattice, name)
@@ -247,3 +265,54 @@ def test_a_zero_submodule_reported_not_primary_fails_the_spectrum_checks(monkeyp
     assert catalog_outcomes() == {
         ("L2.6", "fail"), ("C2.7", "fail"), ("L2.14", "fail"), ("T2.17", "fail"), ("E3.3", "fail"),
     }
+
+
+def test_a_reduced_ring_twice_too_large_fails_the_continuity_check(monkeypatch):
+    # R/Ann(M) presented as Z/(2a): the surjectivity-guarded checks switch
+    # off wherever the extra prime 2 has no fiber, and P2.10 sees that prime
+    # not lie over Ann(M) = (a)
+    real = maps.reduced_ring
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("reduced_ring") is real]
+    assert importers == [maps]
+
+    def reduced_ring(M):
+        rr = real(M)
+        return maps.ReducedRing(rr.source, rr.ann, BaseRing(2 * rr.ann.gen))
+
+    monkeypatch.setattr(maps, "reduced_ring", reduced_ring)
+    assert catalog_outcomes() == {("P2.10", "fail")}
+
+
+def colon_radical_is_the_colon(monkeypatch):
+    monkeypatch.setattr(GradedSubmodule, "colon_radical", lambda self: self.colon())
+
+
+def transport_answers_n_itself(monkeypatch):
+    real = spectra._graded_radical
+    importers = [module for key, module in list(sys.modules.items())
+                 if key.startswith("gpspec") and vars(module).get("_graded_radical") is real]
+    assert importers == [spectra]
+
+    def _graded_radical(N, bound):
+        status, blocks, tried, reason = real(N, bound)
+        if tried[-1] == "finite-quotient-transport":
+            blocks = N.blocks
+        return status, blocks, tried, reason
+
+    monkeypatch.setattr(spectra, "_graded_radical", _graded_radical)
+
+
+@pytest.mark.parametrize("fault", [colon_radical_is_the_colon, transport_answers_n_itself])
+def test_a_transport_radical_left_at_n_fails_t2_17_or_breaks_the_image_invariant(
+        monkeypatch, fault):
+    # either way the transport radical N + rad(N : M)M of a primary N is N.
+    # On the integers only T2.17 reads it, and fails.  On a finite module
+    # the natural map's image of a non-prime point, the colon (4) of 4Z12,
+    # is not prime, and maps.primary_point_image raises out of the catalog
+    # (`gps check` exits 4) before any check reads the map
+    fault(monkeypatch)
+    z, z12 = ([i for i in INSTANCES if i[0] == stem] for stem in ("z", "z12"))
+    assert catalog_outcomes(z) == {("T2.17", "fail")}
+    with pytest.raises(InvariantError, match=r"natural image \(4\) of 4Z12 is not prime"):
+        catalog_outcomes(z12)

@@ -154,6 +154,24 @@ def test_finite_module_past_the_bound():
     assert infinite["T2.4"].detail == "infinite instance: only pointwise checks apply"
 
 
+def test_the_guards_keep_the_catalog_off_unenumerated_modules():
+    # the `finite` guard is the catalog's only finiteness check: one element
+    # past the bound of each finite model, and on the infinite ones, every
+    # check that reads a Context table skips, and none raises or errors
+    guarded = {c.check_id for c in CATALOG if harness.finite in c.requires} | {"EX4.2Z6"}
+    infinite = []
+    for path in sorted(MODELS.glob("*.gps")):
+        model = parse_model(path.read_text())
+        M = model.module
+        if not M.is_finite:
+            infinite.append(path.stem)
+        bound = M.size - 1 if M.is_finite else DEFAULT_ENUM_BOUND
+        results = run_checks(model, "all", path.stem, bound)
+        assert not [r.check_id for r in results if r.status == "error"], path.stem
+        assert guarded <= {r.check_id for r in results if r.status == "skip"}, path.stem
+    assert infinite == ["z", "zxz"]
+
+
 def test_vacuous_passes_are_flagged():
     # Z2 x Z2 in one degree is not a multiplication module, so the
     # multiplication-guarded implication passes vacuously

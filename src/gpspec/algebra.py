@@ -711,7 +711,7 @@ def _block_index(lat) -> int:
 
 
 def is_enumerable(M: GradedModule, bound: int) -> bool:
-    """Whether M is finite with |M| <= bound, so that it is enumerated."""
+    """Whether M is finite with |M| <= bound: the modules the enumerations accept."""
     return M.is_finite and M.size <= bound
 
 

@@ -852,8 +852,9 @@ class QuotientMap:
     M_g = Z^k / (moduli) with new cyclic coordinates y = xV, in which K is
     diagonal.  Columns with invariant 1 lie in K and vanish; the kept columns,
     those with invariant d > 1 and those past the rank, become the Z_d and Z
-    factors of degree g.  The preimage of N2 is K + lift(N2): N2's rows placed
-    on the kept columns and moved back by V^-1.  Kernels with one quotient
+    factors of degree g.  The map is used only through pullbacks: the
+    preimage of N2 is K + lift(N2), N2's rows placed on the kept columns and
+    moved back by V^-1, so only V^-1 is kept.  Kernels with one quotient
     presentation share one target module (see _presentation).
     """
 
@@ -865,31 +866,18 @@ class QuotientMap:
         factors, self._plan = [], {}
         for g, block in zip(source.degrees, kernel.blocks):
             n = len(source.slots[g])
-            inv, V, Vinv = intlinalg.smith_normal_form(block, n)
+            inv, _, Vinv = intlinalg.smith_normal_form(block, n)
             orders = inv + [0] * (n - len(inv))  # 0: a free column past the rank
             keep = tuple(j for j, d in enumerate(orders) if d != 1)
             factors += [(orders[j], g) for j in keep]
-            self._plan[g] = (V, Vinv, keep)
+            self._plan[g] = (Vinv, keep)
         self.target = _presentation(source, tuple(factors))
-
-    def kernel(self) -> GradedSubmodule:
-        return self._kernel
-
-    def apply(self, vec) -> tuple[int, ...]:
-        src = self.source
-        vec = src.reduce_vector(vec)
-        out = []  # the target's factors follow the source's degrees
-        for g, (V, _, keep) in self._plan.items():
-            if keep:
-                y = intlinalg.matmul_vec(src.block_of(vec, g), V)
-                out += [y[j] for j in keep]
-        return self.target.reduce_vector(out)
 
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
         if N2.module != self.target:
             raise ModuleMismatchError("submodule lives in a different module")
         blocks = []
-        for (g, (_, Vinv, keep)), K_block in zip(self._plan.items(), self._kernel.blocks):
+        for (g, (Vinv, keep)), K_block in zip(self._plan.items(), self._kernel.blocks):
             rows, n = list(K_block), len(Vinv)
             if keep:  # a degree of the target
                 for t_row in N2.block(g):

@@ -3,7 +3,10 @@ applicability guards its catalog entry declares and a counterexample
 reporter; `gps check` is its CLI front end.
 
 Identities are verified extensionally over all graded submodules, pairs
-and ideals of a finite instance.  Three quantifiers sample past a size, with
+and ideals of a finite instance.  A scalar r enters only through its ideal
+(r): P3.2 decides every residue of Z/n and every pair of residues through
+one scalar per ideal and counts them all.  Graded maps are read only
+through pullbacks.  Three quantifiers sample past a size, with
 SUBSET_SAMPLES draws from random.Random(seed), seed being `gps check
 --seed`: triples of submodules past n^3 > TRIPLE_LIMIT (more than 50
 submodules), subsets of points past SUBSET_EXHAUSTIVE_LIMIT points, and
@@ -183,10 +186,10 @@ class Context:
 
     @cached_property
     def scalar_reps(self) -> tuple[int, ...]:
-        ring = self.module.ring
-        if ring.is_finite:
-            return tuple(range(ring.modulus))
-        return tuple(base_scalars(self.module.exponent))
+        """A scalar for every ideal (r), ascending, so that each ideal comes
+        first at its least residue: 0, 1 and the divisors of n over Z/n (n
+        gives (0) again), of the module's exponent L over Z (base_scalars)."""
+        return tuple(base_scalars(self.module.ring.modulus or self.module.exponent))
 
     def subset_masks(self, space) -> list[int]:
         n = len(space.points)
@@ -693,7 +696,11 @@ def check_P3_2(ctx: Context):
     rr = ctx.reduced
     rs = ctx.ring_space
     mapping = ctx.rho.mapping
-    opens: dict[int, PointSet] = {}  # D(r) depends on r only through (r)
+    # S_r, D(r), nilpotence and being a unit depend on r only through (r),
+    # and (rt) only through (r) and (t).  So every residue is decided by the
+    # least residue of its ideal, and the ascending scalar_reps reach the
+    # first failing residue first; the count is every residue and pair.
+    opens: dict[int, PointSet] = {}
 
     def open_of(r: int) -> PointSet:
         gen = ring.ideal(r).gen
@@ -701,7 +708,6 @@ def check_P3_2(ctx: Context):
             opens[gen] = basic_open(sp, r)
         return opens[gen]
 
-    count = 0
     for r in ctx.scalar_reps:
         s_r = open_of(r)
         # (1) the preimage of the reduced basic open is the module basic open
@@ -719,12 +725,12 @@ def check_P3_2(ctx: Context):
             _fail("nilpotent scalar gave a nonempty basic open", r)
         if ring.is_unit(r) and not s_r.is_full:
             _fail("unit scalar did not give the full space", r)
-        count += 4
     for r in ctx.scalar_reps:
         for t in ctx.scalar_reps:
             if open_of(r).intersect(open_of(t)).mask != open_of(r * t).mask:
                 _fail("multiplicativity of basic opens fails", (r, t))
-            count += 1
+    n = ring.modulus or len(ctx.scalar_reps)
+    count = 4 * n + n * n
     return count, f"{count} instantiations"
 
 

@@ -228,13 +228,6 @@ class PermutationMap:
         factors = tuple(source.factors[i] for i in self.assignment)
         self.target = _presentation(source, factors)
 
-    def kernel(self) -> GradedSubmodule:
-        return self.source.zero_submodule
-
-    def apply(self, vec):
-        vec = self.source.reduce_vector(vec)
-        return tuple(vec[i] for i in self.assignment)
-
     def preimage_submodule(self, N2: GradedSubmodule) -> GradedSubmodule:
         if N2.module != self.target:
             raise ModuleMismatchError("submodule lives in a different module")

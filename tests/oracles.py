@@ -23,9 +23,13 @@ intersections that the star table and the radical core's mask AND replaced;
 `FreshQuotientMap`, the projection that built a fresh target module per
 kernel and lifted a preimage from unit rows and moduli rows, which the
 shared presentations and the preimage K + lift(N2) replaced;
-`image_submodule`, the image of a submodule under a projection or a
-permutation, which L2.14 took per primary point until it read the images
-off the pullback table; `one_per_colon`, the submodule walk that the map
+`forward_map`, the element map of a projection or a permutation, which
+the library's maps dropped when every answer came to pull back, and
+`image_submodule`, the image of a submodule under one, which L2.14 took
+per primary point until it read the images off the pullback table;
+`residue_P3_2`, P3.2 walking every residue and residue pair of Z/n, which
+the walk over one scalar per ideal replaced, and `P3_2_routes`, P3.2's
+outcome by both; `one_per_colon`, the submodule walk that the map
 analyses' loop over the colon ideals replaced, and `per_call_L2_14`, the
 transport check that pulled back every point per call and pushed every
 primary point forward, testing membership of both, which the shared
@@ -43,7 +47,9 @@ from functools import reduce
 from itertools import product
 from math import gcd, prod
 
-from gpspec import intlinalg, numtheory, spectra
+import pytest
+
+from gpspec import harness, intlinalg, maps, numtheory, spectra, topology
 from gpspec.algebra import (
     DEFAULT_ENUM_BOUND,
     AlgebraError,
@@ -58,6 +64,7 @@ from gpspec.algebra import (
     quotient_module,
 )
 from gpspec.harness import _fail
+from gpspec.maps import PermutationMap
 
 
 def oracle_corpus() -> list[GradedModule]:
@@ -453,7 +460,6 @@ class FreshQuotientMap:
         if kernel.module != source:
             raise ModuleMismatchError("kernel lives in a different module")
         self.source = source
-        self._kernel = kernel
         factors = []
         self._plan = {}
         for g in source.degrees:
@@ -471,9 +477,6 @@ class FreshQuotientMap:
                 factors.append((d, g))
             self._plan[g] = (V, Vinv, tuple(keep), base, len(inv))
         self.target = GradedModule(source.ring, source.group, factors)
-
-    def kernel(self) -> GradedSubmodule:
-        return self._kernel
 
     def apply(self, vec) -> tuple[int, ...]:
         src = self.source
@@ -523,13 +526,42 @@ class FreshQuotientMap:
         return GradedSubmodule(src, tuple(blocks))
 
 
+def forward_map(f):
+    """The element map vec -> f(vec) of a quotient projection or a
+    permutation of factors, which the library's maps drop since every answer
+    pulls back.  A projection's kernel is the pullback of 0, and its target
+    coordinates are those of the kernel's Smith transform V, y = xV, on the
+    columns whose invariant is not 1."""
+    if isinstance(f, FreshQuotientMap):
+        return f.apply
+    src = f.source
+    if isinstance(f, PermutationMap):
+        return lambda vec: tuple(src.reduce_vector(vec)[i] for i in f.assignment)
+    plan = []
+    for g, block in zip(src.degrees, f.preimage_submodule(f.target.zero_submodule).blocks):
+        n = len(src.slots[g])
+        inv, V, _ = intlinalg.smith_normal_form(block, n)
+        orders = inv + [0] * (n - len(inv))  # 0: a free column past the rank
+        plan.append((g, V, [j for j, d in enumerate(orders) if d != 1]))
+
+    def apply(vec) -> tuple[int, ...]:
+        vec = src.reduce_vector(vec)
+        out = []  # the target's factors follow the source's degrees
+        for g, V, keep in plan:
+            y = intlinalg.matmul_vec(src.block_of(vec, g), V)
+            out += [y[j] for j in keep]
+        return f.target.reduce_vector(out)
+    return apply
+
+
 def image_submodule(f, N: GradedSubmodule) -> GradedSubmodule:
     """The image of N under a graded homomorphism f (a quotient projection or
     a permutation of factors): the submodule of f's target generated by f
     applied to N's generators."""
     if N.module != f.source:
         raise ModuleMismatchError("submodule lives in a different module")
-    gens = [f.apply(f.source.embed_block(g, row))
+    apply = forward_map(f)
+    gens = [apply(f.source.embed_block(g, row))
             for g, block in zip(f.source.degrees, N.blocks)
             for row in block]
     return f.target.submodule(gens)
@@ -545,6 +577,70 @@ def one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
     return first.values()
 
 
+def residue_P3_2(ctx):
+    """Check P3.2 residue by residue: over Z/n on every residue and every
+    pair of residues, over Z on the library's scalars, with one basic open
+    per generator of (r).  It reads the library through module attributes,
+    so a fault seeded in one reaches both routes."""
+    sp, ring, rr, rs = ctx.pspec, ctx.module.ring, ctx.reduced, ctx.ring_space
+    mapping = ctx.rho.mapping
+    scalars = range(ring.modulus) if ring.is_finite else ctx.scalar_reps
+    opens = {}
+
+    def open_of(r):
+        gen = ring.ideal(r).gen
+        if gen not in opens:
+            opens[gen] = topology.basic_open(sp, r)
+        return opens[gen]
+
+    count = 0
+    for r in scalars:
+        s_r = open_of(r)
+        d_r = topology.ring_basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
+        if maps.preimage_mask(mapping, d_r.mask) != s_r.mask:
+            _fail("preimage of the reduced basic open differs", r)
+        img_mask = maps.image_mask(mapping, s_r.mask)
+        if img_mask & ~d_r.mask:
+            _fail("image escapes the reduced basic open", r)
+        if ctx.rho.surjective.is_true and img_mask != d_r.mask:
+            _fail("image equality fails despite surjectivity", r)
+        if ring.is_nilpotent(r) and not s_r.is_empty:
+            _fail("nilpotent scalar gave a nonempty basic open", r)
+        if ring.is_unit(r) and not s_r.is_full:
+            _fail("unit scalar did not give the full space", r)
+        count += 4
+    for r in scalars:
+        for t in scalars:
+            if open_of(r).intersect(open_of(t)).mask != open_of(r * t).mask:
+                _fail("multiplicativity of basic opens fails", (r, t))
+            count += 1
+    return count, f"{count} instantiations"
+
+
+def P3_2_routes(model, instance: str) -> tuple[tuple, tuple]:
+    """(status, detail, counterexample) of P3.2 on a model, by the catalog's
+    route and by `residue_P3_2` in its place, each from an empty memo."""
+    def outcome():
+        model.module.memo.clear()
+        (result,) = harness.run_checks(model, ["P3.2"], instance)
+        return result.status, result.detail, result.counterexample
+
+    ran = []
+
+    def residues(ctx):
+        ran.append(ctx)
+        return residue_P3_2(ctx)
+
+    catalog = tuple(harness.Check(c.check_id, c.title, residues, c.requires)
+                    if c.check_id == "P3.2" else c for c in harness.CATALOG)
+    want = outcome()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "CATALOG", catalog)
+        got = outcome()
+    assert ran or got[0] == "skip", instance  # the swap was reached
+    return want, got
+
+
 def per_call_L2_14(ctx):
     """Check L2.14 with a preimage taken per call for every primary point of
     every projection's target, every primary point above the kernel pushed
@@ -553,8 +649,7 @@ def per_call_L2_14(ctx):
     count = 0
     lat = ctx.lattice
     primary_points = [(Q, lat.position[Q]) for Q in ctx.pspec.points]
-    for k, proj in enumerate(ctx.quotient_maps):  # kernels in `subs` order
-        K = proj.kernel()
+    for k, (K, proj) in enumerate(zip(ctx.subs, ctx.quotient_maps)):
         target = proj.target
         if target.factors:
             for Q2 in spectra.spectrum_points(target, "primary", ctx.bound):

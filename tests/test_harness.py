@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -497,7 +498,7 @@ def test_catalog_transports_each_point_once(monkeypatch):
 
     def preimage_submodule(self, N2):
         calls["preimage_submodule"] += 1
-        pairs.add((self.kernel(), N2))
+        pairs.add((real_preimage(self, self.target.zero_submodule), N2))  # (kernel, point)
         return real_preimage(self, N2)
 
     monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
@@ -517,7 +518,7 @@ def test_a_lone_C2_16_pulls_back_one_projection(monkeypatch):
     real = QuotientMap.preimage_submodule
 
     def preimage_submodule(self, N2):
-        calls[self.kernel()] += 1
+        calls[real(self, self.target.zero_submodule)] += 1  # keyed by the kernel
         return real(self, N2)
 
     monkeypatch.setattr(QuotientMap, "preimage_submodule", preimage_submodule)
@@ -525,6 +526,37 @@ def test_a_lone_C2_16_pulls_back_one_projection(monkeypatch):
     (result,) = run_checks(model, ["C2.16"], "heavy")
     assert result.status == "pass"
     assert calls == {model.module.zero_submodule: 31}
+
+
+@pytest.mark.parametrize("modulus, detail", [(2000, "4008000 instantiations"),
+                                              (10**6, "1000004000000 instantiations")])
+def test_P3_2_decides_every_residue_of_a_large_ring_by_its_ideal(modulus, detail):
+    # P3.2 walks one scalar per ideal (r) of Z/n, 50 of them for n = 10^6,
+    # and still counts all n residues and n^2 residue pairs, so the whole
+    # catalog stays in bounded time however large n is
+    model = parse_model(f"group = Z1\nring = Z{modulus}\nmodule = Z2@0\n")
+    start = time.perf_counter()
+    results = run_checks(model, "all", f"z{modulus}")
+    elapsed = time.perf_counter() - start
+    assert not [r for r in results if r.status in ("fail", "error")]
+    (result,) = [r for r in results if r.check_id == "P3.2"]
+    assert (result.status, result.detail) == ("pass", detail)
+    assert elapsed < 5, elapsed
+
+
+def test_P3_2_agrees_with_the_residue_walk_on_every_small_ring():
+    # the differential half of the scalar classes: P3.2 by one scalar per
+    # ideal against the walk over every residue and residue pair, on Z/n
+    # for every n <= 60, with M = Z/n and with M = Z/d x Z/(n/d) for the
+    # largest proper divisor d of n
+    for n in range(2, 61):
+        d = max(d for d in range(1, n) if n % d == 0)
+        modules = [f"Z{n}@0"] + ([f"Z{d}@0 x Z{n // d}@1"] if d > 1 else [])
+        for module in modules:
+            model = parse_model(f"group = Z2\nring = Z{n}\nmodule = {module}\n")
+            want, got = oracles.P3_2_routes(model, f"z{n}")
+            assert want == got, (n, module)
+            assert want[:2] == ("pass", f"{4 * n + n * n} instantiations"), (n, module)
 
 
 def test_P3_2_computes_each_basic_open_once(monkeypatch):

@@ -178,7 +178,7 @@ def test_permutation_map_swap():
     M = GradedModule(Z, Z2G, [(2, (0,)), (2, (0,))])
     swap = PermutationMap(M, (1, 0))
     assert swap.target == M
-    assert swap.apply((1, 0)) == (0, 1)
+    assert oracles.forward_map(swap)((1, 0)) == (0, 1)
     N = M.submodule([(1, 0)])
     assert oracles.image_submodule(swap, N) == M.submodule([(0, 1)])
     assert swap.preimage_submodule(N) == M.submodule([(0, 1)])

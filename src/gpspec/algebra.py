@@ -854,8 +854,8 @@ class QuotientMap:
     those with invariant d > 1 and those past the rank, become the Z_d and Z
     factors of degree g.  The map is used only through pullbacks: the
     preimage of N2 is K + lift(N2), N2's rows placed on the kept columns and
-    moved back by V^-1, so only V^-1 is kept.  Kernels with one quotient
-    presentation share one target module (see _presentation).
+    moved back by V^-1, so the elimination tracks only V^-1.  Kernels with
+    one quotient presentation share one target module (see _presentation).
     """
 
     def __init__(self, source: GradedModule, kernel: GradedSubmodule):
@@ -866,7 +866,7 @@ class QuotientMap:
         factors, self._plan = [], {}
         for g, block in zip(source.degrees, kernel.blocks):
             n = len(source.slots[g])
-            inv, _, Vinv = intlinalg.smith_normal_form(block, n)
+            inv, Vinv = intlinalg.smith_normal_form(block, n)
             orders = inv + [0] * (n - len(inv))  # 0: a free column past the rank
             keep = tuple(j for j, d in enumerate(orders) if d != 1)
             factors += [(orders[j], g) for j in keep]

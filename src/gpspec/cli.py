@@ -195,6 +195,11 @@ def _enum_bound(args) -> int:
     try:
         return int(raw)
     except ValueError:
+        digits = raw.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # past the interpreter's integer-string limit
+            raise AlgebraError(f"GPS_ENUM_BOUND: integer too long ({len(digits)} digits), "
+                               f"got {raw[:10]!r}") from None
         raise AlgebraError(f"GPS_ENUM_BOUND must be an integer, got {raw!r}") from None
 
 

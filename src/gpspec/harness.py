@@ -6,14 +6,14 @@ Identities are verified extensionally over all graded submodules, pairs
 and ideals of a finite instance.  A scalar r enters only through its ideal
 (r): P3.2 decides every residue of Z/n and every pair of residues through
 one scalar per ideal and counts them all.  Graded maps are read only
-through pullbacks.  Three quantifiers sample past a size, with
-SUBSET_SAMPLES draws from random.Random(seed), seed being `gps check
---seed`: triples of submodules past n^3 > TRIPLE_LIMIT (more than 50
-submodules), subsets of points past SUBSET_EXHAUSTIVE_LIMIT points, and
-T3.4's families of base sets past that many base sets.  The two sides of an
-identity are always computed by independent routines (for example closure
-as the variety of the radical core versus the intersection of the closed
-sets containing it).
+through pullbacks, and a projection M -> M/K is built on first use.  Three
+quantifiers sample past a size, with SUBSET_SAMPLES draws from
+random.Random(seed), seed being `gps check --seed`: triples of submodules
+past n^3 > TRIPLE_LIMIT (more than 50 submodules), subsets of points past
+SUBSET_EXHAUSTIVE_LIMIT points, and T3.4's families of base sets past that
+many base sets.  The two sides of an identity are always computed by
+independent routines (for example closure as the variety of the radical
+core versus the intersection of the closed sets containing it).
 Implications whose hypothesis is Unknown are skipped, never assumed.
 T3.4 alone runs quasi-compactness, and T3.5 alone checks the quasi-compact
 base, which on a finite space is every open; analyze_space takes both as given.
@@ -226,16 +226,13 @@ class Context:
                 items[rng.randrange(n)],
             )
 
-    @cached_property
-    def quotient_maps(self):
-        """Canonical projections M -> M/K for every graded K, K = M included."""
-        return tuple(quotient_module(self.module, K)[1] for K in self.subs)
-
     def induced(self, k: int) -> PiAnalysis:
-        """The induced spectrum map of `quotient_maps[k]`, analysed on first
-        use: every target point is pulled back at most once per run."""
+        """The induced spectrum map of the projection M -> M/subs[k], built
+        and analysed on first use: only the projections a check reads are
+        built, and each target point is pulled back at most once per run."""
         if k not in self._induced:
-            self._induced[k] = InducedSpectrumMap(self.quotient_maps[k]).analyze(self.bound)
+            proj = quotient_module(self.module, self.subs[k])[1]
+            self._induced[k] = InducedSpectrumMap(proj).analyze(self.bound)
         return self._induced[k]
 
 
@@ -569,7 +566,7 @@ def check_L2_14(ctx: Context):
     for k, K in enumerate(ctx.subs):
         res = ctx.induced(k)
         if None in res.mapping:
-            target_space = build_space(ctx.quotient_maps[k].target, PSPEC, ctx.bound)
+            target_space = build_space(quotient_module(ctx.module, K)[0], PSPEC, ctx.bound)
             _fail("preimage left the primary spectrum",
                   (K, target_space.points[res.mapping.index(None)]))
         pulled = set(res.mapping)

@@ -6,11 +6,12 @@ generate a sublattice of Z^n.  The Hermite echelon and the Smith elimination
 share one unimodular row step, _cancel, and the Smith elimination makes its
 divisibility chain in one pass of (d_i, d_j) -> (gcd, lcm) over the diagonal
 pairs i < j, two column operations per repaired pair (Cohen, GTM 138,
-section 2.4).  It tracks its transforms only for callers that map
-coordinates (quotient maps, element orders); the quotient invariants behind
-every colon run it on the matrix alone.  A one-column lattice is its gcd:
-the subgroup of Z generated by a_1, ..., a_m is gZ, g = gcd(a_1, ..., a_m),
-so its HNF is (g) (empty for g = 0) and its quotient is Z/g (Z for g = 0).
+section 2.4).  It tracks only the inverse transform V^-1, which a quotient
+map lifts its pullbacks with; the quotient invariants behind every colon run
+it on the matrix alone.  Element orders are indices of Hermite forms.
+A one-column lattice is its gcd: the subgroup of Z generated by a_1, ...,
+a_m is gZ, g = gcd(a_1, ..., a_m), so its HNF is (g) (empty for g = 0)
+and its quotient is Z/g (Z for g = 0).
 A two-column lattice L is read in one pass of extended gcds (Cohen, GTM 138,
 section 2.4): its HNF is ((p, q mod c), (0, c)), p generating the first
 coordinates of L and c generating L meet (0 x Z), and the Smith invariants
@@ -24,7 +25,7 @@ GTM 138, section 2.4), and membership walks the Hermite rows in pivot order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import gcd
+from math import gcd, prod
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -205,27 +206,24 @@ def _identity(n: int) -> list[list[int]]:
 def smith_normal_form(rows, ncols: int, transforms: bool = True):
     """Smith reduction of the lattice generated by `rows` inside Z^ncols.
 
-    Returns (invariants, V, Vinv) where invariants is the list d_1 | d_2 | ...
-    of positive diagonal entries (1s kept, zeros dropped), and V, Vinv are
-    mutually inverse ncols x ncols unimodular matrices such that the row
-    lattice of A maps onto the diagonal lattice under x -> x . V.  The
-    quotient Z^ncols / rowspace is then (+) Z/d_j (+) Z^(ncols - len(invariants)).
+    Returns (invariants, Vinv) where invariants is the list d_1 | d_2 | ...
+    of positive diagonal entries (1s kept, zeros dropped), and Vinv is an
+    ncols x ncols unimodular matrix whose inverse V maps the row lattice of
+    A onto the diagonal lattice under x -> x . V; so the rows of
+    diag(d) . Vinv generate the row lattice of A.  The quotient
+    Z^ncols / rowspace is then (+) Z/d_j (+) Z^(ncols - len(invariants)).
     Each pivot clears its column with the row step _cancel and its row with
-    column operations, which V and Vinv record; one pass of (d_i, d_j) ->
-    (gcd, lcm) over the diagonal pairs i < j then makes the chain.  With
-    transforms=False the same elimination runs on A alone and V, Vinv
-    are None.
+    column operations, which Vinv records as the inverse row operations; one
+    pass of (d_i, d_j) -> (gcd, lcm) over the diagonal pairs i < j then
+    makes the chain.  With transforms=False the same elimination runs on A
+    alone and Vinv is None.
     """
     A = [list(r) for r in rows if any(r)]
     m, n = len(A), ncols
-    V = Vinv = None
-    cols = A  # the rows every column operation acts on
-    if transforms:
-        V, Vinv = _identity(n), _identity(n)
-        cols = A + V  # V's rows follow A's columns; Vinv takes the inverse row ops
+    Vinv = _identity(n) if transforms else None
 
     def col_addmul(dst: int, src: int, q: int) -> None:
-        for r in cols:
+        for r in A:
             r[dst] += q * r[src]
         if transforms:
             rs, rd = Vinv[src], Vinv[dst]
@@ -233,7 +231,7 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
                 rs[k] -= q * rd[k]
 
     def col_swap(c1: int, c2: int) -> None:
-        for r in cols:
+        for r in A:
             r[c1], r[c2] = r[c2], r[c1]
         if transforms:
             Vinv[c1], Vinv[c2] = Vinv[c2], Vinv[c1]
@@ -243,7 +241,7 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
         a, b = A[t][c1], A[t][c2]
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
-        for r in cols:
+        for r in A:
             u, w = r[c1], r[c2]
             r[c1], r[c2] = x * u + y * w, -bg * u + ag * w
         if transforms:
@@ -287,7 +285,7 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
 
     # row i of A is now +-d_i e_i.  With g = x d_i + y d_j, column i += column j
     # and then column j -= (y d_j / g) column i turn diag(d_i, d_j) into rows
-    # equivalent to diag(g, d_i d_j / g): only V and Vinv need them
+    # equivalent to diag(g, d_i d_j / g): only Vinv needs them
     invariants = [abs(A[i][i]) for i in range(t)]
     for i in range(t):
         for j in range(i + 1, t):
@@ -302,9 +300,7 @@ def smith_normal_form(rows, ncols: int, transforms: bool = True):
         from .algebra import InvariantError  # algebra imports this module
 
         raise InvariantError(f"Smith invariants {invariants} are not all positive")
-    if not transforms:
-        return invariants, None, None
-    return invariants, tuple(tuple(r) for r in V), tuple(tuple(r) for r in Vinv)
+    return invariants, None if Vinv is None else tuple(tuple(r) for r in Vinv)
 
 
 def quotient_invariants_of(rows, ncols: int) -> tuple[int, list[int]]:
@@ -322,26 +318,24 @@ def quotient_invariants_of(rows, ncols: int) -> tuple[int, list[int]]:
             g = gcd(*H[0])
             return 1, [g] if g > 1 else []
         return 2, []
-    inv, _, _ = smith_normal_form(rows, ncols, transforms=False)
+    inv, _ = smith_normal_form(rows, ncols, transforms=False)
     return ncols - len(inv), [d for d in inv if d > 1]
 
 
 def element_order_in_quotient(rows, ncols: int, vec) -> int:
-    """Additive order of the image of vec in Z^ncols / rowspace(rows).
+    """Additive order of the image of vec in Z^ncols / L, L = rowspace(rows),
+    0 for infinite order.
 
-    Returns 0 for infinite order.
+    A finite order is the index [L + Zv : L].  Two lattices of one rank share
+    their Hermite pivot columns, and each has covolume the product of its
+    pivots there, so the index is the ratio of the two pivot products; v
+    raises the rank exactly when its order is infinite.
     """
-    inv, V, _ = smith_normal_form(rows, ncols)
-    r = len(inv)
-    y = [sum(vec[i] * V[i][j] for i in range(ncols)) for j in range(ncols)]
-    if any(y[j] for j in range(r, ncols)):
+    H = hermite_normal_form(rows, ncols)
+    H2 = hermite_normal_form(H + (tuple(vec),), ncols)
+    if len(H2) > len(H):
         return 0
-    order = 1
-    for j in range(r):
-        d = inv[j]
-        o = d // gcd(d, y[j] % d)
-        order = order * o // gcd(order, o)
-    return order
+    return prod(r[row_pivot(r)] for r in H) // prod(r[row_pivot(r)] for r in H2)
 
 
 def matmul_vec(vec, M: Matrix):

@@ -24,7 +24,12 @@ intersections that the star table and the radical core's mask AND replaced;
 kernel and lifted a preimage from unit rows and moduli rows, which the
 shared presentations and the preimage K + lift(N2) replaced;
 `forward_map`, the element map of a projection or a permutation, which
-the library's maps dropped when every answer came to pull back, and
+the library's maps dropped when every answer came to pull back, with
+`smith_transforms`, the Smith transform V that it reads, which the
+elimination dropped for the same reason (the exact inverse of V^-1);
+`element_order_by_coordinates`, an element's order in Z^n/L as the lcm of
+the denominators of its coordinates over L's Hermite basis, in place of
+the index of two Hermite forms that the library reads; and
 `image_submodule`, the image of a submodule under one, which L2.14 took
 per primary point until it read the images off the pullback table;
 `residue_P3_2`, P3.2 walking every residue and residue pair of Z/n, which
@@ -45,9 +50,11 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import product
-from math import gcd, prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
+from sympy import Matrix as SymMatrix
 
 from gpspec import harness, intlinalg, maps, numtheory, spectra, topology
 from gpspec.algebra import (
@@ -465,7 +472,7 @@ class FreshQuotientMap:
         for g in source.degrees:
             block = kernel.block(g)
             n = len(source.slots[g])
-            inv, V, Vinv = intlinalg.smith_normal_form(block, n)
+            inv, V, Vinv = smith_transforms(block, n)
             keep = []  # (column, order) with order 0 for free columns
             for j, d in enumerate(inv):
                 if d > 1:
@@ -526,6 +533,29 @@ class FreshQuotientMap:
         return GradedSubmodule(src, tuple(blocks))
 
 
+def smith_transforms(rows, ncols: int):
+    """(invariants, V, V^-1) of the Smith elimination, V the exact inverse
+    of the V^-1 that `intlinalg.smith_normal_form` tracks."""
+    inv, Vinv = intlinalg.smith_normal_form(rows, ncols)
+    V = SymMatrix(Vinv).inv()
+    return inv, tuple(tuple(int(V[i, j]) for j in range(ncols)) for i in range(ncols)), Vinv
+
+
+def element_order_by_coordinates(rows, ncols: int, vec) -> int:
+    """The order of vec in Z^ncols / L by its coordinates x over the
+    Hermite basis H of L: vec = xH is solved on the pivot columns in pivot
+    order, and the order is the lcm of the denominators of x, 0 when xH
+    misses vec (vec leaves L's rational span)."""
+    H = intlinalg.hermite_normal_form(rows, ncols)
+    x = []
+    for row in H:
+        c = intlinalg.row_pivot(row)
+        x.append((vec[c] - sum(xk * H[k][c] for k, xk in enumerate(x))) / Fraction(row[c]))
+    if any(sum(xk * H[k][j] for k, xk in enumerate(x)) != vec[j] for j in range(ncols)):
+        return 0
+    return lcm(*(xk.denominator for xk in x))
+
+
 def forward_map(f):
     """The element map vec -> f(vec) of a quotient projection or a
     permutation of factors, which the library's maps drop since every answer
@@ -540,7 +570,7 @@ def forward_map(f):
     plan = []
     for g, block in zip(src.degrees, f.preimage_submodule(f.target.zero_submodule).blocks):
         n = len(src.slots[g])
-        inv, V, _ = intlinalg.smith_normal_form(block, n)
+        inv, V, _ = smith_transforms(block, n)
         orders = inv + [0] * (n - len(inv))  # 0: a free column past the rank
         plan.append((g, V, [j for j, d in enumerate(orders) if d != 1]))
 
@@ -649,8 +679,8 @@ def per_call_L2_14(ctx):
     count = 0
     lat = ctx.lattice
     primary_points = [(Q, lat.position[Q]) for Q in ctx.pspec.points]
-    for k, (K, proj) in enumerate(zip(ctx.subs, ctx.quotient_maps)):
-        target = proj.target
+    for k, K in enumerate(ctx.subs):
+        target, proj = quotient_module(ctx.module, K)
         if target.factors:
             for Q2 in spectra.spectrum_points(target, "primary", ctx.bound):
                 pre = proj.preimage_submodule(Q2)

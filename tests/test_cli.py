@@ -214,6 +214,12 @@ def test_env_var_enum_bound_not_an_integer(monkeypatch):
     # an explicit --enum-bound takes precedence over the environment
     code, out, _ = gps("pspec", str(MODELS / "z6.gps"), "--enum-bound", "100")
     assert code == 0 and out.splitlines() == ["3Z6", "2Z6"]
+    # an integer that int() refuses for its length is refused in the model
+    # parser's words, quoting its first 10 characters, not all its digits
+    monkeypatch.setenv("GPS_ENUM_BOUND", "9" * 5000)
+    code, out, err = gps("pspec", str(MODELS / "z6.gps"))
+    assert code == 2 and out == ""
+    assert err == "error: GPS_ENUM_BOUND: integer too long (5000 digits), got '9999999999'\n"
 
 
 def test_unknown_submodule_is_input_error():

@@ -528,6 +528,28 @@ def test_a_lone_C2_16_pulls_back_one_projection(monkeypatch):
     assert calls == {model.module.zero_submodule: 31}
 
 
+def test_the_catalog_builds_only_the_projections_it_reads(monkeypatch):
+    # Context.induced builds M -> M/K on first use: C2.16 alone builds the
+    # projection onto M/0 (all 32 when the Context built every kernel's
+    # projection at once), and the whole catalog builds each of the 32 once
+    built = []
+    real = QuotientMap.__init__
+
+    def counted(self, source, kernel):
+        built.append(kernel)
+        real(self, source, kernel)
+
+    monkeypatch.setattr(QuotientMap, "__init__", counted)
+    model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
+    (result,) = run_checks(model, ["C2.16"], "heavy")
+    assert result.status == "pass"
+    assert built == [model.module.zero_submodule]
+    built.clear()
+    results = run_checks(model, "all", "heavy")
+    assert not [r for r in results if r.status == "fail"]
+    assert len(built) == len(set(built)) == 32
+
+
 @pytest.mark.parametrize("modulus, detail", [(2000, "4008000 instantiations"),
                                               (10**6, "1000004000000 instantiations")])
 def test_P3_2_decides_every_residue_of_a_large_ring_by_its_ideal(modulus, detail):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from sympy import Matrix as SymMatrix
+from sympy import Matrix as SymMatrix, factorint
 from sympy.matrices.normalforms import invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sym_snf
 
@@ -16,7 +16,6 @@ from gpspec.intlinalg import (
     hermite_normal_form,
     lattice_contains,
     lattice_intersection,
-    matmul_vec,
     quotient_invariants_of,
     reduce_mod_lattice,
     smith_normal_form,
@@ -187,11 +186,8 @@ def test_smith_invariants_match_sympy():
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = random_matrix(m, n, -8, 8)
-        inv, V, Vinv = smith_normal_form(A, n)
-        # V * Vinv = identity
-        for i in range(n):
-            for j in range(n):
-                assert sum(V[i][k] * Vinv[k][j] for k in range(n)) == (1 if i == j else 0)
+        inv, Vinv = smith_normal_form(A, n)
+        assert abs(SymMatrix(Vinv).det()) == 1  # unimodular
         D = sym_snf(SymMatrix(list(map(list, A))))
         sym_diag = [int(D[i, i]) for i in range(min(m, n)) if D[i, i] != 0]
         sym_diag = [abs(d) for d in sym_diag]
@@ -230,10 +226,10 @@ def integer_matrices(draw):
 def test_quotient_invariants_without_transforms(case):
     # the transform-free elimination agrees with the tracked one and with sympy
     rows, n = case
-    inv, V, Vinv = smith_normal_form(rows, n)
+    inv, _ = smith_normal_form(rows, n)
     got = quotient_invariants_of(rows, n)
     assert got == (n - len(inv), [d for d in inv if d > 1])
-    assert smith_normal_form(rows, n, transforms=False) == (inv, None, None)
+    assert smith_normal_form(rows, n, transforms=False) == (inv, None)
     nonzero = [r for r in rows if any(r)]
     if nonzero:
         sym = [abs(int(d)) for d in invariant_factors(SymMatrix(nonzero)) if d]
@@ -245,13 +241,13 @@ def test_quotient_invariants_without_transforms(case):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(integer_matrices())
 def test_smith_transform_carries_the_rows_onto_the_diagonal(case):
-    # what V is for: x -> xV maps the row lattice onto the lattice of
-    # diag(d_1, ..., d_r) in n columns, so equal lattices give equal HNFs
+    # what V^-1 is for: x -> xV maps the row lattice onto the lattice of
+    # diag(d_1, ..., d_r) in n columns, so the rows of diag(d) V^-1 generate
+    # the row lattice, and equal lattices give equal HNFs
     rows, n = case
-    inv, V, _ = smith_normal_form(rows, n)
-    diagonal = [tuple(d if k == j else 0 for k in range(n)) for j, d in enumerate(inv)]
-    assert hermite_normal_form([matmul_vec(r, V) for r in rows], n) == hermite_normal_form(
-        diagonal, n)
+    inv, Vinv = smith_normal_form(rows, n)
+    assert hermite_normal_form(rows, n) == hermite_normal_form(
+        [tuple(d * a for a in Vinv[j]) for j, d in enumerate(inv)], n)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -294,7 +290,7 @@ def test_two_column_lattices_match_the_eliminations(rows):
     assert H == oracles.echelon_hnf(rows, 2)
     got = quotient_invariants_of(rows, 2)
     assert quotient_invariants_of(H, 2) == got
-    inv, _, _ = smith_normal_form(rows, 2, transforms=False)
+    inv, _ = smith_normal_form(rows, 2, transforms=False)
     assert got == (2 - len(inv), [d for d in inv if d > 1])
     nonzero = [r for r in rows if any(r)]
     sym = [abs(int(d)) for d in invariant_factors(SymMatrix(nonzero)) if d] if nonzero else []
@@ -379,7 +375,7 @@ def test_two_column_degree_blocks_run_no_elimination(monkeypatch):
 
 
 def test_colon_builds_no_transforms(monkeypatch):
-    # only QuotientMap and element_order_in_quotient need V and Vinv
+    # only QuotientMap needs the transform V^-1
     def forbidden(n):
         raise AssertionError("Smith transforms built")
 
@@ -411,6 +407,27 @@ def test_element_order_in_quotient():
     # free direction
     assert element_order_in_quotient([(2, 0)], 2, (0, 1)) == 0
     assert element_order_in_quotient([(2, 0)], 2, (1, 0)) == 2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_element_order_on_large_entries(data):
+    # o v lies in L, (o/p) v does not for each prime p | o, and o = 0 exactly
+    # when v leaves L's rational span.  Trial division finds the primes up to
+    # 10^4 (an order near 10^60 can take sympy a minute to factor), and the
+    # coordinates of v over L's Hermite basis give the order exactly
+    rows, n = data.draw(integer_matrices())
+    v = data.draw(st.tuples(*[ENTRIES] * n))
+    o = element_order_in_quotient(rows, n, v)
+    nonzero = [list(r) for r in rows if any(r)]
+    rank = SymMatrix(nonzero).rank() if nonzero else 0
+    assert (o == 0) == (SymMatrix(nonzero + [list(v)]).rank() > rank), (rows, v, o)
+    if o:
+        H = hermite_normal_form(rows, n)
+        assert lattice_contains(H, tuple(o * x for x in v)), (rows, v, o)
+        for p in factorint(o, limit=10**4, use_rho=False, use_pm1=False, use_ecm=False):
+            assert not lattice_contains(H, tuple(o // p * x for x in v)), (rows, v, o, p)
+    assert o == oracles.element_order_by_coordinates(rows, n, v), (rows, v, o)
 
 
 def test_element_order_brute():

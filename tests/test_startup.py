@@ -101,6 +101,17 @@ def test_run_as_module_writes_nothing_unexpected_to_stderr():
     assert proc.stdout.splitlines() == ["3Z6", "2Z6"]
 
 
+def test_commands_run_clean_in_development_mode_with_warnings_as_errors():
+    # -X dev turns on the resource and deprecation warnings that a plain
+    # interpreter hides, and -W error makes each one fail the command
+    for command in (["parse"], ["pspec"], ["radical", "--submodule", "N3"],
+                    ["variety", "--submodule", "N3"], ["topology"], ["rho"], ["check"]):
+        argv = [command[0], "models/z6.gps", *command[1:]]
+        proc = python("-X", "dev", "-W", "error", "-m", "gpspec.cli", *argv)
+        assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+        assert proc.stdout, argv
+
+
 def test_every_exported_name_resolves_through_the_package():
     for name in EXPORTED:
         home = sys.modules[f"gpspec.{gpspec._HOME[name]}"]

@@ -34,6 +34,7 @@ from .dsl import (
     model_text,
     parse_model,
     radical_json,
+    read_int,
     report_json,
     space_dot,
     spectrum_json,
@@ -70,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default="text",
         )
         sp.add_argument(
-            "--enum-bound", type=int,
-            help="largest module size that will be enumerated "
-            f"(default: GPS_ENUM_BOUND, else {DEFAULT_ENUM_BOUND})",
+            "--enum-bound",
+            help="largest module size to enumerate, an integer >= 1 that wins over "
+            f"GPS_ENUM_BOUND (default: that, else {DEFAULT_ENUM_BOUND}); a bad value exits 2",
         )
 
     common(sub.add_parser("parse", help="validate and echo the canonical form"))
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run the theorem catalog")
     common(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", default="0")
     sp.add_argument("--theorem", action="append", metavar="ID", default=None,
                     help="check id to run (repeatable; default: the whole catalog)")
     return p
@@ -120,9 +121,14 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr or sys.stderr
     args = _build_parser().parse_args(argv)
     json_out = args.format == "json"
+    try:  # the integers taken from argv and the environment
+        bound = _enum_bound(args)
+        seed = read_int(args.seed, "--seed") if args.command == "check" else 0
+    except ValueError as exc:
+        print("error: {}, got {!r}".format(*exc.args), file=stderr)
+        return EXIT_INPUT_ERROR
 
     try:
-        bound = _enum_bound(args)
         model, stem = _load_model(args.input)
         code = EXIT_OK
 
@@ -161,7 +167,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
             out = map_json(res) if json_out else map_text(res)
 
         else:  # check
-            results = harness.run_checks(model, args.theorem or "all", stem, bound, args.seed)
+            results = harness.run_checks(model, args.theorem or "all", stem, bound, seed)
             out = check_report_json(results) if json_out else check_text(results, stem)
             statuses = {r.status for r in results}
             if "error" in statuses:
@@ -186,21 +192,11 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 def _enum_bound(args) -> int:
     """--enum-bound, else the GPS_ENUM_BOUND environment variable, else the
-    library default."""
+    library default; a bound given either way is at least 1."""
     if args.enum_bound is not None:
-        return args.enum_bound
+        return read_int(args.enum_bound, "--enum-bound", 1)
     raw = os.environ.get("GPS_ENUM_BOUND")
-    if raw is None:
-        return DEFAULT_ENUM_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        digits = raw.strip()
-        digits = digits[1:] if digits[:1] in ("+", "-") else digits
-        if digits.isdecimal():  # past the interpreter's integer-string limit
-            raise AlgebraError(f"GPS_ENUM_BOUND: integer too long ({len(digits)} digits), "
-                               f"got {raw[:10]!r}") from None
-        raise AlgebraError(f"GPS_ENUM_BOUND must be an integer, got {raw!r}") from None
+    return DEFAULT_ENUM_BOUND if raw is None else read_int(raw, "GPS_ENUM_BOUND", 1)
 
 
 def _named(model: Model, name: str):

@@ -62,6 +62,24 @@ class Model(Value):
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_]\w*)|(?P<int>-?\d+)|(?P<sym>[=@(){},]))")
+_DECIMAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def read_int(text: str, source: str = "", least: int | None = None) -> int:
+    """int(text), at least `least` if given, for an integer from outside: a
+    model token, or the option or environment variable `source`.  A refusal
+    raises ValueError(message, at most the first 10 characters of text)."""
+    try:
+        value = int(text)
+    except ValueError:
+        if not _DECIMAL.fullmatch(text):
+            raise ValueError(f"{source} must be an integer", text[:10]) from None
+        # well formed, so refused for its length alone
+        message = f"integer too long ({sum(map(str.isdecimal, text))} digits)"
+        raise ValueError(f"{source}: {message}" if source else message, text[:10]) from None
+    if least is not None and value < least:
+        raise ValueError(f"{source} must be at least {least}", text[:10])
+    return value
 
 
 class _Line:
@@ -78,9 +96,8 @@ class _Line:
                     break
                 col = len(text) - len(stripped) + 1
                 raise ParseError(lineno, col, "unrecognized input", stripped[:10])
-            for kind in ("name", "int", "sym"):
-                if m.group(kind) is not None:
-                    self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
+            kind = m.lastgroup  # the one alternative that matched
+            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
             pos = m.end()
         self.cursor = 0
 
@@ -102,18 +119,11 @@ class _Line:
         return v, col
 
     def integer(self, digits: str, col: int) -> int:
-        """int(digits), with Python's cap on the length of an integer string
-        reported as a parse error rather than a ValueError."""
+        """read_int(digits), refused as a parse error at column col."""
         try:
-            return int(digits)
-        except ValueError:
-            raise ParseError(
-                self.lineno, col, f"integer too long ({len(digits)} digits)", digits[:10]
-            ) from None
-
-    def expect_int(self) -> int:
-        v, col = self.expect("int")
-        return self.integer(v, col)
+            return read_int(digits)
+        except ValueError as exc:
+            raise ParseError(self.lineno, col, *exc.args) from None
 
     def require_end(self):
         if self.cursor < len(self.tokens):
@@ -158,7 +168,7 @@ def _int_tuple(line: _Line, arity: int, mismatch: str) -> tuple[int, ...]:
     """Read `( int, ... )` of `arity` entries; `mismatch` formats the error
     for another count and the arity."""
     _, col = line.expect("sym", "(")
-    vals = _separated(line, line.expect_int, ",")
+    vals = _separated(line, lambda: line.integer(*line.expect("int")), ",")
     line.expect("sym", ")")
     if len(vals) != arity:
         raise ParseError(line.lineno, col, mismatch.format(len(vals), arity), "(")
@@ -289,14 +299,8 @@ def model_text(model: Model) -> str:
         "module = " + model.module.text(),
     ]
     for name, N in model.named_submodules.items():
-        gens = N.generator_vectors()
-        if not gens:
-            lines.append(f"submodule {name} = 0")
-        else:
-            lines.append(
-                f"submodule {name} = "
-                + ", ".join("(" + ",".join(map(str, v)) + ")" for v in gens)
-            )
+        gens = ", ".join("(" + ",".join(map(str, v)) + ")" for v in N.generator_vectors())
+        lines.append(f"submodule {name} = {gens or 0}")
     for name, members in model.named_subsets.items():
         lines.append(f"subset {name} = {{" + ", ".join(members) + "}")
     return "\n".join(lines) + "\n"
@@ -513,9 +517,7 @@ def space_dot(space: topology.FiniteSpace, name: str = "specialization") -> str:
         p = space.points[i]
         return p.text().replace('"', r"\"")
 
-    out = [f"digraph {name} {{"]
-    out.append('  rankdir=BT;')
-    out.append('  node [shape=box];')
+    out = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for cls, mem in enumerate(classes.values()):
         if len(mem) > 1:
             out.append(f"  subgraph cluster_{cls} {{")

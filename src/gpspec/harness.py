@@ -559,9 +559,11 @@ def check_T2_13(ctx: Context):
 
 def check_L2_14(ctx: Context):
     # pi is onto with kernel K, so a primary Q containing K maps to a point
-    # exactly when Q = pi^-1(pi(Q)) is among the pullbacks of the points
+    # exactly when Q = pi^-1(pi(Q)) is among the pullbacks of the points;
+    # the points are in lattice order, so the lowest uncovered bit is the first
     lat, points = ctx.lattice, ctx.pspec.points
-    primary = [lat.position[Q] for Q in points]
+    position = [lat.position[Q] for Q in points]
+    primary_mask = sum(1 << p for p in position)
     count = 0
     for k, K in enumerate(ctx.subs):
         res = ctx.induced(k)
@@ -569,12 +571,12 @@ def check_L2_14(ctx: Context):
             target_space = build_space(quotient_module(ctx.module, K)[0], PSPEC, ctx.bound)
             _fail("preimage left the primary spectrum",
                   (K, target_space.points[res.mapping.index(None)]))
-        pulled = set(res.mapping)
-        above = [i for i, q in enumerate(primary) if lat.up[k] >> q & 1]
-        for i in above:
-            if i not in pulled:
-                _fail("image left the primary spectrum", (K, points[i]))
-        count += len(res.mapping) + len(above)
+        above = lat.up[k] & primary_mask
+        uncovered = above & ~sum(1 << position[i] for i in set(res.mapping))
+        if uncovered:
+            _fail("image left the primary spectrum",
+                  (K, ctx.subs[(uncovered & -uncovered).bit_length() - 1]))
+        count += len(res.mapping) + above.bit_count()
     return count, f"{count} transports"
 
 

@@ -222,6 +222,36 @@ def test_env_var_enum_bound_not_an_integer(monkeypatch):
     assert err == "error: GPS_ENUM_BOUND: integer too long (5000 digits), got '9999999999'\n"
 
 
+HUGE = "9" * 5000
+OUTSIDE_INTEGER_REFUSALS = [
+    # (environment, argv, the one stderr line after "error: ")
+    ({}, ["radical", "z12.gps", "--submodule", "N", "--enum-bound", "0"],
+     "--enum-bound must be at least 1, got '0'"),
+    ({}, ["pspec", "z6.gps", "--enum-bound", "-5"], "--enum-bound must be at least 1, got '-5'"),
+    ({"GPS_ENUM_BOUND": "0"}, ["pspec", "z6.gps"], "GPS_ENUM_BOUND must be at least 1, got '0'"),
+    ({"GPS_ENUM_BOUND": "-5"}, ["pspec", "z6.gps"],
+     "GPS_ENUM_BOUND must be at least 1, got '-5'"),
+    ({}, ["pspec", "z6.gps", "--enum-bound", HUGE],
+     "--enum-bound: integer too long (5000 digits), got '9999999999'"),
+    ({}, ["check", "z6.gps", "--seed", HUGE],
+     "--seed: integer too long (5000 digits), got '9999999999'"),
+]
+
+
+@pytest.mark.parametrize("env, argv, message", OUTSIDE_INTEGER_REFUSALS, ids=[
+    "flag-0", "flag-negative", "variable-0", "variable-negative", "flag-5000-digits",
+    "seed-5000-digits"])
+def test_bounds_below_1_and_overlong_integers_are_input_errors(monkeypatch, env, argv, message):
+    # a bound below 1 bounds nothing, and an integer past the interpreter's
+    # digit limit is quoted by its first 10 characters, not echoed whole
+    monkeypatch.delenv("GPS_ENUM_BOUND", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = gps(argv[0], str(MODELS / argv[1]), *argv[2:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert len(err.encode()) < 120
+
+
 def test_unknown_submodule_is_input_error():
     code, _, err = gps("radical", str(MODELS / "z6.gps"), "--submodule", "missing")
     assert code == 2

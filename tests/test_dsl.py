@@ -120,6 +120,7 @@ PARSE_ERRORS = [
     (H + "module = Z@" + HUGE + "\n", 3, 12, 'integer too long (5000 digits)', '9999999999'),
     ("group = Z2 x Z2\nring = Z\nmodule = Z@(1," + HUGE + ")\n", 3, 15, 'integer too long (5000 digits)', '9999999999'),
     (M + "submodule N = (" + HUGE + ",0)\n", 4, 16, 'integer too long (5000 digits)', '9999999999'),
+    (M + "submodule N = (-" + HUGE + ",0)\n", 4, 16, 'integer too long (5000 digits)', '-999999999'),
     (G + "ring = Q\n", 2, 8, 'expected Z or Z<n>', 'Q'),
     (G + "ring = 6\n", 2, 8, 'expected Z or Z<n>', '6'),
     (G + "ring Z\n", 2, 6, 'expected =', 'Z'),

@@ -4,8 +4,11 @@ For each model the calls cover parse, spec, pspec and max, radical and
 variety of every named submodule (a model that names none asks for `N`,
 which exits 2), variety with and without --star on both spaces, topology
 and rho on both spaces, and check, each in text and JSON, plus topology
-in DOT.  Each call is replayed in-process and must give the recorded exit
-code and the recorded sha256 of its stdout and of its stderr.
+in DOT, and the refusals of bounds below 1 and of integers past the
+interpreter's digit limit.  A call may start with NAME=value settings of
+the environment, as in a shell.  Each call is replayed in-process and must
+give the recorded exit code and the recorded sha256 of its stdout and of
+its stderr.
 
 The references live in output_golden.json next to this file.  To record
 them again, after a change that is meant to alter the output, run
@@ -18,6 +21,7 @@ import io
 import json
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +49,15 @@ def calls() -> list[list[str]]:
                 out.append(["rho", model, "--space", space, "--format", fmt])
         for space in ("pspec", "spec"):
             out.append(["topology", model, "--space", space, "--format", "dot"])
+    huge = "9" * 5000
+    out += [
+        ["radical", "models/z12.gps", "--submodule", "N", "--enum-bound", "0"],
+        ["pspec", "models/z6.gps", "--enum-bound", "-5"],
+        ["GPS_ENUM_BOUND=0", "pspec", "models/z6.gps"],
+        ["GPS_ENUM_BOUND=-5", "pspec", "models/z6.gps"],
+        ["pspec", "models/z6.gps", "--enum-bound", huge],
+        ["check", "models/z6.gps", "--seed", huge],
+    ]
     out.append(["check", "models/z6.gps", "--theorem", "T2.1", "--theorem", "P4.1"])
     out.append(["check", "models/z6.gps", "--theorem", "T9.9"])
     return out
@@ -53,8 +66,14 @@ def calls() -> list[list[str]]:
 def outcome(argv: list[str]) -> dict:
     from gpspec.cli import run
 
+    env = dict(a.split("=", 1) for a in takewhile(lambda a: "=" in a, argv))
+    os.environ.update(env)
     out, err = io.StringIO(), io.StringIO()
-    code = run(argv, stdout=out, stderr=err)
+    try:
+        code = run(argv[len(env):], stdout=out, stderr=err)
+    finally:
+        for name in env:
+            del os.environ[name]
     return {
         "exit": code,
         "stdout": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),

@@ -2,11 +2,13 @@
 graded radical, primary-spectrum membership and the multiplication and
 cancellation tests against the brute-force oracles, on generated finite
 modules, of the theorem catalog and its star-variety table on generated
-models, and of the model parser on generated models and mutated corpus text.
+models, of the model parser on generated models and mutated corpus text,
+and of `gps` on generated enumeration bounds.
 
 The examples are derandomized, so every run checks the same inputs.
 """
 
+import io
 import sys
 from functools import reduce
 from itertools import product
@@ -26,6 +28,7 @@ from gpspec.algebra import (
     ideal_times_module,
 )
 from gpspec import algebra, harness, maps, spectra, topology
+from gpspec.cli import run
 from gpspec.dsl import Model, ParseError, model_text, parse_model
 from gpspec.harness import Check, Context, run_checks
 from gpspec.spectra import (
@@ -507,3 +510,50 @@ def test_mutated_model_text_raises_only_parse_errors(text):
         parse_model(text)
     except ParseError:
         pass
+
+
+# -- the integers gps reads from outside ------------------------------------------
+
+Z6 = str(Path(__file__).parent.parent / "models" / "z6.gps")
+
+
+@st.composite
+def bound_texts(draw):
+    """An enumeration bound as a user might write it: a decimal, 0 or
+    negative, of up to 8 digits or of 4,300 or 5,000, with a sign, padding or
+    underscores between digit groups; or text that is no integer."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=12))
+    digits = draw(st.sampled_from(("9" * 4300, "9" * 5000)) | st.integers(0, 10**7).map(str))
+    width = draw(st.integers(0, 3))  # an underscore after every `width` digits
+    if width:
+        digits = "_".join(digits[i:i + width] for i in range(0, len(digits), width))
+    pad = draw(st.sampled_from(("", " ", "\t", "\n ")))
+    return pad + draw(st.sampled_from(("", "+", "-"))) + digits + pad
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(bound_texts())
+def test_every_bound_ends_in_a_documented_exit_code(text):
+    # the integer half of the contract, through the flag and the variable:
+    # pspec on Z6 (|M| = 6) answers under a bound of 6 or more, needs an
+    # exact answer it may not enumerate for under 1 to 5, and refuses the
+    # input otherwise, never raising and never writing more than one line
+    try:
+        bound = int(text)
+    except ValueError:  # no integer, or past the interpreter's digit limit
+        bound = 0
+    want = 0 if bound >= 6 else 3 if bound >= 1 else 2
+    routes = [({}, [f"--enum-bound={text}"])]
+    if "\x00" not in text:  # the environment cannot hold a NUL
+        routes.append(({"GPS_ENUM_BOUND": text}, []))
+    for env, flag in routes:
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("GPS_ENUM_BOUND", raising=False)
+            for name, value in env.items():
+                patch.setenv(name, value)
+            code = run(["pspec", Z6, *flag], stdout=out, stderr=err)
+        assert code == want, (text[:20], flag[:1])
+        assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()[:200]
+        assert (out.getvalue() == "") == (code != 0)

@@ -20,6 +20,7 @@ from operator import mod
 from . import intlinalg, numtheory
 
 DEFAULT_ENUM_BOUND = 20000
+SUBMODULE_BOUND = 20000  # most graded submodules an enumeration builds
 
 
 class AlgebraError(Exception):
@@ -596,9 +597,6 @@ class GradedSubmodule:
         )
         return GradedSubmodule(M, blocks)
 
-    def sort_key(self):
-        return (self.size(), self.blocks)
-
     def generator_vectors(self) -> list[tuple[int, ...]]:
         """Ambient generator vectors: the HNF rows reduced by their block's orders,
         less those reducing to zero, which are the rows in the relation lattice."""
@@ -682,7 +680,9 @@ def _enumerate_block_subgroups(orders: tuple[int, ...]):
     with pivot h_i dividing o_i and the entries of column j in [0, h_j).
     Rows are chosen from the last to the first; a partial lattice is kept
     iff it contains o_i e_i, i.e. (o_i / h_i) times the tail of row i lies
-    in the span of the rows below it.
+    in the span of the rows below it.  Each partial lattice extends to a
+    whole one (pivots 1 above it), so more than SUBMODULE_BOUND partial
+    lattices refuse the block.
     """
     n = len(orders)
     lattices = [()]
@@ -697,17 +697,14 @@ def _enumerate_block_subgroups(orders: tuple[int, ...]):
                     scaled = (0,) * (i + 1) + tuple(q * a for a in tail)
                     if intlinalg.lattice_contains(below, scaled):
                         grown.append(((0,) * i + (h, *tail),) + below)
+        _require_submodule_bound(len(grown))
         lattices = grown
-    return sorted(lattices, key=lambda lat: (-_block_index(lat), lat))
+    return lattices
 
 
-def _block_index(lat) -> int:
-    """Index of the lattice in Z^n (product of HNF pivots); the subgroup it
-    presents has size prod(orders) // index."""
-    idx = 1
-    for row in lat:
-        idx *= row[intlinalg.row_pivot(row)]
-    return idx
+def _require_submodule_bound(count: int) -> None:
+    if count > SUBMODULE_BOUND:
+        raise EnumerationBoundError(f"graded submodules exceed submodule bound {SUBMODULE_BOUND}")
 
 
 def is_enumerable(M: GradedModule, bound: int) -> bool:
@@ -738,8 +735,9 @@ def _submodules(M: GradedModule) -> tuple[GradedSubmodule, ...]:
         _enumerate_block_subgroups(tuple(M.factors[i][0] for i in M.slots[g]))
         for g in M.degrees
     ]
+    _require_submodule_bound(prod(map(len, per_degree)))
     subs = (GradedSubmodule(M, blocks) for blocks in iproduct(*per_degree))
-    return tuple(sorted(subs, key=GradedSubmodule.sort_key))
+    return tuple(sorted(subs, key=lambda N: (N.size(), N.blocks)))
 
 
 class SubmoduleLattice:
@@ -749,8 +747,9 @@ class SubmoduleLattice:
 
     * masks[i]: the elements of subs[i]; index: mask -> position
     * position: submodule -> position
-    * up[i]: mask of the positions j with subs[j] containing subs[i], built
-      on first use by join or contains (star tables read only the masks)
+    * up[i]: mask of the positions j with subs[j] containing subs[i], the
+      one containment table, built on first use (star tables read only the
+      masks)
 
     Point queries on other submodules go through GradedSubmodule's own
     plus, intersect and contains."""
@@ -813,10 +812,6 @@ class SubmoduleLattice:
         it is the smallest, and subs is in ascending order of size."""
         bounds = self.up[i] & self.up[j]
         return (bounds & -bounds).bit_length() - 1
-
-    def contains(self, i: int, j: int) -> bool:
-        """Whether subs[i] contains subs[j]."""
-        return bool(self.up[j] >> i & 1)
 
 
 def lattice(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND) -> SubmoduleLattice:

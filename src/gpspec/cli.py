@@ -109,7 +109,7 @@ def _load_model(path: str) -> tuple[Model, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(0, 0, f"cannot read {path}: {exc.strerror or exc}")
+        raise ParseError(None, None, f"cannot read {path}: {exc.strerror or exc}")
     return parse_model(text), Path(path).stem
 
 
@@ -201,7 +201,7 @@ def _enum_bound(args) -> int:
 
 def _named(model: Model, name: str):
     if name not in model.named_submodules:
-        raise ParseError(0, 0, f"no submodule named {name!r} in the model")
+        raise ParseError(None, None, f"no submodule named {name!r} in the model")
     return model.named_submodules[name]
 
 

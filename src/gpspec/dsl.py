@@ -39,14 +39,16 @@ from .spectra import Trilean
 
 
 class ParseError(Exception):
-    def __init__(self, line: int, column: int, message: str, token: str = ""):
+    """An input error, at a line and column of the model text when it has one."""
+
+    def __init__(self, line: int | None, column: int | None, message: str, token: str = ""):
         self.line = line
         self.column = column
         self.message = message
         self.token = token
-        where = f"line {line}, column {column}"
+        where = f"line {line}, column {column}: " if line else ""
         tok = f" near {token!r}" if token else ""
-        super().__init__(f"{where}: {message}{tok}")
+        super().__init__(f"{where}{message}{tok}")
 
 
 class Model(Value):

@@ -257,6 +257,32 @@ def test_unknown_submodule_is_input_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pspec", "models/nope.gps"], "cannot read models/nope.gps: No such file or directory"),
+    (["radical", "models/z6.gps", "--submodule", "Q"], "no submodule named 'Q' in the model"),
+])
+def test_input_errors_without_a_position_print_none(monkeypatch, argv, message):
+    monkeypatch.chdir(MODELS.parent)
+    assert gps(*argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("module", [
+    " x ".join(["Z2@0"] * 10),
+    " x ".join(["Z2@0"] * 5 + ["Z2@1"] * 5),
+], ids=["Z2^10", "Z2^5@0+Z2^5@1"])
+def test_too_many_submodules_are_refused_quickly(tmp_path, module):
+    # |M| = 1024 is inside the enumeration bound, but Z2^10 has 229,755,605
+    # subgroups and Z2^5 + Z2^5 in two degrees 374^2 = 139,876 graded
+    # submodules, past the submodule bound; each was answered slowly or not
+    # at all, and is now refused before the submodules are built
+    model = tmp_path / "big.gps"
+    model.write_text(f"group = Z2\nring = Z\nmodule = {module}\n")
+    proc = subprocess.run([sys.executable, "-m", "gpspec.cli", "spec", str(model)],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: graded submodules exceed submodule bound 20000\n"
+
+
 def test_byte_identical_repeated_runs():
     for argv in (
         ["pspec", str(MODELS / "z6.gps")],

@@ -6,6 +6,7 @@ checks that fail.  A check that stops failing under its fault no longer
 guards that quantity."""
 
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -246,25 +247,37 @@ def test_a_smith_transform_with_its_last_two_columns_swapped_fails_the_projectio
 # submodule and the last position is M, in every lattice.
 
 
+def corrupt_containment(monkeypatch, edit):
+    """Apply edit to the rows of every lattice's containment table `up`."""
+    real = SubmoduleLattice.up.func
+
+    def up(self):
+        table = list(real(self))
+        edit(table)
+        return tuple(table)
+
+    faulty = cached_property(up)
+    faulty.__set_name__(SubmoduleLattice, "up")
+    monkeypatch.setattr(SubmoduleLattice, "up", faulty)
+
+
 def test_zero_reported_to_contain_m_fails_the_law_checks(monkeypatch):
-    real = SubmoduleLattice.contains
+    # joins with M now land on 0, and L2.14 looks for a primary zero
+    # submodule above the kernel M
+    def edit(table):
+        table[-1] |= 1
 
-    def contains(self, i, j):
-        return (i, j) == (0, len(self.subs) - 1) or real(self, i, j)
-
-    monkeypatch.setattr(SubmoduleLattice, "contains", contains)
-    assert catalog_outcomes() == {("T2.1", "fail"), ("T2.4", "fail")}
+    corrupt_containment(monkeypatch, edit)
+    assert catalog_outcomes() == {("T2.1", "fail"), ("T2.4", "fail"), ("L2.14", "fail")}
 
 
 def test_m_reported_not_to_contain_zero_fails_the_containment_check(monkeypatch):
     # T2.1 reads containment off the element masks and holds the table to
     # them; T2.4 reads the table only where it says yes, so it misses this
-    real = SubmoduleLattice.contains
+    def edit(table):
+        table[0] &= ~(1 << len(table) - 1)
 
-    def contains(self, i, j):
-        return (i, j) != (len(self.subs) - 1, 0) and real(self, i, j)
-
-    monkeypatch.setattr(SubmoduleLattice, "contains", contains)
+    corrupt_containment(monkeypatch, edit)
     assert catalog_outcomes() == {("T2.1", "fail")}
 
 

@@ -4,11 +4,11 @@ For each model the calls cover parse, spec, pspec and max, radical and
 variety of every named submodule (a model that names none asks for `N`,
 which exits 2), variety with and without --star on both spaces, topology
 and rho on both spaces, and check, each in text and JSON, plus topology
-in DOT, and the refusals of bounds below 1 and of integers past the
-interpreter's digit limit.  A call may start with NAME=value settings of
-the environment, as in a shell.  Each call is replayed in-process and must
-give the recorded exit code and the recorded sha256 of its stdout and of
-its stderr.
+in DOT, the refusals of bounds below 1 and of integers past the
+interpreter's digit limit, and a missing model file and submodule name.
+A call may start with NAME=value settings of the environment, as in a
+shell.  Each call is replayed in-process and must give the recorded exit
+code and the recorded sha256 of its stdout and of its stderr.
 
 The references live in output_golden.json next to this file.  To record
 them again, after a change that is meant to alter the output, run
@@ -60,6 +60,8 @@ def calls() -> list[list[str]]:
     ]
     out.append(["check", "models/z6.gps", "--theorem", "T2.1", "--theorem", "P4.1"])
     out.append(["check", "models/z6.gps", "--theorem", "T9.9"])
+    out.append(["pspec", "models/nope.gps"])
+    out.append(["radical", "models/z6.gps", "--submodule", "Q"])
     return out
 
 

@@ -1,9 +1,9 @@
 """Property-based checks of the colon, the prime and primary predicates, the
 graded radical, primary-spectrum membership and the multiplication and
 cancellation tests against the brute-force oracles, on generated finite
-modules, of the theorem catalog and its star-variety table on generated
-models, of the model parser on generated models and mutated corpus text,
-and of `gps` on generated enumeration bounds.
+modules, of the theorem catalog, its star-variety table and the submodule
+lattice on generated models, of the model parser on generated models and
+mutated corpus text, and of `gps` on generated enumeration bounds.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -422,6 +422,26 @@ def test_star_masks_equal_the_hnf_star_varieties_on_generated_models(model):
     for mask in ctx.subset_masks(ctx.pspec):
         Y = ctx.pspec.point_set(mask)
         assert radical_core(Y) == oracles.hnf_radical_core(Y), (model.module.text(), mask)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(catalog_models())
+@example(zero_module_model(6))
+def test_lattice_table_agrees_with_the_submodule_operations(model):
+    # the one order of the enumeration and the one containment table, held
+    # to GradedSubmodule's own contains, plus and intersect on every pair
+    M = model.module
+    assume(M.is_finite)
+    subs, lat = enumerate_submodules(M), algebra.lattice(M)
+    keys = [(N.size(), N.blocks) for N in subs]
+    assert all(a < b for a, b in zip(keys, keys[1:])), M.text()
+    assert len(lat.index) == len(subs)
+    assert all(lat.index[mask] == i for i, mask in enumerate(lat.masks)), M.text()
+    for i, A in enumerate(subs):
+        for j, B in enumerate(subs):
+            assert bool(lat.up[j] >> i & 1) == A.contains(B), (M.text(), A, B)
+            assert subs[lat.join(i, j)] == A.plus(B), (M.text(), A, B)
+            assert subs[lat.meet(i, j)] == A.intersect(B), (M.text(), A, B)
 
 
 # -- the model parser -----------------------------------------------------------

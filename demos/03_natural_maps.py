@@ -37,7 +37,7 @@ print("annihilator of", M.text(), "is", M.zero_submodule.colon().text())
 print("reduced ring:", reduced_ring(M).ring.text())
 print()
 
-# Pointwise images work even when the ring spectrum is infinite (lazy mode):
+# Pointwise images work even when the ring spectrum is infinite:
 MZ = GradedModule(Z, Z2, [(0, (0,))])
 print("image of 4Z under the natural map:", primary_point_image(MZ.submodule([(4,)])).text())
 print()

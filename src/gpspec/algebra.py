@@ -47,11 +47,6 @@ class UnknownCheckError(AlgebraError):
     """A check id that is not in the catalog."""
 
 
-class LazyRingError(AlgebraError):
-    """Raised when an analysis needs the reduced ring spectrum materialized
-    but the annihilator is zero over Z."""
-
-
 def per_module(fn):
     """Memoise fn(x, *args) in the memo of x's module, x being a
     GradedModule, a GradedSubmodule or a module space; equal calls share one

@@ -21,7 +21,6 @@ from .algebra import (
     EnumerationBoundError,
     InfiniteEnumerationError,
     InvariantError,
-    LazyRingError,
 )
 from .dsl import (
     Model,
@@ -178,8 +177,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         stdout.write(to_json_text(out) if json_out else out)
         return code
 
-    except (UnknownResultError, InfiniteEnumerationError, EnumerationBoundError,
-            LazyRingError) as exc:
+    except (UnknownResultError, InfiniteEnumerationError, EnumerationBoundError) as exc:
         print(f"error: {exc}", file=stderr)
         return EXIT_UNKNOWN
     except InvariantError as exc:

@@ -3,9 +3,7 @@ spectra into its prime spectrum, fibers over ring primes, and maps of
 primary spectra induced by graded epimorphisms.
 
 Both base rings are principal, so the reduced ring is presented concretely
-as Z/m via the annihilator generator.  When the annihilator is zero over Z
-the ring spectrum is not materialized and only pointwise images are
-available (lazy mode).
+as Z/m via the annihilator generator m (Z itself when m = 0).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from .algebra import (
     GradedSubmodule,
     Ideal,
     InvariantError,
-    LazyRingError,
     ModuleMismatchError,
     Value,
     _presentation,
@@ -27,7 +24,7 @@ from .algebra import (
     ideal_times_module,
     per_module,
 )
-from .spectra import Trilean, graded_radical
+from .spectra import Trilean, UnknownResultError, graded_radical
 from .topology import (
     PSPEC,
     SPEC,
@@ -44,18 +41,12 @@ class ReducedRing(Value):
 
     __slots__ = ("source", "ann", "ring")
 
-    @property
-    def is_lazy(self) -> bool:
-        return not self.ring.is_finite
-
     def reduce_ideal(self, I: Ideal) -> Ideal:
         """Image of an ideal of R containing Ann(M)."""
         if I.ring != self.source:
             raise AlgebraError("ideal belongs to a different ring")
         if not I.contains(self.ann):
             raise AlgebraError("ideal does not contain the annihilator")
-        if self.is_lazy:
-            return I
         return self.ring.ideal(I.gen)
 
     def ideals(self) -> list[Ideal]:
@@ -66,10 +57,8 @@ class ReducedRing(Value):
 def reduced_ring(M: GradedModule) -> ReducedRing:
     ann = annihilator(M)
     if ann.is_unit:
-        raise AlgebraError("the zero module has the zero ring as reduction")
-    if ann.is_zero and not M.ring.is_finite:
-        return ReducedRing(M.ring, ann, M.ring)
-    # over Z/n the annihilator generator a gives Z/a; over Z likewise
+        raise UnknownResultError("the zero module has the zero ring as reduction")
+    # the annihilator generator a gives Z/a, which is Z when a = 0
     return ReducedRing(M.ring, ann, BaseRing(ann.gen))
 
 
@@ -157,8 +146,6 @@ def analyze_natural_map(
 @per_module
 def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     rr = reduced_ring(M)
-    if rr.is_lazy:
-        raise LazyRingError("the reduced ring spectrum of Z is not materialized")
     kind = "rho" if source == "primary" else "phi"
     space = build_space(M, PSPEC if source == "primary" else SPEC, bound)
     ring_space = reduced_ring_space(M)

@@ -169,8 +169,6 @@ def base_scalars(n: int) -> list[int]:
 def build_ring_space(ring: BaseRing) -> FiniteSpace:
     """Materialize the prime spectrum of a finite ring Z/m with the V(I)
     closed family and the basic opens D_r."""
-    if not ring.is_finite:
-        raise AlgebraError("ring spectrum of Z is infinite; lazy mode only")
     points = ring.prime_ideals()
     space = FiniteSpace(RINGSPEC, points, ring=ring)
     _fill_families(

@@ -191,8 +191,24 @@ def test_exit_code_on_unknown_theorem():
 
 
 def test_exit_code_on_infinite_enumeration():
-    code, _, err = gps("pspec", str(MODELS / "zxz.gps"))
-    assert code == 3 and "infinite" in err
+    # rho meets the same enumeration gate as pspec, topology and variety
+    for stem, module in (("z", "Z@0"), ("zxz", "Z@0 x Z@1")):
+        for argv in (["rho"], ["rho", "--space", "spec"], ["topology"], ["pspec"],
+                     ["variety", "--submodule", "N"]):
+            code, out, err = gps(argv[0], str(MODELS / f"{stem}.gps"), *argv[1:])
+            assert (code, out, err) == (3, "", f"error: module {module} is infinite\n"), argv
+
+
+@pytest.mark.parametrize("space", ["pspec", "spec"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rho_of_the_zero_module_is_refused(tmp_path, space, fmt):
+    # R/Ann(0) is the zero ring, which has no prime spectrum to map into;
+    # the model itself is valid input
+    model = tmp_path / "zero.gps"
+    model.write_text("group = Z2\nring = Z\nmodule = 0\n")
+    assert gps("parse", str(model))[0] == 0
+    code, out, err = gps("rho", str(model), "--space", space, "--format", fmt)
+    assert (code, out, err) == (3, "", "error: the zero module has the zero ring as reduction\n")
 
 
 def test_exit_code_on_enum_bound():

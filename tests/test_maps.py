@@ -9,6 +9,7 @@ from gpspec.algebra import (
     BaseRing,
     GradedModule,
     GradingGroup,
+    InfiniteEnumerationError,
     ModuleMismatchError,
     QuotientMap,
     enumerate_submodules,
@@ -16,7 +17,6 @@ from gpspec.algebra import (
 )
 from gpspec.maps import (
     InducedSpectrumMap,
-    LazyRingError,
     PermutationMap,
     analyze_natural_map,
     identity_map,
@@ -47,7 +47,7 @@ def test_reduced_ring_presentations():
     rr2 = reduced_ring(GradedModule(Z, Z2G, [(4, (0,)), (6, (1,))]))
     assert rr2.ring == BaseRing(12)
     rr3 = reduced_ring(GradedModule(Z, Z2G, [(0, (0,))]))
-    assert rr3.is_lazy and rr3.ring == Z
+    assert rr3.ring == Z
 
 
 def test_reduced_ring_ideal_correspondence():
@@ -75,7 +75,7 @@ def test_point_images():
     assert primary_point_image(M6.submodule([(3,)])).gen == 3
     M8 = zmod(8)
     assert primary_point_image(M8.submodule([(4,)])).gen == 2
-    # lazy mode over Z still answers pointwise
+    # over Z, with Spec Z never built, images still come pointwise
     MZ = GradedModule(Z, Z2G, [(0, (0,))])
     assert primary_point_image(MZ.submodule([(4,)])) == Z.ideal(2)
 
@@ -104,8 +104,8 @@ def test_analyze_rho_z8():
     assert res.homeomorphism.is_false
 
 
-def test_analyze_lazy_mode_errors():
-    with pytest.raises(LazyRingError):
+def test_analyze_on_an_infinite_module_refuses_the_enumeration():
+    with pytest.raises(InfiniteEnumerationError, match="module Z@0 is infinite"):
         analyze_natural_map(GradedModule(Z, Z2G, [(0, (0,))]))
 
 

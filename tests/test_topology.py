@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gpspec.algebra import (
@@ -7,6 +9,7 @@ from gpspec.algebra import (
     enumerate_submodules,
     ideal_times_module,
 )
+from gpspec.dsl import parse_model
 from gpspec.harness import is_quasi_compact
 from gpspec.spectra import graded_radical
 from gpspec.topology import (
@@ -30,6 +33,8 @@ from gpspec.topology import (
 
 Z = BaseRing(0)
 Z2G = GradingGroup((2,))
+FINITE_MODELS = {p.stem: M for p in sorted((Path(__file__).parent.parent / "models").glob("*.gps"))
+                 if (M := parse_model(p.read_text()).module).is_finite}
 
 
 def zmod(n):
@@ -96,6 +101,21 @@ def test_pointwise_star_variety_on_infinite_module():
     assert variety_membership(inter, P, star=True)
     assert not variety_membership(N, P, star=True)
     assert not variety_membership(N2, P, star=True)
+
+
+@pytest.mark.parametrize("stem", FINITE_MODELS)
+def test_pointwise_variety_membership_equals_the_built_varieties(stem):
+    # the pointwise route, on both its branches, against the varieties of the
+    # materialized spaces: every submodule N, every point Q of both spectra
+    M = FINITE_MODELS[stem]
+    for kind in (PSPEC, SPEC):
+        sp = build_space(M, kind)
+        for N in enumerate_submodules(M):
+            for star in (False, True):
+                mask = variety(sp, N, star=star).mask
+                for i, Q in enumerate(sp.points):
+                    assert variety_membership(N, Q, star=star) == bool(mask >> i & 1), (
+                        M.text(), kind, N.text(), Q.text(), star)
 
 
 def test_ring_space_examples():

@@ -18,18 +18,18 @@ def tour(n):
     print(f"=== primary spectrum of {M.text()} ===")
     for i, Q in enumerate(sp.points):
         print(f"  point [{i}] {Q.text()}")
-    print("  closed sets:", [sp.point_set(m).indices() for m in sp.closed_masks])
-    print("  base:", {f"S_{r}": sp.point_set(m).indices() for r, m in sp.base})
+    print("  closed sets:", [sp.indices(m) for m in sp.closed_masks])
+    print("  base:", {f"S_{r}": sp.indices(m) for r, m in sp.base})
 
     # varieties of the named building blocks
     for d in (0, 2, 3):
         N = M.submodule([(d,)]) if d else M.zero_submodule
-        print(f"  variety of {N.text():4} ->", variety(sp, N).indices())
+        print(f"  variety of {N.text():4} ->", sp.indices(variety(sp, N)))
 
     # closure of a single point: the intersection of the closed sets that
     # contain it (check P4.1 compares it with the variety of the radical)
-    print("  closure of point 0:", closure(sp.singleton(0)).indices())
-    print("  radical core of the whole space:", radical_core(sp.full).text())
+    print("  closure of point 0:", sp.indices(closure(sp, 1 << 0)))
+    print("  radical core of the whole space:", radical_core(sp, sp.full_mask).text())
 
     rep = analyze_space(sp)
     print(
@@ -38,7 +38,8 @@ def tour(n):
         f"t0={rep.t0} sober={rep.sober} spectral={rep.spectral} "
         f"trivial={rep.trivial_topology}",
     )
-    print("  S_5 =", basic_open(sp, 5).indices(), " S_%d =" % (n // 2), basic_open(sp, n // 2).indices())
+    print("  S_5 =", sp.indices(basic_open(sp, 5)),
+          " S_%d =" % (n // 2), sp.indices(basic_open(sp, n // 2)))
     print()
     return sp
 

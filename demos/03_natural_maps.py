@@ -26,7 +26,7 @@ for n in (6, 8, 30):
     print("  injective:", res.injective.label, " surjective:", res.surjective.label)
     print("  homeomorphism:", res.homeomorphism.label)
     for p, mask in res.fibers:
-        members = [q.text() for q in res.space.point_set(mask).members()]
+        members = [q.text() for q in res.space.members(mask)]
         print(f"  fiber over {p.text()}: {members}")
     print()
 

@@ -51,7 +51,6 @@ _EXPORTS = {
     ),
     "topology": (
         "FiniteSpace",
-        "PointSet",
         "TopologyReport",
         "analyze_space",
         "basic_open",

@@ -147,12 +147,13 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
         elif args.command == "variety":
             N = _named(model, args.submodule)
-            space = topology.build_space(model.module, args.space, bound)
-            pts = topology.variety(space, N, star=args.star)
-            out = variety_json(pts, args.star) if json_out else submodules_text(pts.members())
+            space = topology.build_space(model.module, SPECTRA[args.space], bound)
+            mask = topology.variety(space, N, star=args.star)
+            out = (variety_json(space, mask, args.star) if json_out
+                   else submodules_text(space.members(mask)))
 
         elif args.command == "topology":
-            space = topology.build_space(model.module, args.space, bound)
+            space = topology.build_space(model.module, SPECTRA[args.space], bound)
             rep = topology.analyze_space(space)
             if json_out:
                 out = report_json(space, rep)
@@ -160,9 +161,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
                 out = space_dot(space) if args.format == "dot" else topology_text(space, rep)
 
         elif args.command == "rho":
-            res = maps.analyze_natural_map(
-                model.module, "primary" if args.space == "pspec" else "prime", bound
-            )
+            res = maps.analyze_natural_map(model.module, SPECTRA[args.space], bound)
             out = map_json(res) if json_out else map_text(res)
 
         else:  # check

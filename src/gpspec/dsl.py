@@ -14,9 +14,10 @@ vector arities need the earlier declarations:
 Every byte `gps` prints is built here: the canonical text of a model
 (parsing it gives the model back), the text and deterministic JSON (schema
 1) of each result, and DOT for the specialization preorder of a finite
-space.  Only the DOT renderer runs code of `topology`; the others read the
-results they are given, so a light command loads neither `topology` nor
-`maps`.
+space.  Only the DOT renderer calls a function of `topology`; the others
+read the results they are given and list a mask's points through
+`FiniteSpace.indices` or `FiniteSpace.members`, so a light command loads
+neither `topology` nor `maps`.
 """
 
 from __future__ import annotations
@@ -367,13 +368,13 @@ def radical_json(rad: GradedSubmodule) -> dict:
     return {"schema": 1, "kind": "radical", "top": False, **_point_json(rad)}
 
 
-def variety_json(pts: topology.PointSet, star: bool) -> dict:
+def variety_json(space: topology.FiniteSpace, mask: int, star: bool) -> dict:
     return {
         "schema": 1,
         "kind": "variety",
         "star": star,
-        "members": pts.indices(),
-        "points": [p.text() for p in pts.space.points],
+        "members": space.indices(mask),
+        "points": [p.text() for p in space.points],
     }
 
 
@@ -393,9 +394,9 @@ def report_json(space: topology.FiniteSpace, rep: topology.TopologyReport) -> di
             "trivial_topology": rep.trivial_topology,
             "empty": rep.is_empty,
         },
-        "components": [space.point_set(m).indices() for m in rep.components],
+        "components": [space.indices(m) for m in rep.components],
         "generic_points": [
-            {"closed": space.point_set(m).indices(), "generic": list(pts)}
+            {"closed": space.indices(m), "generic": list(pts)}
             for m, pts in rep.generic_points
         ],
     }
@@ -416,7 +417,7 @@ def map_json(res: maps.MapAnalysis) -> dict:
         "image_identities": res.image_identities_ok,
         "homeomorphism": _trilean_json(res.homeomorphism),
         "fibers": {
-            str(p.gen): res.space.point_set(mask).indices() for p, mask in res.fibers
+            str(p.gen): res.space.indices(mask) for p, mask in res.fibers
         },
     }
 
@@ -452,7 +453,7 @@ def submodules_text(subs) -> str:
 
 def topology_text(space: topology.FiniteSpace, rep: topology.TopologyReport) -> str:
     def members(mask: int) -> str:
-        return "{" + ", ".join(map(str, space.point_set(mask).indices())) + "}"
+        return "{" + ", ".join(map(str, space.indices(mask))) + "}"
 
     lines = [f"points ({len(space.points)}):"]
     lines += [f"  [{i}] {p.text()}" for i, p in enumerate(space.points)]
@@ -484,7 +485,7 @@ def map_text(res: maps.MapAnalysis) -> str:
         "fibers:",
     ]
     for p, mask in res.fibers:
-        members = ", ".join(q.text() for q in res.space.point_set(mask).members())
+        members = ", ".join(q.text() for q in res.space.members(mask))
         lines.append(f"  {p.text()}: {{{members}}}")
     return "\n".join(lines) + "\n"
 

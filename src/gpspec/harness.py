@@ -62,7 +62,6 @@ from .spectra import (
 from .topology import (
     PSPEC,
     SPEC,
-    PointSet,
     analyze_space,
     base_scalars,
     basic_open,
@@ -153,7 +152,7 @@ class Context:
 
     @cached_property
     def rho(self) -> MapAnalysis:
-        return analyze_natural_map(self.module, "primary", self.bound)
+        return analyze_natural_map(self.module, PSPEC, self.bound)
 
     @cached_property
     def reduced(self):
@@ -165,12 +164,12 @@ class Context:
 
     @cached_property
     def phi(self) -> MapAnalysis:
-        return analyze_natural_map(self.module, "prime", self.bound)
+        return analyze_natural_map(self.module, SPEC, self.bound)
 
     @cached_property
     def nu_masks(self) -> list[int]:
         """Variety masks on the primary spectrum, aligned with `subs`."""
-        return [variety(self.pspec, N).mask for N in self.subs]
+        return [variety(self.pspec, N) for N in self.subs]
 
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
@@ -294,7 +293,7 @@ def _union_closed(fam: dict, what: str) -> int:
 
 def _separates_points(sp) -> bool:
     """Whether distinct points of the space have distinct point varieties."""
-    masks = [variety(sp, Q).mask for Q in sp.points]
+    masks = [variety(sp, Q) for Q in sp.points]
     return len(set(masks)) == len(masks)
 
 
@@ -377,13 +376,13 @@ def check_P2_3(ctx: Context):
         for i, N in enumerate(ctx.subs):
             IN = N.scaled(I)
             lhs = star[i] | star[IM]
-            rhs = variety(sp, IN, star=True).mask
+            rhs = variety(sp, IN, star=True)
             if lhs != rhs:
                 _fail("scaled-variety union law fails", (I, N))
             count += 1
         for J in ctx.ring_ideal_reps:
             lhs = star[IM] | star[pos[ideal_times_module(J, M)]]
-            rhs = variety(sp, ideal_times_module(I.product(J), M), star=True).mask
+            rhs = variety(sp, ideal_times_module(I.product(J), M), star=True)
             if lhs != rhs:
                 _fail("product law for scaled varieties fails", (I, J))
             count += 1
@@ -431,7 +430,7 @@ def check_P2_5(ctx: Context):
         if r.status != "submodule":
             continue
         identity_holds = (
-            ctx.nu_masks[ctx.lattice.position[N]] == variety(ctx.pspec, r.submodule).mask
+            ctx.nu_masks[ctx.lattice.position[N]] == variety(ctx.pspec, r.submodule)
         )
         hyp = (N in primary_points) or mult.is_true
         if hyp:
@@ -455,9 +454,9 @@ def check_L2_6(ctx: Context):
     subs = ctx.subs
     count = 0
     for N, nu_mask, star_mask in zip(subs, nu, star):
-        if variety(ss, N).mask != preimage_mask(inclusion, nu_mask):
+        if variety(ss, N) != preimage_mask(inclusion, nu_mask):
             _fail("prime-side variety is not the restriction", N)
-        if variety(ss, N, star=True).mask != preimage_mask(inclusion, star_mask):
+        if variety(ss, N, star=True) != preimage_mask(inclusion, star_mask):
             _fail("prime-side star variety is not the restriction", N)
         cm = pos[ideal_times_module(N.colon(), M)]
         gm = pos[ideal_times_module(N.colon_radical(), M)]
@@ -699,9 +698,9 @@ def check_P3_2(ctx: Context):
     # and (rt) only through (r) and (t).  So every residue is decided by the
     # least residue of its ideal, and the ascending scalar_reps reach the
     # first failing residue first; the count is every residue and pair.
-    opens: dict[int, PointSet] = {}
+    opens: dict[int, int] = {}
 
-    def open_of(r: int) -> PointSet:
+    def open_of(r: int) -> int:
         gen = ring.ideal(r).gen
         if gen not in opens:
             opens[gen] = basic_open(sp, r)
@@ -711,22 +710,22 @@ def check_P3_2(ctx: Context):
         s_r = open_of(r)
         # (1) the preimage of the reduced basic open is the module basic open
         d_r = ring_basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
-        if preimage_mask(mapping, d_r.mask) != s_r.mask:
+        if preimage_mask(mapping, d_r) != s_r:
             _fail("preimage of the reduced basic open differs", r)
         # (2) image inside the reduced basic open, equal when surjective
-        img_mask = image_mask(mapping, s_r.mask)
-        if img_mask & ~d_r.mask:
+        img_mask = image_mask(mapping, s_r)
+        if img_mask & ~d_r:
             _fail("image escapes the reduced basic open", r)
-        if ctx.rho.surjective.is_true and img_mask != d_r.mask:
+        if ctx.rho.surjective.is_true and img_mask != d_r:
             _fail("image equality fails despite surjectivity", r)
         # (4)(5) nilpotents and units
-        if ring.is_nilpotent(r) and not s_r.is_empty:
+        if ring.is_nilpotent(r) and s_r != 0:
             _fail("nilpotent scalar gave a nonempty basic open", r)
-        if ring.is_unit(r) and not s_r.is_full:
+        if ring.is_unit(r) and s_r != sp.full_mask:
             _fail("unit scalar did not give the full space", r)
     for r in ctx.scalar_reps:
         for t in ctx.scalar_reps:
-            if open_of(r).intersect(open_of(t)).mask != open_of(r * t).mask:
+            if open_of(r) & open_of(t) != open_of(r * t):
                 _fail("multiplicativity of basic opens fails", (r, t))
     n = ring.modulus or len(ctx.scalar_reps)
     count = 4 * n + n * n
@@ -749,10 +748,10 @@ def check_E3_3(ctx: Context):
         if len(sp.points) != 3:
             _fail("the primary spectrum should have three points")
         for r in (1, 3, 5, 7):
-            if not basic_open(sp, r).is_full:
+            if basic_open(sp, r) != sp.full_mask:
                 _fail("unit scalar basic open is not full", r)
         for r in (0, 2, 4, 6):
-            if not basic_open(sp, r).is_empty:
+            if basic_open(sp, r) != 0:
                 _fail("nilpotent scalar basic open is not empty", r)
         if not analyze_space(sp).trivial_topology:
             _fail("topology is not trivial")
@@ -816,8 +815,7 @@ def check_P4_1(ctx: Context):
     sp = ctx.pspec
     count = 0
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
-        Y = sp.point_set(mask)
-        if ctx.nu_masks[ctx.lattice.position[radical_core(Y)]] != closure(Y).mask:
+        if ctx.nu_masks[ctx.lattice.position[radical_core(sp, mask)]] != closure(sp, mask):
             _fail("closure routes disagree", mask)
         count += 1
     return count, f"{count} subsets"
@@ -827,7 +825,7 @@ def check_T4_2(ctx: Context):
     sp = ctx.pspec
     count = 0
     for Q in sp.points:
-        if not is_irreducible_subset(sp, variety(sp, Q).mask):
+        if not is_irreducible_subset(sp, variety(sp, Q)):
             _fail("a point variety is not irreducible", Q)
         count += 1
     if ctx.module.zero_submodule in set(sp.points):
@@ -844,7 +842,7 @@ def check_L4_3(ctx: Context):
         if mask == 0:
             continue  # nonempty subsets only, by the stated convention
         irr = is_irreducible_subset(rs, mask)
-        meet_prime = ideal_core(rs.point_set(mask)).is_prime
+        meet_prime = ideal_core(rs, mask).is_prime
         if irr != meet_prime:
             _fail("irreducibility and primeness of the meet disagree", mask)
         count += 1
@@ -857,15 +855,14 @@ def check_T4_4(ctx: Context):
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
         if mask == 0:
             continue
-        Y = sp.point_set(mask)
-        eta = radical_core(Y)
+        eta = radical_core(sp, mask)
         irreducible = is_irreducible_subset(sp, mask)
         if eta.is_proper and is_graded_primary(eta):
             if not irreducible:
                 _fail("primary radical core but reducible subset", mask)
             count += 1
         if irreducible:
-            meet = reduce(Ideal.intersect, [sp.radicals[i].colon() for i in Y.indices()])
+            meet = reduce(Ideal.intersect, [sp.radicals[i].colon() for i in sp.indices(mask)])
             if meet != eta.colon():
                 _fail("colon of the core differs from the meet of colons", mask)
             if not eta.colon().is_prime:
@@ -876,7 +873,7 @@ def check_T4_4(ctx: Context):
 
 def check_T4_5(ctx: Context):
     sp = ctx.pspec
-    point_varieties = {variety(sp, Q).mask for Q in sp.points}
+    point_varieties = {variety(sp, Q) for Q in sp.points}
     closures = specialization_closures(sp)
     count = 0
     for c in sp.closed_masks:
@@ -906,7 +903,7 @@ def check_T4_6(ctx: Context):
     count = 0
     for i, Q in enumerate(sp.points):
         is_min = ctx.rho.images[i] in minimal
-        is_comp = variety(sp, Q).mask in components
+        is_comp = variety(sp, Q) in components
         if is_min and not is_comp:
             _fail("minimal image but the variety is not a component", Q)
         if ctx.rho.surjective.is_true and is_comp and not is_min:
@@ -921,24 +918,24 @@ def check_C4_7(ctx: Context):
     minimal = set(_minimal_primes(rs))
     K = [i for i in range(len(sp.points)) if ctx.rho.images[i] in minimal]
     comp = set(analyze_space(sp).components)
-    varieties = {variety(sp, sp.points[i]).mask for i in K}
+    varieties = {variety(sp, sp.points[i]) for i in K}
     if varieties != comp:
         _fail("component family differs from the minimal-fiber varieties")
     union = 0
     for i in K:
-        union |= variety(sp, sp.points[i]).mask
+        union |= variety(sp, sp.points[i])
     if union != sp.full_mask:
         _fail("point varieties over minimal primes do not cover")
     ring_union = 0
     rr = ctx.reduced
     for i in K:
-        ring_union |= ring_variety(rs, rr.reduce_ideal(sp.points[i].colon())).mask
+        ring_union |= ring_variety(rs, rr.reduce_ideal(sp.points[i].colon()))
     if ring_union != rs.full_mask:
         _fail("reduced ring spectrum is not covered by the colon varieties")
     ss = ctx.spec
     spec_union = 0
     for i in K:
-        spec_union |= variety(ss, sp.points[i]).mask
+        spec_union |= variety(ss, sp.points[i])
     if spec_union != ss.full_mask:
         _fail("prime spectrum is not covered")
     count = 4
@@ -955,11 +952,10 @@ def check_P4_8(ctx: Context):
     for mask in ctx.subset_masks(sp) + ctx.named_subset_masks(sp):
         if mask == 0:
             continue
-        Y = sp.point_set(mask)
-        eta = radical_core(Y)
+        eta = radical_core(sp, mask)
         if eta.is_zero or not eta.is_proper or not is_graded_primary(eta):
             continue
-        fibers = {sp.radicals[i].colon() for i in Y.indices()}
+        fibers = {sp.radicals[i].colon() for i in sp.indices(mask)}
         if len(fibers) != 1:
             _fail("subset spreads over several fibers", mask)
         p = next(iter(fibers))
@@ -1027,9 +1023,9 @@ def check_EX4_2Z6(ctx: Context):
     if sorted(sets, key=sorted) != sorted(want, key=sorted):
         _fail("primary spectrum points differ from the worked values")
     n3, n2 = M.submodule([(3,)]), M.submodule([(2,)])
-    if variety(sp, n3).members() != [n3] or variety(sp, n2).members() != [n2]:
+    if sp.members(variety(sp, n3)) != [n3] or sp.members(variety(sp, n2)) != [n2]:
         _fail("the two varieties differ from the worked values")
-    if variety(sp, M.zero_submodule).mask != sp.full_mask:
+    if variety(sp, M.zero_submodule) != sp.full_mask:
         _fail("the variety of zero is not the whole space")
     if is_irreducible_subset(sp, sp.full_mask):
         _fail("the space should not be irreducible")

@@ -27,7 +27,6 @@ from .algebra import (
 from .spectra import Trilean, UnknownResultError, graded_radical
 from .topology import (
     PSPEC,
-    SPEC,
     FiniteSpace,
     build_ring_space,
     build_space,
@@ -132,7 +131,7 @@ def _closed_map(X: FiniteSpace, Y: FiniteSpace, mapping) -> bool:
 
 
 def analyze_natural_map(
-    M: GradedModule, source: str = "primary", bound: int = DEFAULT_ENUM_BOUND
+    M: GradedModule, source: str = PSPEC, bound: int = DEFAULT_ENUM_BOUND
 ) -> MapAnalysis:
     """Analyze the natural map from the primary spectrum ("rho" side) or the
     prime spectrum ("phi" side) of a finite module to the reduced ring
@@ -146,8 +145,8 @@ def analyze_natural_map(
 @per_module
 def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     rr = reduced_ring(M)
-    kind = "rho" if source == "primary" else "phi"
-    space = build_space(M, PSPEC if source == "primary" else SPEC, bound)
+    kind = "rho" if source == PSPEC else "phi"
+    space = build_space(M, source, bound)
     ring_space = reduced_ring_space(M)
 
     images = tuple(primary_point_image(Q, bound) for Q in space.points)
@@ -159,8 +158,8 @@ def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     # per colon ideal I ⊇ Ann(M), the variety of I.M and the reduced closed
     # set of I; when surjective, the image identities say that the variety
     # and its complement map onto the closed set and its complement
-    pairs = [(variety(space, ideal_times_module(I, M)).mask,
-              ring_variety(ring_space, rr.reduce_ideal(I)).mask) for I in colon_ideals(M)]
+    pairs = [(variety(space, ideal_times_module(I, M)),
+              ring_variety(ring_space, rr.reduce_ideal(I))) for I in colon_ideals(M)]
     inj, surj, continuity_ok = _map_flags(space, ring_space, mapping, pairs)
     image_identities_ok = all(
         image_mask(mapping, closed) == want
@@ -263,8 +262,8 @@ class InducedSpectrumMap:
         pairs = []
         for I in colon_ideals(M):
             IM = ideal_times_module(I, M)
-            pairs.append((variety(sp2, ideal_times_module(IM.colon_radical(), M2)).mask,
-                          variety(sp, IM).mask))
+            pairs.append((variety(sp2, ideal_times_module(IM.colon_radical(), M2)),
+                          variety(sp, IM)))
         inj, surj, continuity_ok = _map_flags(sp2, sp, mapping, pairs)
         bijective = inj.is_true and surj.is_true
         homeo = (Trilean.yes() if bijective and continuity_ok and _closed_map(sp2, sp, mapping)

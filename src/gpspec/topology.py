@@ -19,7 +19,6 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Ideal,
-    InvariantError,
     SubmoduleLattice,
     Value,
     _lattice,
@@ -30,50 +29,9 @@ from .algebra import (
 )
 from .spectra import Trilean, graded_radical, is_multiplication, spectrum_points
 
-PSPEC = "pspec"
-SPEC = "spec"
+PSPEC = "primary"
+SPEC = "prime"
 RINGSPEC = "ringspec"
-
-
-class PointSet(Value):
-    """Subset of a space's canonical point list, as a bitmask."""
-
-    __slots__ = ("space", "mask")
-
-    def __init__(self, space: FiniteSpace, mask: int):
-        if not 0 <= mask <= space.full_mask:
-            raise InvariantError(f"mask {mask} is not a subset of the space")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
-    def union(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, self.mask | other.mask)
-
-    def intersect(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, self.mask & other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.space, self.mask ^ self.space.full_mask)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.mask == self.space.full_mask
-
-    def indices(self) -> list[int]:
-        return [i for i in range(len(self.space.points)) if self.mask >> i & 1]
-
-    def members(self) -> list:
-        return [self.space.points[i] for i in self.indices()]
-
-    def size(self) -> int:
-        return self.mask.bit_count()
 
 
 class FiniteSpace:
@@ -102,19 +60,13 @@ class FiniteSpace:
     def is_empty(self) -> bool:
         return not self.points
 
-    def point_set(self, mask: int) -> PointSet:
-        return PointSet(self, mask)
+    def indices(self, mask: int) -> list[int]:
+        """The indices of the points in a mask, ascending."""
+        return [i for i in range(len(self.points)) if mask >> i & 1]
 
-    @property
-    def full(self) -> PointSet:
-        return PointSet(self, self.full_mask)
-
-    @property
-    def empty(self) -> PointSet:
-        return PointSet(self, 0)
-
-    def singleton(self, index: int) -> PointSet:
-        return PointSet(self, 1 << index)
+    def members(self, mask: int) -> list:
+        """The points in a mask, in canonical order."""
+        return [self.points[i] for i in self.indices(mask)]
 
     def index_of(self, point) -> int:
         return self.position[point]
@@ -133,7 +85,7 @@ def build_space(
 def _build_space(M: GradedModule, kind: str, bound: int) -> FiniteSpace:
     if kind not in (PSPEC, SPEC):
         raise AlgebraError(f"unknown module space kind {kind!r}")
-    points = spectrum_points(M, "primary" if kind == PSPEC else "prime", bound)
+    points = spectrum_points(M, kind, bound)
     space = FiniteSpace(kind, points, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
     _fill_families(
@@ -149,12 +101,12 @@ def _fill_families(space: FiniteSpace, generators, closed_of, scalars, open_of) 
     first scalar giving each."""
     witnesses: dict[int, object] = {}
     for X in generators:
-        witnesses.setdefault(closed_of(space, X).mask, X)
+        witnesses.setdefault(closed_of(space, X), X)
     space.closed_masks = tuple(sorted(witnesses))
     space.witnesses = witnesses
     base: dict[int, int] = {}
     for r in scalars:
-        base.setdefault(open_of(space, r).mask, r)
+        base.setdefault(open_of(space, r), r)
     space.base = tuple((r, m) for m, r in base.items())
 
 
@@ -180,8 +132,8 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
 # -- varieties ---------------------------------------------------------------
 
 
-def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> PointSet:
-    """Closed set of points cut out by N.
+def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> int:
+    """Mask of the closed set of points cut out by N.
 
     On the primary spectrum: points whose graded radical contains N (star,
     read off the space's star table) or whose radical-colon contains (N : M)
@@ -193,7 +145,7 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> Point
     if N.module != space.module:
         raise AlgebraError("submodule lives in a different module")
     if star:
-        return PointSet(space, star_masks(space)[_lattice(space.module).position[N]])
+        return star_masks(space)[_lattice(space.module).position[N]]
     return _colon_variety(space, N.colon())
 
 
@@ -217,9 +169,8 @@ def star_masks(space: FiniteSpace) -> tuple[int, ...]:
 
 
 @per_module
-def _colon_variety(space: FiniteSpace, c: Ideal) -> PointSet:
-    return PointSet(space, sum(1 << i for i, R in enumerate(space.radicals)
-                               if R.colon().contains(c)))
+def _colon_variety(space: FiniteSpace, c: Ideal) -> int:
+    return sum(1 << i for i, R in enumerate(space.radicals) if R.colon().contains(c))
 
 
 def variety_membership(
@@ -233,52 +184,46 @@ def variety_membership(
     return R.colon().contains(N.colon())
 
 
-def basic_open(space: FiniteSpace, r: int) -> PointSet:
+def basic_open(space: FiniteSpace, r: int) -> int:
     """Complement of the variety of r.M; these sets form the base."""
     if space.kind == RINGSPEC:
         raise AlgebraError("use ring_basic_open on ring spectra")
     M = space.module
-    return variety(space, ideal_times_module(M.ring.ideal(r), M)).complement()
+    return variety(space, ideal_times_module(M.ring.ideal(r), M)) ^ space.full_mask
 
 
-def ring_variety(space: FiniteSpace, I: Ideal) -> PointSet:
+def ring_variety(space: FiniteSpace, I: Ideal) -> int:
     if space.kind != RINGSPEC:
         raise AlgebraError("ring_variety needs a ring spectrum")
-    mask = 0
-    for i, p in enumerate(space.points):
-        if p.contains(I):
-            mask |= 1 << i
-    return PointSet(space, mask)
+    return sum(1 << i for i, p in enumerate(space.points) if p.contains(I))
 
 
-def ring_basic_open(space: FiniteSpace, r: int) -> PointSet:
-    return ring_variety(space, space.ring.ideal(r)).complement()
+def ring_basic_open(space: FiniteSpace, r: int) -> int:
+    return ring_variety(space, space.ring.ideal(r)) ^ space.full_mask
 
 
 # -- eta / gamma / closure -----------------------------------------------------
 
 
-def radical_core(Y: PointSet) -> GradedSubmodule:
-    """Intersection of the graded radicals of the members: the AND of their
+def radical_core(space: FiniteSpace, Y: int) -> GradedSubmodule:
+    """Intersection of the graded radicals of the points in Y: the AND of their
     element masks in the lattice table; the whole module for the empty set."""
-    space = Y.space
     if space.kind == RINGSPEC:
         raise AlgebraError("radical_core applies to module spaces")
     lat, radicals = _radical_masks(space)
     core = lat.masks[-1]  # M, the last and largest submodule
     for i, R in enumerate(radicals):
-        if Y.mask >> i & 1:
+        if Y >> i & 1:
             core &= R
     return lat.subs[lat.index[core]]
 
 
-def ideal_core(Z: PointSet) -> Ideal:
+def ideal_core(space: FiniteSpace, Z: int) -> Ideal:
     """Intersection of the member ideals of a ring-spectrum subset; the unit
     ideal for the empty set."""
-    space = Z.space
     if space.kind != RINGSPEC:
         raise AlgebraError("ideal_core applies to ring spectra")
-    members = Z.members()
+    members = space.members(Z)
     if not members:
         return space.ring.unit_ideal
     gen = 1
@@ -287,16 +232,15 @@ def ideal_core(Z: PointSet) -> Ideal:
     return space.ring.ideal(gen)
 
 
-def closure(Y: PointSet) -> PointSet:
+def closure(space: FiniteSpace, Y: int) -> int:
     """Topological closure: the intersection of the closed sets containing Y
     (the family is closed under intersection, so this is closed).  On the
     primary spectrum it is the variety of the radical core; P4.1 checks that."""
-    space = Y.space
     acc = space.full_mask
     for m in space.closed_masks:
-        if Y.mask & ~m == 0:
+        if Y & ~m == 0:
             acc &= m
-    return PointSet(space, acc)
+    return acc
 
 
 # -- analysis ------------------------------------------------------------------
@@ -327,7 +271,7 @@ def is_irreducible_subset(space: FiniteSpace, mask: int) -> bool:
 def specialization_closures(space: FiniteSpace) -> list[int]:
     """Closure mask of each singleton; point j specializes point i (edge
     i -> j) when j lies in the closure of {i}."""
-    return [closure(space.singleton(i)).mask for i in range(len(space.points))]
+    return [closure(space, 1 << i) for i in range(len(space.points))]
 
 
 def analyze_space(space: FiniteSpace) -> TopologyReport:

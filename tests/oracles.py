@@ -626,21 +626,21 @@ def residue_P3_2(ctx):
     for r in scalars:
         s_r = open_of(r)
         d_r = topology.ring_basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
-        if maps.preimage_mask(mapping, d_r.mask) != s_r.mask:
+        if maps.preimage_mask(mapping, d_r) != s_r:
             _fail("preimage of the reduced basic open differs", r)
-        img_mask = maps.image_mask(mapping, s_r.mask)
-        if img_mask & ~d_r.mask:
+        img_mask = maps.image_mask(mapping, s_r)
+        if img_mask & ~d_r:
             _fail("image escapes the reduced basic open", r)
-        if ctx.rho.surjective.is_true and img_mask != d_r.mask:
+        if ctx.rho.surjective.is_true and img_mask != d_r:
             _fail("image equality fails despite surjectivity", r)
-        if ring.is_nilpotent(r) and not s_r.is_empty:
+        if ring.is_nilpotent(r) and s_r != 0:
             _fail("nilpotent scalar gave a nonempty basic open", r)
-        if ring.is_unit(r) and not s_r.is_full:
+        if ring.is_unit(r) and s_r != sp.full_mask:
             _fail("unit scalar did not give the full space", r)
         count += 4
     for r in scalars:
         for t in scalars:
-            if open_of(r).intersect(open_of(t)).mask != open_of(r * t).mask:
+            if open_of(r) & open_of(t) != open_of(r * t):
                 _fail("multiplicativity of basic opens fails", (r, t))
             count += 1
     return count, f"{count} instantiations"
@@ -728,11 +728,11 @@ def hnf_star_mask(space, N: GradedSubmodule) -> int:
     return sum(1 << i for i, R in enumerate(space.radicals) if R.contains(N))
 
 
-def hnf_radical_core(Y) -> GradedSubmodule:
-    """The radical core of a point set as a fold of HNF intersections of
-    the members' graded radicals, starting from M."""
-    radicals = [Y.space.radicals[i] for i in Y.indices()]
-    return reduce(GradedSubmodule.intersect, radicals, Y.space.module.full_submodule)
+def hnf_radical_core(space, Y: int) -> GradedSubmodule:
+    """The radical core of a point set, a mask of a module space, as a fold
+    of HNF intersections of the members' graded radicals, starting from M."""
+    radicals = [space.radicals[i] for i in space.indices(Y)]
+    return reduce(GradedSubmodule.intersect, radicals, space.module.full_submodule)
 
 
 def divisor_order_condition(N: GradedSubmodule, target: Ideal) -> bool:

@@ -498,9 +498,9 @@ def test_one_memo_entry_per_call_however_spelled():
     # call shares one space and one analysis, and their varieties agree
     M = GradedModule(Z, Z2G, [(4, (0,)), (8, (1,))])
     sp = build_space(M)
-    assert build_space(M, "pspec", 20000) is sp
-    assert build_space(M, "pspec", bound=20000) is sp
-    assert analyze_natural_map(M) is analyze_natural_map(M, "primary", 20000)
+    assert build_space(M, PSPEC, 20000) is sp
+    assert build_space(M, PSPEC, bound=20000) is sp
+    assert analyze_natural_map(M) is analyze_natural_map(M, PSPEC, 20000)
     assert analyze_natural_map(M).space is sp
     for N in enumerate_submodules(M):
         assert variety(build_space(M), N) == variety(analyze_natural_map(M).space, N)
@@ -949,8 +949,7 @@ def test_values_are_immutable():
     from gpspec.harness import CATALOG
     from gpspec.spectra import Trilean
 
-    space = build_space(zmod_module(6), PSPEC)
-    values = (Z, Z2G, Z.ideal(2), Trilean.yes(), space.full, CATALOG[0],
+    values = (Z, Z2G, Z.ideal(2), Trilean.yes(), CATALOG[0],
               analyze_natural_map(zmod_module(6)))
     for value in values:
         field = type(value).__slots__[0]

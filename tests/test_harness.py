@@ -229,8 +229,8 @@ def test_star_masks_equal_the_hnf_star_varieties_on_models():
                 oracles.hnf_star_mask(sp, N) for N in ctx.subs
             ), (path.stem, sp.kind)
         for mask in ctx.subset_masks(ctx.pspec):
-            Y = ctx.pspec.point_set(mask)
-            assert topology.radical_core(Y) == oracles.hnf_radical_core(Y), (path.stem, mask)
+            assert topology.radical_core(ctx.pspec, mask) == oracles.hnf_radical_core(
+                ctx.pspec, mask), (path.stem, mask)
     assert finite >= 10
 
 

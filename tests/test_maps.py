@@ -119,7 +119,7 @@ def test_injectivity_equivalences():
         from gpspec.topology import variety
 
         distinct = all(
-            variety(sp, sp.points[i]).mask != variety(sp, sp.points[j]).mask
+            variety(sp, sp.points[i]) != variety(sp, sp.points[j])
             for i in range(len(sp.points))
             for j in range(i + 1, len(sp.points))
         )
@@ -246,9 +246,9 @@ def assert_point_mapping(source, target, mapping, images):
 
     for mask in masks(source):
         want = {x for i, x in enumerate(images) if mask >> i & 1}
-        assert set(target.point_set(image_mask(mapping, mask)).members()) == want
+        assert set(target.members(image_mask(mapping, mask))) == want
     for mask in masks(target):
-        members = set(target.point_set(mask).members())
+        members = set(target.members(mask))
         want = sum(1 << i for i, x in enumerate(images) if x in members)
         assert preimage_mask(mapping, mask) == want
 

@@ -3,9 +3,11 @@ graded radical, primary-spectrum membership and the multiplication and
 cancellation tests against the brute-force oracles, on generated finite
 modules, of the theorem catalog, its star-variety table and the submodule
 lattice on generated models, of the model parser on generated models and
-mutated corpus text, of `gps` on generated enumeration bounds, and of
-`gps` on a model whose named submodule is written by other generators (a
-metamorphic relation: the outputs are byte-identical).
+mutated corpus text, of `gps` on generated enumeration bounds, and two metamorphic relations:
+`gps` on a model whose named submodule is written by other generators
+answers byte for byte alike, and a module with a factor Z_ab split into
+Z_a x Z_b (a, b coprime) keeps its spectra's sizes, its topology flags and
+the catalog's answers.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -15,6 +17,7 @@ import sys
 import tempfile
 from functools import reduce
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -270,9 +273,9 @@ def test_catalog_is_unchanged_with_the_hnf_star_table_and_radical_core(model):
         asked.append("star")
         return tuple(oracles.hnf_star_mask(space, N) for N in enumerate_submodules(space.module))
 
-    def hnf_radical_core(Y):
+    def hnf_radical_core(space, Y):
         asked.append("core")
-        return oracles.hnf_radical_core(Y)
+        return oracles.hnf_radical_core(space, Y)
 
     with pytest.MonkeyPatch.context() as patch:
         for name, swap in (("star_masks", hnf_star_masks), ("radical_core", hnf_radical_core)):
@@ -423,8 +426,8 @@ def test_star_masks_equal_the_hnf_star_varieties_on_generated_models(model):
         assert star_masks(sp) == tuple(oracles.hnf_star_mask(sp, N) for N in ctx.subs), (
             model.ring.text(), model.module.text(), sp.kind)
     for mask in ctx.subset_masks(ctx.pspec):
-        Y = ctx.pspec.point_set(mask)
-        assert radical_core(Y) == oracles.hnf_radical_core(Y), (model.module.text(), mask)
+        assert radical_core(ctx.pspec, mask) == oracles.hnf_radical_core(ctx.pspec, mask), (
+            model.module.text(), mask)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -654,3 +657,77 @@ def test_other_generators_of_a_named_submodule_give_the_same_output(case):
             path.write_text(text, encoding="utf-8")
         for want, got in zip(*(relation_calls(str(p), name) for p in paths)):
             assert gps_outcome(want) == gps_outcome(got), (first, second, got[0])
+
+
+COPRIME_SPLITS = tuple((a, b) for a in Z_ORDERS for b in Z_ORDERS
+                       if a * b <= MAX_SIZE and gcd(a, b) == 1)
+
+
+@st.composite
+def crt_pairs(draw):
+    """A finite model over Z with a factor Z_ab@g, a and b coprime, and the
+    model with that factor split into Z_a@g x Z_b@g in its place, each named
+    submodule carried by x -> (x mod a, x mod b) and the named subsets kept:
+    two presentations of one module.  Only modules whose primary spectrum
+    and base each have at most 12 elements are drawn.  There every subset
+    of points and every family of basic opens is enumerated, so no
+    quantifier of P4.1, T4.4, P4.8 or T3.4 samples, and the order of the
+    points cannot change a count."""
+    group = GradingGroup(draw(st.sampled_from(GROUPS)))
+    a, b = draw(st.sampled_from(COPRIME_SPLITS))
+    degrees = st.sampled_from(group.elements())
+    factors, size = [(a * b, draw(degrees))], a * b
+    for _ in range(draw(st.integers(0, 2))):
+        choices = [o for o in Z_ORDERS if size * o <= MAX_SIZE]
+        if not choices:
+            break
+        order = draw(st.sampled_from(choices))
+        factors.append((order, draw(degrees)))
+        size *= order
+    factors = draw(st.permutations(factors))
+    k = next(i for i, (o, _) in enumerate(factors) if o == a * b)
+    merged = with_names(draw, GradedModule(BaseRing(0), group, factors))
+    space = topology.build_space(merged.module, topology.PSPEC)
+    assume(len(space.points) <= 12 and len(space.base) <= 12)
+    g = factors[k][1]
+    M = GradedModule(BaseRing(0), group, factors[:k] + [(a, g), (b, g)] + factors[k + 1:])
+
+    def carry(v):
+        return (*v[:k], v[k] % a, v[k] % b, *v[k + 1:])
+
+    submodules = {name: M.submodule([carry(v) for v in N.element_set()])
+                  for name, N in merged.named_submodules.items()}
+    return merged, Model(group, M.ring, M, submodules, merged.named_subsets)
+
+
+def presentation_invariants(model: Model) -> tuple:
+    """What an isomorphism of modules keeps: the point count of each
+    spectrum, and the closed-set count and topology flags of each module
+    space."""
+    M = model.module
+    counts = [len(spectra.spectrum_points(M, kind)) for kind in ("primary", "prime", "maximal")]
+    for kind in (topology.PSPEC, topology.SPEC):
+        space = topology.build_space(M, kind)
+        rep = topology.analyze_space(space)
+        counts.append((len(space.closed_masks), len(space.base), len(rep.components),
+                       rep.connected, rep.irreducible, rep.t0, rep.t1, rep.sober,
+                       rep.spectral, rep.quasi_compact, rep.trivial_topology, rep.is_empty))
+    return tuple(counts)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(crt_pairs())
+@example((parse_model("group = Z2\nring = Z\nmodule = Z6@0\nsubmodule N = (2)\n"),
+          parse_model("group = Z2\nring = Z\nmodule = Z2@0 x Z3@0\nsubmodule N = (0,2)\n")))
+def test_a_chinese_remainder_split_gives_the_same_answers(pair):
+    # Z_ab@g and Z_a@g x Z_b@g are one module written two ways.  C2.16 is
+    # compared by status alone: its detail counts the transpositions of
+    # equal factors, and that count depends on the presentation
+    merged, split = pair
+    assert presentation_invariants(merged) == presentation_invariants(split), (
+        merged.module.text(), split.module.text())
+
+    def outcomes(model):
+        return [(i, s, None if i == "C2.16" else d) for i, s, d in catalog_outcomes(model)]
+
+    assert outcomes(merged) == outcomes(split), (merged.module.text(), split.module.text())

@@ -40,7 +40,7 @@ EXPORTED = """
     InducedSpectrumMap MapAnalysis PermutationMap analyze_natural_map reduced_ring
     RadicalResult Trilean graded_radical in_primary_spectrum is_cancellation
     is_graded_primary is_graded_prime is_multiplication spectrum_points
-    FiniteSpace PointSet TopologyReport analyze_space basic_open build_ring_space
+    FiniteSpace TopologyReport analyze_space basic_open build_ring_space
     build_space closure ideal_core is_primary_top_module radical_core
     ring_basic_open ring_variety variety variety_membership
 """.split()

@@ -11,11 +11,13 @@ from gpspec.algebra import (
 )
 from gpspec.dsl import parse_model
 from gpspec.harness import is_quasi_compact
+from gpspec.maps import analyze_natural_map, reduced_ring_space
 from gpspec.spectra import graded_radical
 from gpspec.topology import (
     PSPEC,
     SPEC,
     analyze_space,
+    base_scalars,
     basic_open,
     build_ring_space,
     build_space,
@@ -26,6 +28,7 @@ from gpspec.topology import (
     radical_core,
     ring_basic_open,
     ring_variety,
+    _colon_variety,
     star_masks,
     variety,
     variety_membership,
@@ -43,7 +46,7 @@ def zmod(n):
 
 def issubset(a, b) -> bool:
     """Point-set inclusion as a mask test."""
-    return a.mask & ~b.mask == 0
+    return a & ~b == 0
 
 
 def space_z6():
@@ -60,9 +63,9 @@ def test_pspec_z8_paper_values():
     assert set(sp.closed_masks) == {0, sp.full_mask}
     # units give the full space, nilpotents the empty set
     for r in (1, 3, 5, 7):
-        assert basic_open(sp, r).is_full
+        assert basic_open(sp, r) == sp.full_mask
     for r in (0, 2, 4, 6):
-        assert basic_open(sp, r).is_empty
+        assert basic_open(sp, r) == 0
 
 
 def test_pspec_z6_paper_values():
@@ -74,20 +77,20 @@ def test_pspec_z6_paper_values():
     M = sp.module
     n3 = M.submodule([(3,)])
     n2 = M.submodule([(2,)])
-    assert variety(sp, n3).members() == [n3]
-    assert variety(sp, n2).members() == [n2]
+    assert sp.members(variety(sp, n3)) == [n3]
+    assert sp.members(variety(sp, n2)) == [n2]
     # discrete: all four subsets closed
     assert len(sp.closed_masks) == 4
-    assert basic_open(sp, 2).members() == [n3]
+    assert sp.members(basic_open(sp, 2)) == [n3]
 
 
 def test_variety_edges():
     sp = space_z6()
     M = sp.module
-    assert variety(sp, M.zero_submodule).is_full
-    assert variety(sp, M.full_submodule).is_empty
-    assert variety(sp, M.zero_submodule, star=True).is_full
-    assert variety(sp, M.full_submodule, star=True).is_empty
+    assert variety(sp, M.zero_submodule) == sp.full_mask
+    assert variety(sp, M.full_submodule) == 0
+    assert variety(sp, M.zero_submodule, star=True) == sp.full_mask
+    assert variety(sp, M.full_submodule, star=True) == 0
 
 
 def test_pointwise_star_variety_on_infinite_module():
@@ -112,54 +115,82 @@ def test_pointwise_variety_membership_equals_the_built_varieties(stem):
         sp = build_space(M, kind)
         for N in enumerate_submodules(M):
             for star in (False, True):
-                mask = variety(sp, N, star=star).mask
+                mask = variety(sp, N, star=star)
                 for i, Q in enumerate(sp.points):
                     assert variety_membership(N, Q, star=star) == bool(mask >> i & 1), (
                         M.text(), kind, N.text(), Q.text(), star)
 
 
+@pytest.mark.parametrize("stem", FINITE_MODELS)
+def test_every_mask_a_space_gives_lies_within_its_points(stem):
+    # a point set is a mask over the space's point list: every mask that the
+    # library returns or stores for both module spaces and the reduced ring
+    # space has no bit past the last point, and its indices give it back
+    M = FINITE_MODELS[stem]
+    ring_space = reduced_ring_space(M)
+    spaces = []
+    for kind in (PSPEC, SPEC):
+        sp = build_space(M, kind)
+        masks = [variety(sp, N, star=star)
+                 for N in enumerate_submodules(M) for star in (False, True)]
+        masks += [basic_open(sp, r) for r in base_scalars(M.exponent)]
+        masks += [mask for _, mask in analyze_natural_map(M, kind).fibers]
+        spaces.append((sp, masks))
+    spaces.append((ring_space, [ring_basic_open(ring_space, r)
+                                for r in base_scalars(ring_space.ring.modulus)]))
+    for sp, masks in spaces:
+        rep = analyze_space(sp)
+        masks += [closure(sp, 1 << i) for i in range(len(sp.points))]
+        masks += [*sp.closed_masks, *(m for _, m in sp.base), *rep.components]
+        for m, generic in rep.generic_points:
+            masks.append(m)
+            assert all(m >> i & 1 for i in generic), (stem, sp.kind, m, generic)
+        for m in masks:
+            assert 0 <= m <= sp.full_mask, (stem, sp.kind, m)
+            assert sum(1 << i for i in sp.indices(m)) == m, (stem, sp.kind, m)
+
+
 def test_ring_space_examples():
     rs6 = build_ring_space(BaseRing(6))
     assert [p.gen for p in rs6.points] == [2, 3]
-    assert ring_variety(rs6, BaseRing(6).ideal(2)).members() == [BaseRing(6).ideal(2)]
-    assert ring_basic_open(rs6, 1).is_full
+    assert rs6.members(ring_variety(rs6, BaseRing(6).ideal(2))) == [BaseRing(6).ideal(2)]
+    assert ring_basic_open(rs6, 1) == rs6.full_mask
     rs8 = build_ring_space(BaseRing(8))
-    assert ring_variety(rs8, BaseRing(8).zero_ideal).members() == [BaseRing(8).ideal(2)]
+    assert rs8.members(ring_variety(rs8, BaseRing(8).zero_ideal)) == [BaseRing(8).ideal(2)]
     with pytest.raises(Exception):
         build_ring_space(Z)
 
 
 def test_radical_core_examples():
     sp6 = space_z6()
-    assert radical_core(sp6.full).is_zero
+    assert radical_core(sp6, sp6.full_mask).is_zero
     q = sp6.points[0]
-    assert radical_core(sp6.singleton(0)) == graded_radical(q).require()
+    assert radical_core(sp6, 1 << 0) == graded_radical(q).require()
     sp8 = space_z8()
-    assert radical_core(sp8.full) == sp8.module.submodule([(2,)])
-    assert radical_core(sp6.empty).is_full
+    assert radical_core(sp8, sp8.full_mask) == sp8.module.submodule([(2,)])
+    assert radical_core(sp6, 0).is_full
 
 
 def test_ideal_core_examples():
     rs6 = build_ring_space(BaseRing(6))
-    assert ideal_core(rs6.full).is_zero  # lcm(2,3) = 6 = 0 in Z_6
-    assert ideal_core(rs6.singleton(0)) == BaseRing(6).ideal(2)
-    assert ideal_core(rs6.empty).is_unit
+    assert ideal_core(rs6, rs6.full_mask).is_zero  # lcm(2,3) = 6 = 0 in Z_6
+    assert ideal_core(rs6, 1 << 0) == BaseRing(6).ideal(2)
+    assert ideal_core(rs6, 0).is_unit
 
 
 def test_closure_examples():
     sp8 = space_z8()
-    assert closure(sp8.singleton(0)).is_full  # Cl({0}) is everything
-    assert closure(sp8.empty).is_empty
+    assert closure(sp8, 1 << 0) == sp8.full_mask  # Cl({0}) is everything
+    assert closure(sp8, 0) == 0
     sp6 = space_z6()
     for i, q in enumerate(sp6.points):
-        assert closure(sp6.singleton(i)).mask == variety(sp6, q).mask
+        assert closure(sp6, 1 << i) == variety(sp6, q)
 
 
 def test_closure_equals_lattice_closure_all_subsets():
     for sp in (space_z6(), space_z8(), build_space(zmod(12))):
         for mask in range(sp.full_mask + 1):
-            Y = sp.point_set(mask)
-            assert closure(Y).mask == variety(sp, radical_core(Y)).mask
+            assert closure(sp, mask) == variety(sp, radical_core(sp, mask))
 
 
 def test_closed_family_is_topology():
@@ -180,7 +211,7 @@ def test_closed_family_is_topology():
                 assert (a & b) in masks
         # every closed set recomputes from its witness
         for m, N in sp.witnesses.items():
-            assert variety(sp, N).mask == m
+            assert variety(sp, N) == m
 
 
 def test_star_variety_laws():
@@ -189,19 +220,19 @@ def test_star_variety_laws():
     for M in (zmod(6), zmod(12), GradedModule(Z, Z2G, [(2, (0,)), (4, (1,))])):
         sp = build_space(M)
         subs = enumerate_submodules(M)
-        assert variety(sp, M.zero_submodule, star=True).is_full
-        assert variety(sp, M.full_submodule, star=True).is_empty
+        assert variety(sp, M.zero_submodule, star=True) == sp.full_mask
+        assert variety(sp, M.full_submodule, star=True) == 0
         for N in subs:
             for N2 in subs:
                 vn = variety(sp, N, star=True)
                 vn2 = variety(sp, N2, star=True)
-                assert vn.intersect(vn2).mask == variety(sp, N.plus(N2), star=True).mask
-                assert issubset(vn.union(vn2), variety(sp, N.intersect(N2), star=True))
+                assert vn & vn2 == variety(sp, N.plus(N2), star=True)
+                assert issubset(vn | vn2, variety(sp, N.intersect(N2), star=True))
                 if N.contains(N2):
                     assert issubset(vn, vn2)
             r = graded_radical(N) if N.is_proper else None
             if r is not None and r.is_known:
-                assert variety(sp, N, star=True).mask == variety(sp, r.require(), star=True).mask
+                assert variety(sp, N, star=True) == variety(sp, r.require(), star=True)
 
 
 def test_variety_laws():
@@ -211,24 +242,25 @@ def test_variety_laws():
         for N in subs:
             for N2 in subs:
                 vn, vn2 = variety(sp, N), variety(sp, N2)
-                lhs = vn.intersect(vn2)
+                lhs = vn & vn2
                 rhs = variety(
                     sp,
                     ideal_times_module(N.colon(), M).plus(
                         ideal_times_module(N2.colon(), M)
                     ),
                 )
-                assert lhs.mask == rhs.mask
-                assert vn.union(vn2).mask == variety(sp, N.intersect(N2)).mask
+                assert lhs == rhs
+                assert vn | vn2 == variety(sp, N.intersect(N2))
                 if N.contains(N2):
                     assert issubset(vn, vn2)
 
 
 def test_variety_memo_matches_fresh_space():
-    # the non-star variety is memoised with the space by (N : M), and the
-    # star kind reads the space's one memoised star table; every mask must
-    # equal the mask of a space built afresh on an equal module (whose memo
-    # is its own), and the definition read off the radicals
+    # the non-star variety is memoised with the space by (N : M), one memo
+    # entry per colon, and the star kind reads the space's one memoised star
+    # table; every mask must equal the mask of a space built afresh on an
+    # equal module (whose memo is its own), and the definition read off the
+    # radicals
     for M in (
         GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
         GradedModule(Z, Z2G, [(6, (0,)), (10, (1,))]),
@@ -240,11 +272,12 @@ def test_variety_memo_matches_fresh_space():
         assert fresh is not sp
         assert star_masks(sp) is star_masks(sp)
         for N in subs:
-            assert variety(sp, N) is by_colon[N.colon()]
-            assert variety(sp, N).mask == variety(fresh, N).mask == sum(
+            assert variety(sp, N) == by_colon[N.colon()]
+            assert M.memo[(_colon_variety.__wrapped__, sp, N.colon())] == by_colon[N.colon()]
+            assert variety(sp, N) == variety(fresh, N) == sum(
                 1 << i for i, R in enumerate(sp.radicals) if R.colon().contains(N.colon())
             )
-            assert variety(sp, N, star=True).mask == variety(fresh, N, star=True).mask == sum(
+            assert variety(sp, N, star=True) == variety(fresh, N, star=True) == sum(
                 1 << i for i, R in enumerate(sp.radicals) if R.contains(N)
             )
 
@@ -268,15 +301,12 @@ def test_base_open_multiplicativity():
         n = M.ring.modulus
         for r in range(n):
             for t in range(n):
-                assert (
-                    basic_open(sp, r).intersect(basic_open(sp, t)).mask
-                    == basic_open(sp, (r * t) % n).mask
-                )
+                assert basic_open(sp, r) & basic_open(sp, t) == basic_open(sp, (r * t) % n)
         for r in range(n):
             if M.ring.is_unit(r):
-                assert basic_open(sp, r).is_full
+                assert basic_open(sp, r) == sp.full_mask
             if M.ring.is_nilpotent(r):
-                assert basic_open(sp, r).is_empty
+                assert basic_open(sp, r) == 0
 
 
 def test_analyze_z6():
@@ -314,7 +344,7 @@ def test_analyze_one_point_space():
 def test_irreducible_closed_sets_are_point_varieties():
     sp = space_z6()
     for i, q in enumerate(sp.points):
-        assert is_irreducible_subset(sp, variety(sp, q).mask)
+        assert is_irreducible_subset(sp, variety(sp, q))
     # the full space of Z_6 splits, hence not irreducible
     assert not is_irreducible_subset(sp, sp.full_mask)
     # empty set is not irreducible by convention
@@ -336,8 +366,8 @@ def test_spec_subspace_identity():
         for N in enumerate_submodules(M):
             big = variety(ps, N)
             small = variety(ss, N)
-            assert [i in small for i in range(len(ss.points))] == [
-                j in big for j in spec_in_ps
+            assert [small >> i & 1 for i in range(len(ss.points))] == [
+                big >> j & 1 for j in spec_in_ps
             ]
 
 
@@ -357,9 +387,9 @@ def test_primary_top_failure_has_checkable_witness():
     assert res.is_false
     N, N2 = res.witness
     sp = build_space(M)
-    union = variety(sp, N, star=True).union(variety(sp, N2, star=True))
-    all_star = {variety(sp, J, star=True).mask for J in enumerate_submodules(M)}
-    assert union.mask not in all_star
+    union = variety(sp, N, star=True) | variety(sp, N2, star=True)
+    all_star = {variety(sp, J, star=True) for J in enumerate_submodules(M)}
+    assert union not in all_star
 
 
 def test_star_union_strictness_on_a_finite_instance():
@@ -369,9 +399,9 @@ def test_star_union_strictness_on_a_finite_instance():
     sp = build_space(M)
     h1 = M.submodule([(1, 0)])
     h2 = M.submodule([(0, 1)])
-    union = variety(sp, h1, star=True).union(variety(sp, h2, star=True))
+    union = variety(sp, h1, star=True) | variety(sp, h2, star=True)
     inter = variety(sp, h1.intersect(h2), star=True)
-    assert issubset(union, inter) and union.mask != inter.mask
+    assert issubset(union, inter) and union != inter
 
 
 def test_grading_group_of_order_three():

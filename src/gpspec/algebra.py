@@ -49,8 +49,8 @@ class UnknownCheckError(AlgebraError):
 
 def per_module(fn):
     """Memoise fn(x, *args) in the memo of x's module, x being a
-    GradedModule, a GradedSubmodule or a module space; equal calls share one
-    result, which nobody may mutate.  fn takes its arguments by position and
+    GradedModule or a GradedSubmodule; equal calls share one result, which
+    nobody may mutate.  fn takes its arguments by position and
     has no defaults, so that one call has one key; a public function with
     defaults passes them all on to a memoised body.
 
@@ -60,8 +60,8 @@ def per_module(fn):
     (ideals, block tuples, N.quotients() for all degrees at once) are plain data, so
     nothing in the memo leads back to the module and reference counting frees it, memo
     and all, once its last user lets go.  Results describing the whole module (its
-    enumeration and lattice table, its spaces with their varieties and star tables,
-    keyed by the space, and its natural maps) hold the module; the collector frees them.
+    enumeration and lattice table, its spaces, which keep their own variety and star
+    tables, and its natural maps) hold the module; the collector frees them.
     The quotient and permutation targets of M, one module per factor tuple (see
     _presentation), hold nothing of M, and M itself is never a value."""
 
@@ -69,10 +69,8 @@ def per_module(fn):
     def memoised(x, *args):
         if x.__class__ is GradedSubmodule:
             memo, key = x.module.memo, (fn, x.blocks, *args)
-        elif x.__class__ is GradedModule:
-            memo, key = x.memo, (fn, *args)
         else:
-            memo, key = x.module.memo, (fn, x, *args)
+            memo, key = x.memo, (fn, *args)
         value = memo.get(key, memo)  # the memo itself marks a miss
         if value is memo:
             value = memo[key] = fn(x, *args)
@@ -368,10 +366,6 @@ class GradedModule:
             deg = str(d[0]) if len(d) == 1 else "(" + ",".join(map(str, d)) + ")"
             parts.append(("Z" if o == 0 else f"Z{o}") + "@" + deg)
         return " x ".join(parts)
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
 
     @property
     def is_finite(self) -> bool:

@@ -74,7 +74,6 @@ from .topology import (
     ring_basic_open,
     ring_variety,
     specialization_closures,
-    star_masks,
     star_variety_family,
     variety,
     variety_membership,
@@ -174,7 +173,7 @@ class Context:
     @cached_property
     def star_masks(self) -> tuple[int, ...]:
         """Star-variety masks on the primary spectrum, aligned with `subs`."""
-        return star_masks(self.pspec)
+        return self.pspec.star_masks
 
     @cached_property
     def ring_ideal_reps(self) -> tuple[Ideal, ...]:

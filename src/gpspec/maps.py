@@ -150,7 +150,7 @@ def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     ring_space = reduced_ring_space(M)
 
     images = tuple(primary_point_image(Q, bound) for Q in space.points)
-    mapping = tuple(ring_space.index_of(img) for img in images)
+    mapping = tuple(ring_space.position[img] for img in images)
     fibers = tuple(
         (p, preimage_mask(mapping, 1 << j)) for j, p in enumerate(ring_space.points)
     )
@@ -158,8 +158,8 @@ def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     # per colon ideal I ⊇ Ann(M), the variety of I.M and the reduced closed
     # set of I; when surjective, the image identities say that the variety
     # and its complement map onto the closed set and its complement
-    pairs = [(variety(space, ideal_times_module(I, M)),
-              ring_variety(ring_space, rr.reduce_ideal(I))) for I in colon_ideals(M)]
+    pairs = [(closed, ring_variety(ring_space, rr.reduce_ideal(I)))
+             for I, closed in space.closed_of.items()]
     inj, surj, continuity_ok = _map_flags(space, ring_space, mapping, pairs)
     image_identities_ok = all(
         image_mask(mapping, closed) == want

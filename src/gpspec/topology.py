@@ -3,12 +3,15 @@ varieties and base sets, and the topological analyzer (connectedness,
 irreducibility, components, generic points, separation, soberness, the
 spectral-space checklist).
 
-Only finite spaces are materialized; they read star varieties and radical
-cores off the lattice table, and pointwise membership predicates serve the rest.
+Only finite spaces are materialized.  Each holds the closed set of every
+colon ideal (every ideal, on a ring space) in one table, built once, and
+reads star varieties and radical cores off the lattice table; pointwise
+membership predicates serve the rest.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import lcm
 
 from . import numtheory
@@ -19,10 +22,9 @@ from .algebra import (
     GradedModule,
     GradedSubmodule,
     Ideal,
-    SubmoduleLattice,
     Value,
     _lattice,
-    enumerate_submodules,
+    colon_ideals,
     ideal_times_module,
     is_enumerable,
     per_module,
@@ -38,9 +40,11 @@ class FiniteSpace:
     """A materialized spectrum with its full closed-set family.
 
     points are canonical submodules (module spaces) or prime ideals (ring
-    spaces), position maps each to its index; closed_masks is the deduplicated
-    family of all varieties, with a witness submodule/ideal per closed set;
-    base lists the distinct basic opens with one representative scalar each.
+    spaces), position maps each to its index; closed_of maps each colon
+    ideal (module spaces) or each ideal (ring spaces) to its closed set;
+    closed_masks is the deduplicated family of these, with the first ideal
+    giving each as its witness; base lists the distinct basic opens with one
+    representative scalar each.
     """
 
     def __init__(self, kind, points, module=None, ring=None):
@@ -50,8 +54,9 @@ class FiniteSpace:
         self.module = module
         self.ring = ring
         self.full_mask = (1 << len(self.points)) - 1
+        self.closed_of: dict[Ideal, int] = {}
         self.closed_masks: tuple[int, ...] = ()
-        self.witnesses: dict[int, object] = {}
+        self.witnesses: dict[int, Ideal] = {}
         self.base: tuple[tuple[int, int], ...] = ()
         # the graded radical of each point, for module spaces
         self.radicals: tuple[GradedSubmodule, ...] = ()
@@ -68,16 +73,31 @@ class FiniteSpace:
         """The points in a mask, in canonical order."""
         return [self.points[i] for i in self.indices(mask)]
 
-    def index_of(self, point) -> int:
-        return self.position[point]
+    @cached_property
+    def radical_masks(self) -> tuple[int, ...]:
+        """The element masks of the points' graded radicals in the module's
+        lattice table (module spaces)."""
+        lat = _lattice(self.module)
+        return tuple(lat.masks[lat.position[R]] for R in self.radicals)
+
+    @cached_property
+    def star_masks(self) -> tuple[int, ...]:
+        """Star-variety masks of a module space, aligned with enumerate_submodules:
+        one AND of element masks per submodule and distinct point radical."""
+        points_of: dict[int, int] = {}  # radical element mask -> its points
+        for j, R in enumerate(self.radical_masks):
+            points_of[R] = points_of.get(R, 0) | 1 << j
+        return tuple(sum(points for R, points in points_of.items() if not mask & ~R)
+                     for mask in _lattice(self.module).masks)
 
 
 def build_space(
     M: GradedModule, kind: str = PSPEC, bound: int = DEFAULT_ENUM_BOUND
 ) -> FiniteSpace:
     """Materialize the primary or prime spectrum of a finite module with every
-    variety (deduplicated, witnessed) and the basic opens, shared read-only:
-    one space per (M, kind, bound), however the call is spelled."""
+    variety (one per colon ideal, deduplicated and witnessed) and the basic
+    opens, shared read-only: one space per (M, kind, bound), however the
+    call is spelled."""
     return _build_space(M, kind, bound)
 
 
@@ -88,24 +108,24 @@ def _build_space(M: GradedModule, kind: str, bound: int) -> FiniteSpace:
     points = spectrum_points(M, kind, bound)
     space = FiniteSpace(kind, points, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
-    _fill_families(
-        space, enumerate_submodules(M, bound), variety, base_scalars(M.exponent),
-        basic_open,
-    )
+    _fill_families(space, {I: _colon_variety(space, I) for I in colon_ideals(M)}, basic_open)
     return space
 
 
-def _fill_families(space: FiniteSpace, generators, closed_of, scalars, open_of) -> None:
-    """Set the deduplicated closed family, witnessed by the first generator
-    giving each closed set, and the distinct basic opens, represented by the
-    first scalar giving each."""
-    witnesses: dict[int, object] = {}
-    for X in generators:
-        witnesses.setdefault(closed_of(space, X), X)
+def _fill_families(space: FiniteSpace, closed_of: dict[Ideal, int], open_of) -> None:
+    """Set the closed set of each ideal, the deduplicated closed family,
+    witnessed by the first ideal giving each closed set, and the distinct
+    basic opens, represented by the first scalar giving each.  The ideals
+    are the (d) for the divisors d of the exponent or modulus n, so 0 and
+    their generators are base_scalars(n)."""
+    space.closed_of = closed_of
+    witnesses: dict[int, Ideal] = {}
+    for I, m in closed_of.items():
+        witnesses.setdefault(m, I)
     space.closed_masks = tuple(sorted(witnesses))
     space.witnesses = witnesses
     base: dict[int, int] = {}
-    for r in scalars:
+    for r in sorted({0, *(I.gen for I in closed_of)}):
         base.setdefault(open_of(space, r), r)
     space.base = tuple((r, m) for m, r in base.items())
 
@@ -123,9 +143,8 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
     closed family and the basic opens D_r."""
     points = ring.prime_ideals()
     space = FiniteSpace(RINGSPEC, points, ring=ring)
-    _fill_families(
-        space, ring.ideals(), ring_variety, base_scalars(ring.modulus), ring_basic_open
-    )
+    _fill_families(space, {I: sum(1 << i for i, p in enumerate(points) if p.contains(I))
+                           for I in ring.ideals()}, ring_basic_open)
     return space
 
 
@@ -137,7 +156,7 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> int:
 
     On the primary spectrum: points whose graded radical contains N (star,
     read off the space's star table) or whose radical-colon contains (N : M)
-    (default, the closed sets of the topology, memoised with the space by
+    (default, the closed sets of the topology, read off the space's table by
     (N : M)).  On the prime spectrum the same with each point its own radical.
     """
     if space.kind == RINGSPEC:
@@ -145,30 +164,10 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> int:
     if N.module != space.module:
         raise AlgebraError("submodule lives in a different module")
     if star:
-        return star_masks(space)[_lattice(space.module).position[N]]
-    return _colon_variety(space, N.colon())
+        return space.star_masks[_lattice(space.module).position[N]]
+    return space.closed_of[N.colon()]
 
 
-@per_module
-def _radical_masks(space: FiniteSpace) -> tuple[SubmoduleLattice, tuple[int, ...]]:
-    """The lattice table and the element masks of the points' graded radicals in it."""
-    lat = _lattice(space.module)
-    return lat, tuple(lat.masks[lat.position[R]] for R in space.radicals)
-
-
-@per_module
-def star_masks(space: FiniteSpace) -> tuple[int, ...]:
-    """Star-variety masks of a module space, aligned with enumerate_submodules:
-    one AND of element masks per submodule and distinct point radical."""
-    lat, radicals = _radical_masks(space)
-    points_of: dict[int, int] = {}  # radical element mask -> its points
-    for j, R in enumerate(radicals):
-        points_of[R] = points_of.get(R, 0) | 1 << j
-    return tuple(sum(points for R, points in points_of.items() if not mask & ~R)
-                 for mask in lat.masks)
-
-
-@per_module
 def _colon_variety(space: FiniteSpace, c: Ideal) -> int:
     return sum(1 << i for i, R in enumerate(space.radicals) if R.colon().contains(c))
 
@@ -195,7 +194,9 @@ def basic_open(space: FiniteSpace, r: int) -> int:
 def ring_variety(space: FiniteSpace, I: Ideal) -> int:
     if space.kind != RINGSPEC:
         raise AlgebraError("ring_variety needs a ring spectrum")
-    return sum(1 << i for i, p in enumerate(space.points) if p.contains(I))
+    if I.ring != space.ring:
+        raise AlgebraError("ideal rings differ")
+    return space.closed_of[I]
 
 
 def ring_basic_open(space: FiniteSpace, r: int) -> int:
@@ -210,9 +211,9 @@ def radical_core(space: FiniteSpace, Y: int) -> GradedSubmodule:
     element masks in the lattice table; the whole module for the empty set."""
     if space.kind == RINGSPEC:
         raise AlgebraError("radical_core applies to module spaces")
-    lat, radicals = _radical_masks(space)
+    lat = _lattice(space.module)
     core = lat.masks[-1]  # M, the last and largest submodule
-    for i, R in enumerate(radicals):
+    for i, R in enumerate(space.radical_masks):
         if Y >> i & 1:
             core &= R
     return lat.subs[lat.index[core]]
@@ -338,7 +339,7 @@ def union_gap(family) -> tuple[int, int] | None:
 def star_variety_family(space: FiniteSpace):
     """Each star variety with the first submodule giving it as witness."""
     out: dict[int, GradedSubmodule] = {}
-    for N, mask in zip(_lattice(space.module).subs, star_masks(space)):
+    for N, mask in zip(_lattice(space.module).subs, space.star_masks):
         out.setdefault(mask, N)
     return out
 

@@ -249,7 +249,7 @@ ENTRIES = st.one_of(
 @st.composite
 def modules_with_generators(draw):
     M = draw(st.sampled_from(PARITY_MODULES))
-    gens = draw(st.lists(st.tuples(*[ENTRIES] * M.rank), max_size=4))
+    gens = draw(st.lists(st.tuples(*[ENTRIES] * len(M.factors)), max_size=4))
     for k, v in enumerate(gens):  # some generators project to zero in one degree
         if draw(st.booleans()):
             v, scale = list(v), draw(st.sampled_from((0, 1, -(10**12))))
@@ -293,7 +293,7 @@ def test_generator_vectors_match_the_embedding_route_on_the_oracle_corpus():
 @st.composite
 def generated_modules_with_generators(draw):
     M = draw(st.one_of(finite_modules(), modules_with_free_factors()))
-    return M, draw(st.lists(st.tuples(*[ENTRIES] * M.rank), max_size=3))
+    return M, draw(st.lists(st.tuples(*[ENTRIES] * len(M.factors)), max_size=3))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

@@ -225,7 +225,7 @@ def test_star_masks_equal_the_hnf_star_varieties_on_models():
             continue
         finite += 1
         for sp in (ctx.pspec, ctx.spec):
-            assert topology.star_masks(sp) == tuple(
+            assert sp.star_masks == tuple(
                 oracles.hnf_star_mask(sp, N) for N in ctx.subs
             ), (path.stem, sp.kind)
         for mask in ctx.subset_masks(ctx.pspec):
@@ -329,7 +329,7 @@ def test_repeated_subset_member_is_one_point(tmp_path):
         assert cli.run(["check", str(path)], stdout=io.StringIO(), stderr=err) == 0, err.getvalue()
         model = parse_model(text)
         ctx = harness.Context(model, "repeat", DEFAULT_ENUM_BOUND, 0)
-        point_mask = 1 << ctx.pspec.index_of(model.named_submodules[point])
+        point_mask = 1 << ctx.pspec.position[model.named_submodules[point]]
         assert ctx.named_subset_masks(ctx.pspec) == [point_mask], members
 
 
@@ -342,8 +342,10 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     # calls when star varieties and radical cores took the HNF route, and
     # 179 plus and 1,204 variety calls when every quotient map built its own
     # target module, and 1,013 variety calls when the natural maps took their
-    # image identities over one submodule per colon, and 1,005 variety calls
-    # when C2.16 analysed its own zero-kernel projection)
+    # image identities over one submodule per colon, 1,005 variety calls
+    # when C2.16 analysed its own zero-kernel projection, and 997 when every
+    # space found its closed sets by one variety call per submodule and the
+    # natural maps took one per colon ideal)
     counts = Counter()
 
     def counted(op):
@@ -370,7 +372,7 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
     assert counts["contains"] == 0
-    assert counts == {"plus": 107, "variety": 997}
+    assert counts == {"plus": 107, "variety": 735}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):
@@ -379,7 +381,9 @@ def test_catalog_divisors_are_pinned(monkeypatch):
     # enumeration, when it did), and enumerates each quotient presentation
     # once (111 calls when every quotient map built its own target), and
     # lists the colon ideals of a module once (70 calls when each natural map
-    # listed the reduced ring's ideals); the count is deterministic
+    # listed the reduced ring's ideals; 69 when each of the 23 space builds
+    # listed its base scalars, where now each of the 21 modules with a space
+    # lists its colon ideals once); the count is deterministic
     calls = Counter()
     real = numtheory.divisors
 
@@ -391,7 +395,7 @@ def test_catalog_divisors_are_pinned(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 69
+    assert sum(calls.values()) == 66
     assert set(calls) == {1, 2, 4, 8}
 
 
@@ -426,13 +430,14 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     # the radical of a colon is memoised with the module by the ideal, so a
     # whole run factors each distinct colon generator once per module (the
     # run calls factorize 2,772 times when every colon radical factors
-    # afresh); the count is deterministic, and 69 of the calls come from
+    # afresh); the count is deterministic, and 66 of the calls come from
     # numtheory.divisors (127 of 199 when the enumeration listed an order's
     # divisors once per partial lattice; 183 calls in all when membership in
     # the primary spectrum also factored the prime colon of each prime point;
     # 150, 111 of them from divisors, when every quotient map built its own
     # target module; 94, 70 of them from divisors, when each natural map
-    # listed the reduced ring's ideals)
+    # listed the reduced ring's ideals; 93, 69 of them from divisors, when
+    # each space build listed its base scalars)
     calls = Counter()
     real = numtheory.factorize
 
@@ -444,7 +449,7 @@ def test_catalog_factors_each_colon_once(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert sum(calls.values()) == 93
+    assert sum(calls.values()) == 90
     assert set(calls) == {1, 2, 4, 8}
 
 
@@ -476,8 +481,9 @@ def test_catalog_transports_each_point_once(monkeypatch):
     # both checks pulled back every point, L2.14 tested each transported
     # point's membership and every induced map walked the submodules; 259
     # preimages and 228 images when L2.14 pushed every primary point above
-    # each kernel forward and C2.16 analysed its own M -> M/0); the counts
-    # are deterministic
+    # each kernel forward and C2.16 analysed its own M -> M/0; 45
+    # enumerations when every space build walked the submodules for its
+    # closed sets); the counts are deterministic
     calls, pairs = Counter(), set()
 
     def counted(owner, name):
@@ -505,7 +511,7 @@ def test_catalog_transports_each_point_once(monkeypatch):
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
-    assert calls == {"preimage_submodule": 228, "enumerate_submodules": 45,
+    assert calls == {"preimage_submodule": 228, "enumerate_submodules": 23,
                      "in_primary_spectrum": 201}
     assert len(pairs) == 228
 

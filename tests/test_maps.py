@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from gpspec import maps
+from gpspec import maps, topology
 from gpspec.algebra import (
     DEFAULT_ENUM_BOUND,
     BaseRing,
@@ -17,6 +17,7 @@ from gpspec.algebra import (
 )
 from gpspec.maps import (
     InducedSpectrumMap,
+    MapAnalysis,
     PermutationMap,
     analyze_natural_map,
     identity_map,
@@ -292,15 +293,34 @@ def test_map_analyses_are_unchanged_with_one_submodule_per_colon(monkeypatch):
                    for M in finite + [heavy] for K in enumerate_submodules(M)]
     want = ([analyze_natural_map(M, source) for M, source in natural],
             [InducedSpectrumMap(proj).analyze() for proj in projections])
+    # every space is built again under the swap, which reaches the spaces'
+    # closed-set tables in topology and the induced maps' loop in maps
+    modules = list({id(M): M for M in [*finite, heavy, *(p.target for p in projections)]}
+                   .values())
+    for M in modules:
+        M.memo.clear()
     asked = []
 
     def walked_colons(M):
         asked.append(M)
         return tuple(N.colon() for N in oracles.one_per_colon(M))
 
-    monkeypatch.setattr(maps, "colon_ideals", walked_colons)
+    for owner in (maps, topology):
+        monkeypatch.setattr(owner, "colon_ideals", walked_colons)
     got = ([maps._natural_map.__wrapped__(M, source, DEFAULT_ENUM_BOUND)
             for M, source in natural],
            [InducedSpectrumMap(proj).analyze() for proj in projections])
-    assert got == want
-    assert len(asked) == len(natural) + len(projections)  # the swap was reached
+
+    def tables(space):
+        return space.points, space.closed_of, space.closed_masks, space.base
+
+    def fields(analysis):
+        return ([getattr(analysis, f) for f in MapAnalysis.__slots__
+                 if f not in ("space", "ring_space")],
+                tables(analysis.space), tables(analysis.ring_space))
+
+    assert [fields(a) for a in got[0]] == [fields(a) for a in want[0]]
+    assert got[1] == want[1]
+    builds = sum(key[0] is topology._build_space.__wrapped__ for M in modules for key in M.memo)
+    assert builds >= len(finite) + 1
+    assert len(asked) == builds + len(projections)  # the swap was reached

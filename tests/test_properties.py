@@ -3,11 +3,12 @@ graded radical, primary-spectrum membership and the multiplication and
 cancellation tests against the brute-force oracles, on generated finite
 modules, of the theorem catalog, its star-variety table and the submodule
 lattice on generated models, of the model parser on generated models and
-mutated corpus text, of `gps` on generated enumeration bounds, and two metamorphic relations:
+mutated corpus text, of `gps` on generated enumeration bounds, and three metamorphic relations:
 `gps` on a model whose named submodule is written by other generators
 answers byte for byte alike, and a module with a factor Z_ab split into
-Z_a x Z_b (a, b coprime) keeps its spectra's sizes, its topology flags and
-the catalog's answers.
+Z_a x Z_b (a, b coprime), or with its factors permuted and its degrees
+moved by an automorphism of the grading group, keeps its spectra's sizes,
+its topology flags and the catalog's answers.
 
 The examples are derandomized, so every run checks the same inputs.
 """
@@ -15,7 +16,7 @@ The examples are derandomized, so every run checks the same inputs.
 import io
 import sys
 import tempfile
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -47,7 +48,7 @@ from gpspec.spectra import (
     is_graded_prime,
     is_multiplication,
 )
-from gpspec.topology import radical_core, star_masks
+from gpspec.topology import radical_core
 
 MAX_SIZE = 64
 GROUPS = ((2,), (2, 2), (3,))
@@ -167,7 +168,7 @@ def test_multiplication_and_cancellation_against_oracles(M):
         return
     # no oracle enumerates an infinite module: spot-check the positive answers
     if mult.is_true:
-        for v in product(range(4), repeat=M.rank):
+        for v in product(range(4), repeat=len(M.factors)):
             N = M.submodule([v])
             assert ideal_times_module(N.colon(), M) == N, (case, v)
     if canc.is_true:
@@ -266,7 +267,8 @@ def test_catalog_is_unchanged_with_the_colon_identity_membership(model):
 def test_catalog_is_unchanged_with_the_hnf_star_table_and_radical_core(model):
     # the differential half of the star-table property: the lattice's star
     # table and radical core swapped for one HNF containment per (submodule,
-    # point) and a fold of HNF intersections, in every module importing them
+    # point) and a fold of HNF intersections, the table on every module
+    # space and the core in every module importing it
     want, asked = catalog_outcomes(model), []
 
     def hnf_star_masks(space):
@@ -278,13 +280,15 @@ def test_catalog_is_unchanged_with_the_hnf_star_table_and_radical_core(model):
         return oracles.hnf_radical_core(space, Y)
 
     with pytest.MonkeyPatch.context() as patch:
-        for name, swap in (("star_masks", hnf_star_masks), ("radical_core", hnf_radical_core)):
-            library = getattr(topology, name)
-            importers = [module for key, module in list(sys.modules.items())
-                         if key.startswith("gpspec") and vars(module).get(name) is library]
-            assert len(importers) == 2, name  # topology and harness
-            for module in importers:
-                patch.setattr(module, name, swap)
+        swapped = cached_property(hnf_star_masks)
+        swapped.__set_name__(topology.FiniteSpace, "star_masks")
+        patch.setattr(topology.FiniteSpace, "star_masks", swapped)
+        importers = [module for key, module in list(sys.modules.items())
+                     if key.startswith("gpspec")
+                     and vars(module).get("radical_core") is topology.radical_core]
+        assert len(importers) == 2  # topology and harness
+        for module in importers:
+            patch.setattr(module, "radical_core", hnf_radical_core)
         got = catalog_outcomes(model)
     assert got == want, (model.ring.text(), model.module.text())
     if model.module.is_finite and model.module.factors:
@@ -423,7 +427,7 @@ def test_star_masks_equal_the_hnf_star_varieties_on_generated_models(model):
     ctx = Context(model, "generated", DEFAULT_ENUM_BOUND, 0)
     assume(ctx.finite)
     for sp in (ctx.pspec, ctx.spec):
-        assert star_masks(sp) == tuple(oracles.hnf_star_mask(sp, N) for N in ctx.subs), (
+        assert sp.star_masks == tuple(oracles.hnf_star_mask(sp, N) for N in ctx.subs), (
             model.ring.text(), model.module.text(), sp.kind)
     for mask in ctx.subset_masks(ctx.pspec):
         assert radical_core(ctx.pspec, mask) == oracles.hnf_radical_core(ctx.pspec, mask), (
@@ -663,16 +667,32 @@ COPRIME_SPLITS = tuple((a, b) for a in Z_ORDERS for b in Z_ORDERS
                        if a * b <= MAX_SIZE and gcd(a, b) == 1)
 
 
+def automorphisms(group: GradingGroup) -> list[tuple]:
+    """The automorphisms g -> Ag of a grading group of GROUPS, whose cyclic
+    orders are equal: the matrices A with entries below that order that
+    permute the group's elements (the units of Z_n, or GL2(F2) on Z2 x Z2)."""
+    orders, elements = group.cyclic_orders, group.elements()
+    matrices = product(product(range(orders[0]), repeat=len(orders)), repeat=len(orders))
+    return [A for A in matrices
+            if len({moved_degree(group, A, g) for g in elements}) == len(elements)]
+
+
+def moved_degree(group: GradingGroup, A: tuple, g: tuple) -> tuple:
+    return group.reduce(tuple(sum(a * x for a, x in zip(row, g)) for row in A))
+
+
 @st.composite
-def crt_pairs(draw):
+def presentation_pairs(draw, relation: str):
     """A finite model over Z with a factor Z_ab@g, a and b coprime, and the
-    model with that factor split into Z_a@g x Z_b@g in its place, each named
-    submodule carried by x -> (x mod a, x mod b) and the named subsets kept:
-    two presentations of one module.  Only modules whose primary spectrum
-    and base each have at most 12 elements are drawn.  There every subset
-    of points and every family of basic opens is enumerated, so no
-    quantifier of P4.1, T4.4, P4.8 or T3.4 samples, and the order of the
-    points cannot change a count."""
+    same module presented another way, the named subsets kept: with that
+    factor split into Z_a@g x Z_b@g in its place, each named submodule
+    carried by x -> (x mod a, x mod b) ("split"), or with its factors
+    permuted and every degree moved by an automorphism of the grading group,
+    each named submodule carried by permuting coordinates ("relabel").  Only
+    modules whose primary spectrum and base each have at most 12 elements
+    are drawn.  There every subset of points and every family of basic
+    opens is enumerated, so no quantifier of P4.1, T4.4, P4.8 or T3.4
+    samples, and the order of the points cannot change a count."""
     group = GradingGroup(draw(st.sampled_from(GROUPS)))
     a, b = draw(st.sampled_from(COPRIME_SPLITS))
     degrees = st.sampled_from(group.elements())
@@ -689,12 +709,21 @@ def crt_pairs(draw):
     merged = with_names(draw, GradedModule(BaseRing(0), group, factors))
     space = topology.build_space(merged.module, topology.PSPEC)
     assume(len(space.points) <= 12 and len(space.base) <= 12)
-    g = factors[k][1]
-    M = GradedModule(BaseRing(0), group, factors[:k] + [(a, g), (b, g)] + factors[k + 1:])
+    if relation == "split":
+        g = factors[k][1]
+        other = factors[:k] + [(a, g), (b, g)] + factors[k + 1:]
 
-    def carry(v):
-        return (*v[:k], v[k] % a, v[k] % b, *v[k + 1:])
+        def carry(v):
+            return (*v[:k], v[k] % a, v[k] % b, *v[k + 1:])
+    else:
+        order = draw(st.permutations(range(len(factors))))
+        A = draw(st.sampled_from(automorphisms(group)))
+        other = [(factors[i][0], moved_degree(group, A, factors[i][1])) for i in order]
 
+        def carry(v):
+            return tuple(v[i] for i in order)
+
+    M = GradedModule(BaseRing(0), group, other)
     submodules = {name: M.submodule([carry(v) for v in N.element_set()])
                   for name, N in merged.named_submodules.items()}
     return merged, Model(group, M.ring, M, submodules, merged.named_subsets)
@@ -715,19 +744,35 @@ def presentation_invariants(model: Model) -> tuple:
     return tuple(counts)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(crt_pairs())
-@example((parse_model("group = Z2\nring = Z\nmodule = Z6@0\nsubmodule N = (2)\n"),
-          parse_model("group = Z2\nring = Z\nmodule = Z2@0 x Z3@0\nsubmodule N = (0,2)\n")))
-def test_a_chinese_remainder_split_gives_the_same_answers(pair):
-    # Z_ab@g and Z_a@g x Z_b@g are one module written two ways.  C2.16 is
-    # compared by status alone: its detail counts the transpositions of
-    # equal factors, and that count depends on the presentation
-    merged, split = pair
-    assert presentation_invariants(merged) == presentation_invariants(split), (
-        merged.module.text(), split.module.text())
+PRESENTATION_EXAMPLES = {
+    "split": ("group = Z2\nring = Z\nmodule = Z6@0\nsubmodule N = (2)\n",
+              "group = Z2\nring = Z\nmodule = Z2@0 x Z3@0\nsubmodule N = (0,2)\n"),
+    "relabel": ("group = Z3\nring = Z\nmodule = Z3@1 x Z15@1 x Z3@0\nsubmodule N = (1,5,0)\n",
+                "group = Z3\nring = Z\nmodule = Z3@0 x Z15@2 x Z3@2\nsubmodule N = (0,5,1)\n"),
+}
 
-    def outcomes(model):
-        return [(i, s, None if i == "C2.16" else d) for i, s, d in catalog_outcomes(model)]
 
-    assert outcomes(merged) == outcomes(split), (merged.module.text(), split.module.text())
+@pytest.mark.parametrize("relation", sorted(PRESENTATION_EXAMPLES))
+def test_an_isomorphic_presentation_gives_the_same_answers(relation):
+    # Z_ab@g and Z_a@g x Z_b@g are one module written two ways, and so are M
+    # and M with its factors permuted and its degrees moved by an
+    # automorphism of the grading group.  C2.16's detail counts the
+    # transpositions of equal factors: a split can change that count, so
+    # there C2.16 is compared by status alone, while a permutation and an
+    # automorphism keep the pairs of equal factors, so there it is compared
+    # in full
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(presentation_pairs(relation))
+    @example(tuple(parse_model(text) for text in PRESENTATION_EXAMPLES[relation]))
+    def relation_holds(pair):
+        first, second = pair
+        assert presentation_invariants(first) == presentation_invariants(second), (
+            first.module.text(), second.module.text())
+
+        def outcomes(model):
+            return [(i, s, None if i == "C2.16" and relation == "split" else d)
+                    for i, s, d in catalog_outcomes(model)]
+
+        assert outcomes(first) == outcomes(second), (first.module.text(), second.module.text())
+
+    relation_holds()

@@ -1,21 +1,26 @@
+import gc
 from pathlib import Path
 
 import pytest
 
+from test_faults import INSTANCES
 from gpspec.algebra import (
+    AlgebraError,
     BaseRing,
     GradedModule,
     GradingGroup,
+    colon_ideals,
     enumerate_submodules,
     ideal_times_module,
 )
 from gpspec.dsl import parse_model
-from gpspec.harness import is_quasi_compact
+from gpspec.harness import is_quasi_compact, run_checks
 from gpspec.maps import analyze_natural_map, reduced_ring_space
 from gpspec.spectra import graded_radical
 from gpspec.topology import (
     PSPEC,
     SPEC,
+    FiniteSpace,
     analyze_space,
     base_scalars,
     basic_open,
@@ -28,8 +33,6 @@ from gpspec.topology import (
     radical_core,
     ring_basic_open,
     ring_variety,
-    _colon_variety,
-    star_masks,
     variety,
     variety_membership,
 )
@@ -209,9 +212,9 @@ def test_closed_family_is_topology():
             for b in masks:
                 assert (a | b) in masks
                 assert (a & b) in masks
-        # every closed set recomputes from its witness
-        for m, N in sp.witnesses.items():
-            assert variety(sp, N) == m
+        # every closed set recomputes from its witness ideal I, as V(IM)
+        for m, I in sp.witnesses.items():
+            assert variety(sp, ideal_times_module(I, M)) == m
 
 
 def test_star_variety_laws():
@@ -255,31 +258,62 @@ def test_variety_laws():
                     assert issubset(vn, vn2)
 
 
-def test_variety_memo_matches_fresh_space():
-    # the non-star variety is memoised with the space by (N : M), one memo
-    # entry per colon, and the star kind reads the space's one memoised star
-    # table; every mask must equal the mask of a space built afresh on an
-    # equal module (whose memo is its own), and the definition read off the
-    # radicals
-    for M in (
-        GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
-        GradedModule(Z, Z2G, [(6, (0,)), (10, (1,))]),
-    ):
-        sp = build_space(M)
-        subs = enumerate_submodules(M)
-        by_colon = {N.colon(): variety(sp, N) for N in subs}
-        fresh = build_space(GradedModule(Z, Z2G, M.factors))
+TABLE_MODULES = {**FINITE_MODELS,
+                 "z4z8z2": GradedModule(Z, Z2G, [(4, (0,)), (8, (1,)), (2, (0,))]),
+                 "z6z10": GradedModule(Z, Z2G, [(6, (0,)), (10, (1,))])}
+
+
+@pytest.mark.parametrize("stem", TABLE_MODULES)
+def test_closed_of_holds_one_closed_set_per_ideal(stem):
+    # a module space holds the closed set of each colon ideal, a ring space
+    # that of each ideal, once: each entry is the definition read off the
+    # radicals (off containment on the ring space), the closed family is the
+    # set of entries, and every variety reads its entry, equal to the mask
+    # of a space built afresh on an equal module (whose memo is its own).
+    # The star kind reads the space's one star table, the definition too
+    M = TABLE_MODULES[stem]
+    fresh_module = GradedModule(M.ring, M.group, M.factors)
+    for kind in (PSPEC, SPEC):
+        sp, fresh = build_space(M, kind), build_space(fresh_module, kind)
         assert fresh is not sp
-        assert star_masks(sp) is star_masks(sp)
-        for N in subs:
-            assert variety(sp, N) == by_colon[N.colon()]
-            assert M.memo[(_colon_variety.__wrapped__, sp, N.colon())] == by_colon[N.colon()]
-            assert variety(sp, N) == variety(fresh, N) == sum(
-                1 << i for i, R in enumerate(sp.radicals) if R.colon().contains(N.colon())
-            )
+        assert list(sp.closed_of) == list(colon_ideals(M)), (stem, kind)
+        for c, mask in sp.closed_of.items():
+            assert mask == sum(1 << i for i, R in enumerate(sp.radicals)
+                               if R.colon().contains(c)), (stem, kind, c)
+        assert sp.closed_masks == tuple(sorted(set(sp.closed_of.values())))
+        assert sp.star_masks is sp.star_masks
+        for N in enumerate_submodules(M):
+            assert variety(sp, N) == variety(fresh, N) == sp.closed_of[N.colon()]
             assert variety(sp, N, star=True) == variety(fresh, N, star=True) == sum(
                 1 << i for i, R in enumerate(sp.radicals) if R.contains(N)
             )
+    ring_space = reduced_ring_space(M)
+    ring = ring_space.ring
+    assert list(ring_space.closed_of) == ring.ideals(), stem
+    for I, mask in ring_space.closed_of.items():
+        assert mask == sum(1 << i for i, p in enumerate(ring_space.points) if p.contains(I))
+        assert ring_variety(ring_space, I) == mask
+    assert ring_space.closed_masks == tuple(sorted(set(ring_space.closed_of.values())))
+
+
+def test_ring_variety_refuses_an_ideal_of_another_ring():
+    ring_space = build_ring_space(BaseRing(12))
+    for ring in (BaseRing(6), Z):
+        with pytest.raises(AlgebraError, match="ideal rings differ"):
+            ring_variety(ring_space, ring.ideal(2))
+
+
+def test_no_module_memo_keys_a_space():
+    # spaces keep their own tables, so after a whole catalog run no memo
+    # entry of any module is keyed by a space
+    for stem, text in INSTANCES:
+        model = parse_model(text)
+        run_checks(model, "all", stem)
+        modules = [M for M in gc.get_objects() if isinstance(M, GradedModule)]
+        assert model.module in modules
+        for M in modules:
+            assert not any(isinstance(part, FiniteSpace) for key in M.memo for part in key), (
+                stem, M.text())
 
 
 def test_base_generates_topology():
@@ -362,7 +396,7 @@ def test_spec_subspace_identity():
     for M in (zmod(6), zmod(8), zmod(12), GradedModule(Z, Z2G, [(2, (0,)), (4, (1,))])):
         ps = build_space(M, PSPEC)
         ss = build_space(M, SPEC)
-        spec_in_ps = [ps.index_of(p) for p in ss.points]
+        spec_in_ps = [ps.position[p] for p in ss.points]
         for N in enumerate_submodules(M):
             big = variety(ps, N)
             small = variety(ss, N)

@@ -649,7 +649,8 @@ def _diagonal_blocks(M: GradedModule, coeffs) -> tuple:
 
 
 def annihilator(M: GradedModule) -> Ideal:
-    return M.zero_submodule.colon()
+    """Ann(M) = (0 : M) = (L), L the exponent; (0) when M has a free factor."""
+    return M.ring.ideal(M.exponent) if M.is_finite else M.ring.zero_ideal
 
 
 @per_module

@@ -4,9 +4,16 @@ primary spectra induced by graded epimorphisms.
 
 Both base rings are principal, so the reduced ring is presented concretely
 as Z/m via the annihilator generator m (Z itself when m = 0).
+
+A closed set of a finite space depends on its colon ideal (c) only through
+the primes dividing c: each point's radical colon is a radical ideal, so it
+contains (c) iff it contains rad(c).  An induced map onto M' of exponent L'
+pairs ν(IM) with ν(rad(I)M'), of colon (gcd(rad I, L')), so with (gcd(I, L')).
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .algebra import (
     DEFAULT_ENUM_BOUND,
@@ -20,19 +27,10 @@ from .algebra import (
     Value,
     _presentation,
     annihilator,
-    colon_ideals,
-    ideal_times_module,
     per_module,
 )
 from .spectra import Trilean, UnknownResultError, graded_radical
-from .topology import (
-    PSPEC,
-    FiniteSpace,
-    build_ring_space,
-    build_space,
-    ring_variety,
-    variety,
-)
+from .topology import PSPEC, FiniteSpace, build_ring_space, build_space, ring_variety
 
 
 class ReducedRing(Value):
@@ -259,11 +257,8 @@ class InducedSpectrumMap:
         if None in mapping:
             return PiAnalysis(mapping, False, False, False,
                               Trilean(False, reason="a preimage is not a point"))
-        pairs = []
-        for I in colon_ideals(M):
-            IM = ideal_times_module(I, M)
-            pairs.append((variety(sp2, ideal_times_module(IM.colon_radical(), M2)),
-                          variety(sp, IM)))
+        pairs = [(sp2.closed_of[M2.ring.ideal(gcd(I.gen, M2.exponent))], closed)
+                 for I, closed in sp.closed_of.items()]
         inj, surj, continuity_ok = _map_flags(sp2, sp, mapping, pairs)
         bijective = inj.is_true and surj.is_true
         homeo = (Trilean.yes() if bijective and continuity_ok and _closed_map(sp2, sp, mapping)

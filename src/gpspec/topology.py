@@ -6,13 +6,15 @@ spectral-space checklist).
 Only finite spaces are materialized.  Each holds the closed set of every
 colon ideal (every ideal, on a ring space) in one table, built once, and
 reads star varieties and radical cores off the lattice table; pointwise
-membership predicates serve the rest.
+membership predicates serve the rest.  A basic open S_r is read off that
+table too: for M = (+) Z/o_i of exponent L, M/rM = (+) Z/gcd(r, o_i), so
+(rM : M) = (lcm_i gcd(r, o_i)) = (gcd(r, L)).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import numtheory
 from .algebra import (
@@ -25,7 +27,6 @@ from .algebra import (
     Value,
     _lattice,
     colon_ideals,
-    ideal_times_module,
     is_enumerable,
     per_module,
 )
@@ -108,25 +109,26 @@ def _build_space(M: GradedModule, kind: str, bound: int) -> FiniteSpace:
     points = spectrum_points(M, kind, bound)
     space = FiniteSpace(kind, points, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
-    _fill_families(space, {I: _colon_variety(space, I) for I in colon_ideals(M)}, basic_open)
+    _fill_families(space, {I: _colon_variety(space, I) for I in colon_ideals(M)}, M.exponent)
     return space
 
 
-def _fill_families(space: FiniteSpace, closed_of: dict[Ideal, int], open_of) -> None:
+def _fill_families(space: FiniteSpace, closed_of: dict[Ideal, int], n: int) -> None:
     """Set the closed set of each ideal, the deduplicated closed family,
     witnessed by the first ideal giving each closed set, and the distinct
     basic opens, represented by the first scalar giving each.  The ideals
     are the (d) for the divisors d of the exponent or modulus n, so 0 and
-    their generators are base_scalars(n)."""
+    their generators are base_scalars(n); S_r is the open of (gcd(r, n))."""
     space.closed_of = closed_of
     witnesses: dict[int, Ideal] = {}
     for I, m in closed_of.items():
         witnesses.setdefault(m, I)
     space.closed_masks = tuple(sorted(witnesses))
     space.witnesses = witnesses
+    ring = space.ring if space.module is None else space.module.ring
     base: dict[int, int] = {}
     for r in sorted({0, *(I.gen for I in closed_of)}):
-        base.setdefault(open_of(space, r), r)
+        base.setdefault(closed_of[ring.ideal(gcd(r, n))] ^ space.full_mask, r)
     space.base = tuple((r, m) for m, r in base.items())
 
 
@@ -144,7 +146,7 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
     points = ring.prime_ideals()
     space = FiniteSpace(RINGSPEC, points, ring=ring)
     _fill_families(space, {I: sum(1 << i for i, p in enumerate(points) if p.contains(I))
-                           for I in ring.ideals()}, ring_basic_open)
+                           for I in ring.ideals()}, ring.modulus)
     return space
 
 
@@ -184,11 +186,11 @@ def variety_membership(
 
 
 def basic_open(space: FiniteSpace, r: int) -> int:
-    """Complement of the variety of r.M; these sets form the base."""
+    """Complement of ν(rM), the closed set of (gcd(r, L)); these form the base."""
     if space.kind == RINGSPEC:
         raise AlgebraError("use ring_basic_open on ring spectra")
     M = space.module
-    return variety(space, ideal_times_module(M.ring.ideal(r), M)) ^ space.full_mask
+    return space.closed_of[M.ring.ideal(gcd(r, M.exponent))] ^ space.full_mask
 
 
 def ring_variety(space: FiniteSpace, I: Ideal) -> int:

@@ -32,6 +32,10 @@ the denominators of its coordinates over L's Hermite basis, in place of
 the index of two Hermite forms that the library reads; and
 `image_submodule`, the image of a submodule under one, which L2.14 took
 per primary point until it read the images off the pullback table;
+`scaled_basic_open`, `scaled_transport_pairs` and
+`zero_colon_annihilator`, the basic opens, the induced maps' closed-set
+pairs and Ann(M) through I.M or the colon of 0, which reading the spaces'
+tables at (gcd(r, L)) and the exponent replaced;
 `residue_P3_2`, P3.2 walking every residue and residue pair of Z/n, which
 the walk over one scalar per ideal replaced, and `P3_2_routes`, P3.2's
 outcome by both; `one_per_colon`, the submodule walk that the map
@@ -66,6 +70,7 @@ from gpspec.algebra import (
     GradingGroup,
     Ideal,
     ModuleMismatchError,
+    colon_ideals,
     enumerate_submodules,
     ideal_times_module,
     quotient_module,
@@ -604,6 +609,34 @@ def one_per_colon(M: GradedModule, bound: int = DEFAULT_ENUM_BOUND):
     for N in enumerate_submodules(M, bound):
         first.setdefault(N.colon(), N)
     return first.values()
+
+
+def scaled_basic_open(space, r: int) -> int:
+    """The basic open S_r of a module space through the submodule r.M and
+    the variety at its colon, read off Smith invariants, in place of the
+    table read at (gcd(r, L))."""
+    M = space.module
+    return topology.variety(space, ideal_times_module(M.ring.ideal(r), M)) ^ space.full_mask
+
+
+def scaled_transport_pairs(f, sp, sp2) -> list[tuple[int, int]]:
+    """The closed-set pairs of the primary spectra of an epimorphism's
+    target (sp2) and source (sp): for each colon ideal I of the source,
+    the variety of rad(IM : M).M' and that of I.M, each built as a
+    submodule, in place of the target's table read at (gcd(I, L'))."""
+    M, M2 = f.source, f.target
+    pairs = []
+    for I in colon_ideals(M):
+        IM = ideal_times_module(I, M)
+        pairs.append((topology.variety(sp2, ideal_times_module(IM.colon_radical(), M2)),
+                      topology.variety(sp, IM)))
+    return pairs
+
+
+def zero_colon_annihilator(M: GradedModule) -> Ideal:
+    """Ann(M) as the colon (0 : M) read off the Smith invariants of the
+    zero submodule, in place of the exponent."""
+    return M.zero_submodule.colon()
 
 
 def residue_P3_2(ctx):

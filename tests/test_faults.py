@@ -169,6 +169,40 @@ def test_a_closed_family_missing_its_second_largest_set_fails_the_space_checks(m
                                   "T4.6"}
 
 
+def test_basic_opens_read_at_gcd_2r_fail_the_basic_open_checks(monkeypatch):
+    # S_r read off the closed set of (gcd(2r, L)) in place of (gcd(r, L)),
+    # wherever the catalog asks for a basic open; the spaces' bases are
+    # filled from their tables, apart from basic_open
+    def fault(real):
+        return lambda space, r: real(space, 2 * r)
+
+    assert failing_checks(monkeypatch, "basic_open", fault) == {"E3.3", "P3.2"}
+
+
+def test_a_base_missing_its_last_open_fails_the_base_check(monkeypatch):
+    # every space with two or more basic opens, module and ring spaces alike
+    real = topology._fill_families
+
+    def fill_families(space, *args):
+        real(space, *args)
+        if len(space.base) >= 2:
+            space.base = space.base[:-1]
+
+    monkeypatch.setattr(topology, "_fill_families", fill_families)
+    assert catalog_outcomes() == {("P3.1", "fail")}
+
+
+def test_a_doubled_transport_target_key_fails_the_transport_checks(monkeypatch):
+    # each induced map pairs the closed set of I on the source with that of
+    # (gcd(2I, L')) on the target in place of (gcd(I, L')); gcd is read in
+    # maps by that key alone.  No row keys the target at rad(I) in place
+    # of I: the closed set of (c) depends only on the primes dividing c, so
+    # that mutant is equivalent and fails nothing
+    real = maps.gcd
+    monkeypatch.setattr(maps, "gcd", lambda a, b: real(2 * a, b))
+    assert catalog_outcomes() == {("C2.16", "fail"), ("T2.15", "fail")}
+
+
 def test_a_union_gap_that_finds_none_fails_the_union_closure_check(monkeypatch):
     # is_primary_top_module then says yes on every finite module, and C2.7
     # walks the star family's unions by itself, so it finds the gap

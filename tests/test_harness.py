@@ -345,7 +345,9 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
     # image identities over one submodule per colon, 1,005 variety calls
     # when C2.16 analysed its own zero-kernel projection, and 997 when every
     # space found its closed sets by one variety call per submodule and the
-    # natural maps took one per colon ideal)
+    # natural maps took one per colon ideal; 735 variety and 563 I.M calls
+    # when every basic open and induced-map pair built I.M and took its
+    # colon, where now each reads the space's table at (gcd(r, L)))
     counts = Counter()
 
     def counted(op):
@@ -357,22 +359,27 @@ def test_catalog_lattice_work_is_pinned(monkeypatch):
 
         monkeypatch.setattr(GradedSubmodule, op, counted_body)
 
-    real_variety = topology.variety
+    def counted_function(name, owner):
+        real = getattr(owner, name)
 
-    def counted_variety(*args, **kwargs):
-        counts["variety"] += 1
-        return real_variety(*args, **kwargs)
+        def counted_call(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("gpspec") and vars(module).get(name) is real:
+                monkeypatch.setattr(module, name, counted_call)
 
     counted("plus")
     counted("intersect")
     counted("contains")
-    for module in (topology, harness, maps):
-        monkeypatch.setattr(module, "variety", counted_variety)
+    counted_function("variety", topology)
+    counted_function("ideal_times_module", algebra)
     model = parse_model("group = Z2\nring = Z\nmodule = Z4@0 x Z8@1 x Z2@0\n")
     results = run_checks(model, "all", "heavy")
     assert not [r for r in results if r.status == "fail"]
     assert counts["contains"] == 0
-    assert counts == {"plus": 107, "variety": 735}
+    assert counts == {"plus": 107, "variety": 375, "ideal_times_module": 203}
 
 
 def test_catalog_divisors_are_pinned(monkeypatch):

@@ -33,6 +33,7 @@ from gpspec.algebra import (
     GradingGroup,
     enumerate_submodules,
     ideal_times_module,
+    quotient_module,
 )
 from gpspec import algebra, harness, maps, spectra, topology
 from gpspec.cli import run
@@ -119,6 +120,36 @@ def test_radical_against_oracle_prime_intersection(N):
     assert over, (N.module.text(), N.text())  # every proper N lies in a prime
     want = reduce(GradedSubmodule.intersect, over)
     assert graded_radical(N).require() == want, (N.module.text(), N.text())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(finite_modules())
+def test_basic_opens_transport_pairs_and_annihilators_against_the_scaled_routes(M):
+    # the spaces' tables read at (gcd(r, L)) and the exponent, against r.M,
+    # I.M and rad(IM : M).M' built as submodules and Ann(M) as (0 : M):
+    # every basic open of both spectra, every closed-set pair the induced
+    # map of each kernel's projection hands to the map flags, and the
+    # annihilator of M and of each projection's target
+    for kind in (topology.PSPEC, topology.SPEC):
+        sp = topology.build_space(M, kind)
+        for r in range(2 * M.exponent + 3):
+            assert topology.basic_open(sp, r) == oracles.scaled_basic_open(sp, r), (kind, r)
+    library, handed = maps._map_flags, []
+
+    def flags(X, Y, mapping, closed_pairs):
+        handed.append(closed_pairs)
+        return library(X, Y, mapping, closed_pairs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_map_flags", flags)
+        for K in enumerate_submodules(M):
+            f = quotient_module(M, K)[1]
+            handed.clear()
+            maps.InducedSpectrumMap(f).analyze()
+            sp, sp2 = (topology.build_space(N) for N in (M, f.target))
+            assert handed == [oracles.scaled_transport_pairs(f, sp, sp2)], K.text()
+            assert algebra.annihilator(f.target) == oracles.zero_colon_annihilator(f.target)
+    assert algebra.annihilator(M) == oracles.zero_colon_annihilator(M)
 
 
 @st.composite

@@ -56,12 +56,11 @@ _EXPORTS = {
         "basic_open",
         "build_ring_space",
         "build_space",
+        "closed_set",
         "closure",
         "ideal_core",
         "is_primary_top_module",
         "radical_core",
-        "ring_basic_open",
-        "ring_variety",
         "variety",
         "variety_membership",
     ),

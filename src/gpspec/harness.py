@@ -66,13 +66,12 @@ from .topology import (
     base_scalars,
     basic_open,
     build_space,
+    closed_set,
     closure,
     ideal_core,
     is_irreducible_subset,
     is_primary_top_module,
     radical_core,
-    ring_basic_open,
-    ring_variety,
     specialization_closures,
     star_variety_family,
     variety,
@@ -708,7 +707,7 @@ def check_P3_2(ctx: Context):
     for r in ctx.scalar_reps:
         s_r = open_of(r)
         # (1) the preimage of the reduced basic open is the module basic open
-        d_r = ring_basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
+        d_r = basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
         if preimage_mask(mapping, d_r) != s_r:
             _fail("preimage of the reduced basic open differs", r)
         # (2) image inside the reduced basic open, equal when surjective
@@ -928,7 +927,7 @@ def check_C4_7(ctx: Context):
     ring_union = 0
     rr = ctx.reduced
     for i in K:
-        ring_union |= ring_variety(rs, rr.reduce_ideal(sp.points[i].colon()))
+        ring_union |= closed_set(rs, rr.reduce_ideal(sp.points[i].colon()))
     if ring_union != rs.full_mask:
         _fail("reduced ring spectrum is not covered by the colon varieties")
     ss = ctx.spec

@@ -13,8 +13,6 @@ pairs ν(IM) with ν(rad(I)M'), of colon (gcd(rad I, L')), so with (gcd(I, L')).
 
 from __future__ import annotations
 
-from math import gcd
-
 from .algebra import (
     DEFAULT_ENUM_BOUND,
     AlgebraError,
@@ -30,7 +28,7 @@ from .algebra import (
     per_module,
 )
 from .spectra import Trilean, UnknownResultError, graded_radical
-from .topology import PSPEC, FiniteSpace, build_ring_space, build_space, ring_variety
+from .topology import PSPEC, FiniteSpace, build_ring_space, build_space, closed_set
 
 
 class ReducedRing(Value):
@@ -156,7 +154,7 @@ def _natural_map(M: GradedModule, source: str, bound: int) -> MapAnalysis:
     # per colon ideal I ⊇ Ann(M), the variety of I.M and the reduced closed
     # set of I; when surjective, the image identities say that the variety
     # and its complement map onto the closed set and its complement
-    pairs = [(closed, ring_variety(ring_space, rr.reduce_ideal(I)))
+    pairs = [(closed, closed_set(ring_space, rr.reduce_ideal(I)))
              for I, closed in space.closed_of.items()]
     inj, surj, continuity_ok = _map_flags(space, ring_space, mapping, pairs)
     image_identities_ok = all(
@@ -257,8 +255,7 @@ class InducedSpectrumMap:
         if None in mapping:
             return PiAnalysis(mapping, False, False, False,
                               Trilean(False, reason="a preimage is not a point"))
-        pairs = [(sp2.closed_of[M2.ring.ideal(gcd(I.gen, M2.exponent))], closed)
-                 for I, closed in sp.closed_of.items()]
+        pairs = [(closed_set(sp2, I), closed) for I, closed in sp.closed_of.items()]
         inj, surj, continuity_ok = _map_flags(sp2, sp, mapping, pairs)
         bijective = inj.is_true and surj.is_true
         homeo = (Trilean.yes() if bijective and continuity_ok and _closed_map(sp2, sp, mapping)

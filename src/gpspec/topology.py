@@ -3,12 +3,13 @@ varieties and base sets, and the topological analyzer (connectedness,
 irreducibility, components, generic points, separation, soberness, the
 spectral-space checklist).
 
-Only finite spaces are materialized.  Each holds the closed set of every
-colon ideal (every ideal, on a ring space) in one table, built once, and
-reads star varieties and radical cores off the lattice table; pointwise
-membership predicates serve the rest.  A basic open S_r is read off that
-table too: for M = (+) Z/o_i of exponent L, M/rM = (+) Z/gcd(r, o_i), so
-(rM : M) = (lcm_i gcd(r, o_i)) = (gcd(r, L)).
+Only finite spaces are materialized.  Each holds the closed set V(I) of
+every ideal (d), d | n, in one table built once, n the module's exponent
+L or the ring modulus, so V(I) = closed_of[(gcd(I, n))] on every space;
+star varieties and radical cores are read off the lattice table, and
+pointwise membership predicates serve the rest.  A basic open S_r is the
+complement of V((r)): for M = (+) Z/o_i of exponent L, M/rM =
+(+) Z/gcd(r, o_i), so (rM : M) = (lcm_i gcd(r, o_i)) = (gcd(r, L)).
 """
 
 from __future__ import annotations
@@ -41,19 +42,20 @@ class FiniteSpace:
     """A materialized spectrum with its full closed-set family.
 
     points are canonical submodules (module spaces) or prime ideals (ring
-    spaces), position maps each to its index; closed_of maps each colon
-    ideal (module spaces) or each ideal (ring spaces) to its closed set;
-    closed_masks is the deduplicated family of these, with the first ideal
-    giving each as its witness; base lists the distinct basic opens with one
-    representative scalar each.
+    spaces), position maps each to its index; n is the module's exponent or
+    the ring modulus, and closed_of maps each ideal (d) of ring with d | n
+    to its closed set; closed_masks is the deduplicated family of these,
+    with the first ideal giving each as its witness; base lists the
+    distinct basic opens with one representative scalar each.
     """
 
-    def __init__(self, kind, points, module=None, ring=None):
+    def __init__(self, kind, points, ring: BaseRing, n: int, module=None):
         self.kind = kind
         self.points = tuple(points)
         self.position = {p: i for i, p in enumerate(self.points)}
-        self.module = module
         self.ring = ring
+        self.n = n
+        self.module = module
         self.full_mask = (1 << len(self.points)) - 1
         self.closed_of: dict[Ideal, int] = {}
         self.closed_masks: tuple[int, ...] = ()
@@ -107,28 +109,29 @@ def _build_space(M: GradedModule, kind: str, bound: int) -> FiniteSpace:
     if kind not in (PSPEC, SPEC):
         raise AlgebraError(f"unknown module space kind {kind!r}")
     points = spectrum_points(M, kind, bound)
-    space = FiniteSpace(kind, points, module=M)
+    space = FiniteSpace(kind, points, M.ring, M.exponent, module=M)
     space.radicals = tuple(graded_radical(Q, bound).require() for Q in points)
-    _fill_families(space, {I: _colon_variety(space, I) for I in colon_ideals(M)}, M.exponent)
+    _fill_families(space, colon_ideals(M), [R.colon() for R in space.radicals])
     return space
 
 
-def _fill_families(space: FiniteSpace, closed_of: dict[Ideal, int], n: int) -> None:
-    """Set the closed set of each ideal, the deduplicated closed family,
+def _fill_families(space: FiniteSpace, ideals, colons) -> None:
+    """Set the closed set of each ideal, the mask of the points whose colon
+    (colons[i] for point i) contains it, the deduplicated closed family,
     witnessed by the first ideal giving each closed set, and the distinct
     basic opens, represented by the first scalar giving each.  The ideals
-    are the (d) for the divisors d of the exponent or modulus n, so 0 and
-    their generators are base_scalars(n); S_r is the open of (gcd(r, n))."""
-    space.closed_of = closed_of
+    are the (d) for the divisors d of space.n, so 0 and their generators
+    are base_scalars(space.n)."""
+    space.closed_of = {I: sum(1 << i for i, c in enumerate(colons) if c.contains(I))
+                       for I in ideals}
     witnesses: dict[int, Ideal] = {}
-    for I, m in closed_of.items():
+    for I, m in space.closed_of.items():
         witnesses.setdefault(m, I)
     space.closed_masks = tuple(sorted(witnesses))
     space.witnesses = witnesses
-    ring = space.ring if space.module is None else space.module.ring
     base: dict[int, int] = {}
-    for r in sorted({0, *(I.gen for I in closed_of)}):
-        base.setdefault(closed_of[ring.ideal(gcd(r, n))] ^ space.full_mask, r)
+    for r in sorted({0, *(I.gen for I in ideals)}):
+        base.setdefault(closed_set(space, space.ring.ideal(r)) ^ space.full_mask, r)
     space.base = tuple((r, m) for m, r in base.items())
 
 
@@ -144,9 +147,8 @@ def build_ring_space(ring: BaseRing) -> FiniteSpace:
     """Materialize the prime spectrum of a finite ring Z/m with the V(I)
     closed family and the basic opens D_r."""
     points = ring.prime_ideals()
-    space = FiniteSpace(RINGSPEC, points, ring=ring)
-    _fill_families(space, {I: sum(1 << i for i, p in enumerate(points) if p.contains(I))
-                           for I in ring.ideals()}, ring.modulus)
+    space = FiniteSpace(RINGSPEC, points, ring, ring.modulus)
+    _fill_families(space, ring.ideals(), points)
     return space
 
 
@@ -161,17 +163,11 @@ def variety(space: FiniteSpace, N: GradedSubmodule, star: bool = False) -> int:
     (default, the closed sets of the topology, read off the space's table by
     (N : M)).  On the prime spectrum the same with each point its own radical.
     """
-    if space.kind == RINGSPEC:
-        raise AlgebraError("use ring_variety on ring spectra")
     if N.module != space.module:
         raise AlgebraError("submodule lives in a different module")
     if star:
         return space.star_masks[_lattice(space.module).position[N]]
     return space.closed_of[N.colon()]
-
-
-def _colon_variety(space: FiniteSpace, c: Ideal) -> int:
-    return sum(1 << i for i, R in enumerate(space.radicals) if R.colon().contains(c))
 
 
 def variety_membership(
@@ -185,24 +181,18 @@ def variety_membership(
     return R.colon().contains(N.colon())
 
 
-def basic_open(space: FiniteSpace, r: int) -> int:
-    """Complement of ν(rM), the closed set of (gcd(r, L)); these form the base."""
-    if space.kind == RINGSPEC:
-        raise AlgebraError("use ring_basic_open on ring spectra")
-    M = space.module
-    return space.closed_of[M.ring.ideal(gcd(r, M.exponent))] ^ space.full_mask
-
-
-def ring_variety(space: FiniteSpace, I: Ideal) -> int:
-    if space.kind != RINGSPEC:
-        raise AlgebraError("ring_variety needs a ring spectrum")
+def closed_set(space: FiniteSpace, I: Ideal) -> int:
+    """V(I), the points whose colon (their radical's, on a module space)
+    contains I, read off the table at (gcd(I, n)): ν(IM) on a module space."""
     if I.ring != space.ring:
         raise AlgebraError("ideal rings differ")
-    return space.closed_of[I]
+    return space.closed_of[space.ring.ideal(gcd(I.gen, space.n))]
 
 
-def ring_basic_open(space: FiniteSpace, r: int) -> int:
-    return ring_variety(space, space.ring.ideal(r)) ^ space.full_mask
+def basic_open(space: FiniteSpace, r: int) -> int:
+    """Complement of V((r)), S_r on a module space and D_r on a ring space;
+    these form the base."""
+    return closed_set(space, space.ring.ideal(r)) ^ space.full_mask
 
 
 # -- eta / gamma / closure -----------------------------------------------------

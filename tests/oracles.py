@@ -35,7 +35,11 @@ per primary point until it read the images off the pullback table;
 `scaled_basic_open`, `scaled_transport_pairs` and
 `zero_colon_annihilator`, the basic opens, the induced maps' closed-set
 pairs and Ann(M) through I.M or the colon of 0, which reading the spaces'
-tables at (gcd(r, L)) and the exponent replaced;
+tables at (gcd(r, L)) and the exponent replaced; `colon_variety`,
+`ring_closed_table` and `ring_variety`, a module space's closed set of a
+colon ideal from its radicals, a ring space's table by a comprehension
+over the ring's ideals and its lookup at I itself, which the one table
+builder and `closed_set` of both kinds of space replaced;
 `residue_P3_2`, P3.2 walking every residue and residue pair of Z/n, which
 the walk over one scalar per ideal replaced, and `P3_2_routes`, P3.2's
 outcome by both; `one_per_colon`, the submodule walk that the map
@@ -619,6 +623,24 @@ def scaled_basic_open(space, r: int) -> int:
     return topology.variety(space, ideal_times_module(M.ring.ideal(r), M)) ^ space.full_mask
 
 
+def colon_variety(space, c: Ideal) -> int:
+    """The closed set of a colon ideal c on a module space: the points
+    whose graded radical's colon contains c."""
+    return sum(1 << i for i, R in enumerate(space.radicals) if R.colon().contains(c))
+
+
+def ring_closed_table(ring) -> dict[Ideal, int]:
+    """V(I) for each ideal I of a finite ring Z/m, over its prime ideals in
+    canonical order: the ring space's table."""
+    points = ring.prime_ideals()
+    return {I: sum(1 << i for i, p in enumerate(points) if p.contains(I)) for I in ring.ideals()}
+
+
+def ring_variety(space, I: Ideal) -> int:
+    """V(I) on a ring space, read off its table at I itself."""
+    return space.closed_of[I]
+
+
 def scaled_transport_pairs(f, sp, sp2) -> list[tuple[int, int]]:
     """The closed-set pairs of the primary spectra of an epimorphism's
     target (sp2) and source (sp): for each colon ideal I of the source,
@@ -658,7 +680,7 @@ def residue_P3_2(ctx):
     count = 0
     for r in scalars:
         s_r = open_of(r)
-        d_r = topology.ring_basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
+        d_r = topology.basic_open(rs, rr.reduce_ideal(ring.ideal(r).plus(rr.ann)).gen)
         if maps.preimage_mask(mapping, d_r) != s_r:
             _fail("preimage of the reduced basic open differs", r)
         img_mask = maps.image_mask(mapping, s_r)

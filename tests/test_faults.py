@@ -8,6 +8,7 @@ guards that quantity."""
 import sys
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,14 +99,26 @@ def test_a_preimage_mask_missing_a_point_fails_the_map_checks(monkeypatch):
                       "T4.11"}
 
 
+def drop_lowest_closed_point(monkeypatch, module_spaces):
+    """Each closed set of two or more points loses its lowest point, in the
+    table the shared builder fills for every module space (module_spaces)
+    or for every ring space: it fills the space again from colons that
+    contain an ideal where the faulty table says so."""
+    real = topology._fill_families
+
+    def fill_families(space, ideals, colons):
+        real(space, ideals, colons)
+        if (space.module is not None) == module_spaces:
+            table = {I: m & m - 1 if m.bit_count() >= 2 else m
+                     for I, m in space.closed_of.items()}
+            real(space, ideals, [SimpleNamespace(contains=lambda I, i=i: table[I] >> i & 1)
+                                 for i in range(len(colons))])
+
+    monkeypatch.setattr(topology, "_fill_families", fill_families)
+
+
 def drop_lowest_colon_variety_point(monkeypatch):
-    real = topology._colon_variety
-
-    def colon_variety(space, c):
-        mask = real(space, c)
-        return mask & mask - 1 if mask.bit_count() >= 2 else mask
-
-    monkeypatch.setattr(topology, "_colon_variety", colon_variety)
+    drop_lowest_closed_point(monkeypatch, module_spaces=True)
 
 
 def drop_lowest_preimage_point(monkeypatch):
@@ -136,10 +149,11 @@ def test_an_image_mask_missing_a_point_fails_the_bijection_checks(monkeypatch):
 
 def test_a_colon_variety_missing_a_point_fails_the_variety_checks(monkeypatch):
     # every closed set of a module space, as built and as queried, comes
-    # from _colon_variety, so the fault reaches spaces, maps and catalog alike
-    real = topology._colon_variety
+    # from the table _fill_families builds, so the fault reaches spaces,
+    # maps and catalog alike
+    real = topology._fill_families
     importers = [module for key, module in list(sys.modules.items())
-                 if key.startswith("gpspec") and vars(module).get("_colon_variety") is real]
+                 if key.startswith("gpspec") and vars(module).get("_fill_families") is real]
     assert importers == [topology]
     drop_lowest_colon_variety_point(monkeypatch)
     assert catalog_outcomes() == {
@@ -147,6 +161,14 @@ def test_a_colon_variety_missing_a_point_fails_the_variety_checks(monkeypatch):
             "C2.12", "C4.7", "E3.3", "EX4.2Z6", "L2.6", "P2.10", "P2.11", "P3.2", "P4.1",
             "T2.4", "T2.13", "T2.15", "T3.5", "T4.4", "T4.5", "T4.6", "T4.11")
     }
+
+
+def test_a_ring_closed_set_missing_a_point_fails_the_natural_map_checks(monkeypatch):
+    # the reduced ring spaces' tables come from the builder the module
+    # spaces share; the natural maps and P3.2's D(r) read them
+    drop_lowest_closed_point(monkeypatch, module_spaces=False)
+    assert catalog_outcomes() == {("C2.12", "fail"), ("P2.10", "fail"), ("P2.11", "fail"),
+                                  ("P3.2", "fail")}
 
 
 def test_a_closed_family_missing_its_second_largest_set_fails_the_space_checks(monkeypatch):
@@ -194,12 +216,17 @@ def test_a_base_missing_its_last_open_fails_the_base_check(monkeypatch):
 
 def test_a_doubled_transport_target_key_fails_the_transport_checks(monkeypatch):
     # each induced map pairs the closed set of I on the source with that of
-    # (gcd(2I, L')) on the target in place of (gcd(I, L')); gcd is read in
-    # maps by that key alone.  No row keys the target at rad(I) in place
-    # of I: the closed set of (c) depends only on the primes dividing c, so
-    # that mutant is equivalent and fails nothing
-    real = maps.gcd
-    monkeypatch.setattr(maps, "gcd", lambda a, b: real(2 * a, b))
+    # (gcd(2I, L')) on the target in place of (gcd(I, L')): maps reads a
+    # module space's closed set only there (and a ring space's for the
+    # natural maps).  No row keys the target at rad(I) in place of I: the
+    # closed set of (c) depends only on the primes dividing c, so that
+    # mutant is equivalent and fails nothing
+    real = maps.closed_set
+
+    def closed_set(space, I):
+        return real(space, space.ring.ideal(2 * I.gen) if space.module is not None else I)
+
+    monkeypatch.setattr(maps, "closed_set", closed_set)
     assert catalog_outcomes() == {("C2.16", "fail"), ("T2.15", "fail")}
 
 

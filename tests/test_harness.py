@@ -601,8 +601,9 @@ def test_P3_2_computes_each_basic_open_once(monkeypatch):
     calls = Counter()
     real = harness.basic_open
 
-    def counted(space, r):
-        calls[space.module.ring.ideal(r).gen] += 1
+    def counted(space, r):  # S_r only: P3.2 reads D(r) through basic_open too
+        if space.module is not None:
+            calls[space.ring.ideal(r).gen] += 1
         return real(space, r)
 
     monkeypatch.setattr(harness, "basic_open", counted)

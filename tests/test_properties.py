@@ -123,17 +123,32 @@ def test_radical_against_oracle_prime_intersection(N):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(finite_modules())
-def test_basic_opens_transport_pairs_and_annihilators_against_the_scaled_routes(M):
+@given(finite_modules(), st.integers(2, 60))
+def test_basic_opens_transport_pairs_and_annihilators_against_the_scaled_routes(M, n):
     # the spaces' tables read at (gcd(r, L)) and the exponent, against r.M,
     # I.M and rad(IM : M).M' built as submodules and Ann(M) as (0 : M):
-    # every basic open of both spectra, every closed-set pair the induced
-    # map of each kernel's projection hands to the map flags, and the
-    # annihilator of M and of each projection's target
+    # every basic open and every closed set V(I) of both spectra, every
+    # closed-set pair the induced map of each kernel's projection hands to
+    # the map flags, and the annihilator of M and of each projection's
+    # target.  The one table builder against the radicals' colon varieties
+    # and, on the ring space of Z/n, against the comprehension over the
+    # ring's ideals, with closed_set and D_r against the lookup at I itself
     for kind in (topology.PSPEC, topology.SPEC):
         sp = topology.build_space(M, kind)
+        assert sp.closed_of == {c: oracles.colon_variety(sp, c)
+                                for c in algebra.colon_ideals(M)}, kind
         for r in range(2 * M.exponent + 3):
             assert topology.basic_open(sp, r) == oracles.scaled_basic_open(sp, r), (kind, r)
+            I = M.ring.ideal(r)
+            assert topology.closed_set(sp, I) == topology.variety(
+                sp, ideal_times_module(I, M)), (kind, r)
+    ring = BaseRing(n)
+    rs = topology.build_ring_space(ring)
+    assert rs.closed_of == oracles.ring_closed_table(ring), n
+    for r in range(2 * n + 3):
+        want = oracles.ring_variety(rs, ring.ideal(r))
+        assert topology.closed_set(rs, ring.ideal(r)) == want, (n, r)
+        assert topology.basic_open(rs, r) == want ^ rs.full_mask, (n, r)
     library, handed = maps._map_flags, []
 
     def flags(X, Y, mapping, closed_pairs):

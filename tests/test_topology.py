@@ -26,13 +26,12 @@ from gpspec.topology import (
     basic_open,
     build_ring_space,
     build_space,
+    closed_set,
     closure,
     ideal_core,
     is_irreducible_subset,
     is_primary_top_module,
     radical_core,
-    ring_basic_open,
-    ring_variety,
     variety,
     variety_membership,
 )
@@ -139,7 +138,7 @@ def test_every_mask_a_space_gives_lies_within_its_points(stem):
         masks += [basic_open(sp, r) for r in base_scalars(M.exponent)]
         masks += [mask for _, mask in analyze_natural_map(M, kind).fibers]
         spaces.append((sp, masks))
-    spaces.append((ring_space, [ring_basic_open(ring_space, r)
+    spaces.append((ring_space, [basic_open(ring_space, r)
                                 for r in base_scalars(ring_space.ring.modulus)]))
     for sp, masks in spaces:
         rep = analyze_space(sp)
@@ -156,10 +155,10 @@ def test_every_mask_a_space_gives_lies_within_its_points(stem):
 def test_ring_space_examples():
     rs6 = build_ring_space(BaseRing(6))
     assert [p.gen for p in rs6.points] == [2, 3]
-    assert rs6.members(ring_variety(rs6, BaseRing(6).ideal(2))) == [BaseRing(6).ideal(2)]
-    assert ring_basic_open(rs6, 1) == rs6.full_mask
+    assert rs6.members(closed_set(rs6, BaseRing(6).ideal(2))) == [BaseRing(6).ideal(2)]
+    assert basic_open(rs6, 1) == rs6.full_mask
     rs8 = build_ring_space(BaseRing(8))
-    assert rs8.members(ring_variety(rs8, BaseRing(8).zero_ideal)) == [BaseRing(8).ideal(2)]
+    assert rs8.members(closed_set(rs8, BaseRing(8).zero_ideal)) == [BaseRing(8).ideal(2)]
     with pytest.raises(Exception):
         build_ring_space(Z)
 
@@ -292,15 +291,39 @@ def test_closed_of_holds_one_closed_set_per_ideal(stem):
     assert list(ring_space.closed_of) == ring.ideals(), stem
     for I, mask in ring_space.closed_of.items():
         assert mask == sum(1 << i for i, p in enumerate(ring_space.points) if p.contains(I))
-        assert ring_variety(ring_space, I) == mask
+        assert closed_set(ring_space, I) == mask
     assert ring_space.closed_masks == tuple(sorted(set(ring_space.closed_of.values())))
 
 
-def test_ring_variety_refuses_an_ideal_of_another_ring():
-    ring_space = build_ring_space(BaseRing(12))
-    for ring in (BaseRing(6), Z):
-        with pytest.raises(AlgebraError, match="ideal rings differ"):
-            ring_variety(ring_space, ring.ideal(2))
+REFUSALS = {
+    "variety-ringspace": (
+        lambda: variety(build_ring_space(BaseRing(6)), zmod(6).zero_submodule),
+        "submodule lives in a different module"),
+    "radical_core-ringspace": (
+        lambda: radical_core(build_ring_space(BaseRing(6)), 0),
+        "radical_core applies to module spaces"),
+    "ideal_core-modulespace": (
+        lambda: ideal_core(space_z6(), 0), "ideal_core applies to ring spectra"),
+    "closed_set-ringspace-z6": (
+        lambda: closed_set(build_ring_space(BaseRing(12)), BaseRing(6).ideal(2)),
+        "ideal rings differ"),
+    "closed_set-ringspace-z": (
+        lambda: closed_set(build_ring_space(BaseRing(12)), Z.ideal(2)), "ideal rings differ"),
+    "closed_set-modulespace-z12": (
+        lambda: closed_set(space_z6(), BaseRing(12).ideal(2)), "ideal rings differ"),
+    "closed_set-modulespace-z4": (
+        lambda: closed_set(build_space(GradedModule(Z, Z2G, [(4, (0,))])), BaseRing(4).ideal(2)),
+        "ideal rings differ"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_kind_and_ring_refusals(case):
+    # a space refuses a query of the other kind of space, or an ideal of
+    # another ring
+    call, message = REFUSALS[case]
+    with pytest.raises(AlgebraError, match=message):
+        call()
 
 
 def test_no_module_memo_keys_a_space():
